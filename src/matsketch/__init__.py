@@ -65,10 +65,9 @@ from .lln import (
     scaled_basis_ensemble,
     tail_bound_eval,
 )
-from .matio import ingest, open_stream, read_matrix, write_binary, write_csv, write_matrixmarket
+from .matio import open_stream, read_matrix, write_binary, write_csv, write_matrixmarket
 from .reports import ExperimentReport
 from .sampling import (
-    SamplingPlan,
     Sketch,
     required_sample_size,
     row_distribution,
@@ -76,6 +75,6 @@ from .sampling import (
     sample_sketch_one_pass,
     sample_sketch_two_pass,
 )
-from .streams import IterableRowStream, MatrixRowStream, RowStream
+from .streams import BlockStream, IterableRowStream, MatrixRowStream, RowStream
 
 __version__ = "0.1.0"

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import approx, cutnorm, lln, matio, reports
 from .errors import Error
+from .streams import BlockStream
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -128,7 +129,8 @@ def _cmd_approx_svd(args) -> int:
         if args.stream == "one-pass":
             if args.d is None:
                 raise UsageError("--stream one-pass requires an explicit --d")
-            source = _single_shot(source)
+            # one traversal of the file's blocks, refused a second time
+            source = BlockStream(iter(source), source.n_cols)
     _, report = approx.low_rank_approximate(
         source,
         k=args.k,
@@ -161,13 +163,6 @@ def _cmd_approx_svd(args) -> int:
     if args.strict and report.satisfied is False:
         return EXIT_VIOLATION
     return EXIT_OK
-
-
-def _single_shot(stream):
-    """Force a replayable file stream into single-shot mode."""
-    from .streams import IterableRowStream
-
-    return IterableRowStream(iter(stream), stream.n_cols)
 
 
 def _witness_matrix(args) -> np.ndarray:

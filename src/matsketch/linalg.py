@@ -74,11 +74,12 @@ def numerical_rank(a) -> float:
     the exact rank.
     """
     arr = as_matrix(a)
-    fro = float(np.linalg.norm(arr))
-    if fro == 0.0:
+    values = _singular_values(arr)
+    top = float(values[0])
+    if top == 0.0:
         raise ZeroMatrixError("numerical rank is undefined for the zero matrix")
-    top = float(_singular_values(arr)[0])
-    return (fro / top) ** 2
+    # sum of squared ratios: squaring the norms themselves underflows for tiny entries
+    return float(np.sum((values / top) ** 2))
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,18 @@
 * Binary: little-endian header of two u64 (rows, cols) followed by
   rows*cols float64 values in row-major order.  Round-trips bit-exactly.
 
-``ingest`` reads a file as a dense matrix or as a replayable row stream.
-CSV and binary streams re-read the file lazily on each traversal;
-MatrixMarket sources are parsed fully and then streamed in row order.
+``read_matrix`` reads a file as a dense matrix; ``open_stream`` opens it
+as a replayable stream of row blocks (see ``streams``).  CSV and binary
+streams re-read the file lazily on each traversal: binary files with one
+``np.fromfile`` per block, CSV with the per-line parser (so errors name the
+line) packed into blocks.  MatrixMarket sources are parsed fully and then
+streamed in row order.  A binary file's size must match its header exactly,
+which is checked before any data is read.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -21,7 +26,8 @@ import numpy as np
 
 from .errors import ParseError
 from .linalg import as_matrix
-from .streams import IterableRowStream, MatrixRowStream, RowStream
+from . import streams
+from .streams import BlockStream, IterableRowStream, MatrixRowStream, RowStream
 
 _BINARY_HEADER = struct.Struct("<QQ")
 _MM_MAGIC = "%%MatrixMarket"
@@ -70,7 +76,7 @@ def read_matrix(path, fmt: str = "auto") -> np.ndarray:
 
 
 def open_stream(path, fmt: str = "auto") -> RowStream:
-    """Replayable row stream over a matrix file."""
+    """Replayable stream of row blocks over a matrix file."""
     fmt = _resolve(path, fmt)
     if fmt == "matrixmarket":
         return MatrixRowStream(_read_matrixmarket(path))
@@ -78,14 +84,7 @@ def open_stream(path, fmt: str = "auto") -> RowStream:
         n_cols = _csv_width(path)
         return IterableRowStream(lambda: _iter_csv_rows(path, n_cols), n_cols)
     m, n = _binary_shape(path)
-    return IterableRowStream(lambda: _iter_binary_rows(path, m, n), n)
-
-
-def ingest(path, fmt: str = "auto", as_stream: bool = False):
-    """Read a matrix file; returns a dense array or a replayable RowStream."""
-    if as_stream:
-        return open_stream(path, fmt)
-    return read_matrix(path, fmt)
+    return BlockStream(lambda: _iter_binary_blocks(path, m, n), n)
 
 
 # --- CSV ---------------------------------------------------------------
@@ -245,6 +244,12 @@ def _binary_shape(path) -> tuple[int, int]:
     m, n = _BINARY_HEADER.unpack(head)
     if m < 1 or n < 1:
         raise ParseError(f"bad dimensions ({m}, {n})", path=path)
+    expected = _BINARY_HEADER.size + 8 * m * n
+    size = os.path.getsize(path)
+    if size != expected:
+        raise ParseError(
+            f"file has {size} bytes, a {m}x{n} matrix needs {expected}", path=path
+        )
     return int(m), int(n)
 
 
@@ -261,15 +266,17 @@ def _read_binary(path) -> np.ndarray:
     return arr
 
 
-def _iter_binary_rows(path, m: int, n: int):
-    row_bytes = 8 * n
+def _iter_binary_blocks(path, m: int, n: int):
+    step = streams.BLOCK_ROWS
     with open(path, "rb") as fh:
         fh.seek(_BINARY_HEADER.size)
-        for i in range(m):
-            buf = fh.read(row_bytes)
-            if len(buf) != row_bytes:
-                raise ParseError(f"truncated at row {i}", path=path)
-            yield i, np.frombuffer(buf, dtype="<f8").astype(np.float64)
+        for start in range(0, m, step):
+            rows = min(step, m - start)
+            data = np.fromfile(fh, dtype="<f8", count=rows * n)
+            if data.size != rows * n:
+                raise ParseError(f"truncated at row {start + data.size // n}", path=path)
+            block = data.astype(np.float64, copy=False).reshape((rows, n))
+            yield np.arange(start, start + rows, dtype=np.int64), block
 
 
 def write_binary(path, a) -> None:

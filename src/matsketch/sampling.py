@@ -6,27 +6,35 @@ where F is the Frobenius norm of the source, so that the expected Gram
 matrix of the sketch equals the Gram matrix of the source and every sketch
 row has length F/sqrt(d).
 
-Three modes share this law:
+Three modes share this law and one block-based core: every mode reads the
+source as row blocks (see ``streams``), computes weights per block with
+``row_weights``' reduction, and gathers chosen rows out of the blocks.
 
-* ``sample_sketch``          -- in-memory matrix;
+* ``sample_sketch``          -- in-memory matrix: two-pass sampling over the
+  matrix's blocks, so it is bit-identical to the two-pass mode by
+  construction;
 * ``sample_sketch_two_pass`` -- replayable stream: pass 1 accumulates row
-  weights, pass 2 materializes only the chosen rows.  Bit-identical to the
-  in-memory mode for the same seed;
+  weights, pass 2 checks that it replays the same weights and materializes
+  only the chosen rows;
 * ``sample_sketch_one_pass`` -- single traversal keeping d independent
-  single-item weighted reservoirs.  Same occupant law, its own index stream.
+  single-item weighted reservoirs, updated once per block.  Same occupant
+  law, its own index stream.
+
+Weights do not depend on the block size, so neither do the sketches of the
+in-memory and two-pass modes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotReplayableError, OutOfRangeError, ShapeMismatchError, ZeroMatrixError
 from .linalg import as_matrix
 from .rng import as_generator
-from .streams import RowStream
+from .streams import MatrixRowStream, RowStream
 
 _CEIL_GUARD = 1e-9  # absorbs float noise so exact-integer products do not round up
 
@@ -63,30 +71,20 @@ def required_sample_size(r, epsilon, delta, c_constant=1.0) -> int:
     return max(1, math.ceil(value - _CEIL_GUARD * max(1.0, value)))
 
 
-@dataclass(frozen=True)
-class SamplingPlan:
-    """Resolved sampling parameters; ``d`` is derived on construction."""
-
-    r: float
-    epsilon: float
-    delta: float
-    c_constant: float = 1.0
-    d: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "d", required_sample_size(self.r, self.epsilon, self.delta, self.c_constant)
-        )
-
-
 def row_weights(a) -> np.ndarray:
     """Squared Euclidean length of each row.
 
-    Computed row by row with the same reduction the streaming modes use, so
-    in-memory and streamed sampling see bit-identical weights.
+    Every sampling mode computes weights with this reduction, one row at a
+    time, so the result is bit-identical whether it is computed on a whole
+    matrix, block by block, or row by row.
     """
-    arr = as_matrix(a)
-    return np.array([float(np.dot(row, row)) for row in arr])
+    return _block_weights(as_matrix(a))
+
+
+def _block_weights(block: np.ndarray) -> np.ndarray:
+    # the per-row reduction order depends on the memory layout, not the row count
+    block = np.ascontiguousarray(block)
+    return np.einsum("ij,ij->i", block, block)
 
 
 def row_distribution(a) -> np.ndarray:
@@ -124,8 +122,26 @@ def _scaled_rows(rows: np.ndarray, weights: np.ndarray, total_sq: float, d: int)
     return rows * scale[:, None]
 
 
+def _check_size(d: int) -> None:
+    if d < 1:
+        raise OutOfRangeError(f"sketch size d must be >= 1, got {d}")
+
+
+def _sketch(matrix, chosen, total_sq: float, d: int, seed) -> Sketch:
+    return Sketch(
+        matrix=matrix,
+        chosen_indices=chosen,
+        frobenius_of_source=math.sqrt(total_sq),
+        d=int(d),
+        seed=seed if isinstance(seed, int) else None,
+    )
+
+
 def sample_sketch(a, d: int, seed=0) -> Sketch:
     """Sample ``d`` rescaled rows of an in-memory matrix.
+
+    Two-pass sampling over the matrix's row blocks, so the in-memory and
+    two-pass modes agree bit for bit by construction.
 
     Parameters
     ----------
@@ -136,23 +152,7 @@ def sample_sketch(a, d: int, seed=0) -> Sketch:
     seed : int or numpy Generator
         Drives the draw; identical seeds give identical sketches.
     """
-    arr = as_matrix(a)
-    if d < 1:
-        raise OutOfRangeError(f"sketch size d must be >= 1, got {d}")
-    weights = row_weights(arr)
-    total_sq = float(np.sum(weights))
-    if total_sq <= 0.0:
-        raise ZeroMatrixError("cannot sample rows of a zero matrix")
-    rng = as_generator(seed)
-    idx = draw_weighted_indices(weights, d, rng)
-    matrix = _scaled_rows(arr[idx], weights[idx], total_sq, d)
-    return Sketch(
-        matrix=matrix,
-        chosen_indices=idx,
-        frobenius_of_source=math.sqrt(total_sq),
-        d=int(d),
-        seed=seed if isinstance(seed, int) else None,
-    )
+    return sample_sketch_two_pass(MatrixRowStream(a), d, seed)
 
 
 def stream_weights(stream: RowStream, accumulate_gram: bool = False):
@@ -160,100 +160,101 @@ def stream_weights(stream: RowStream, accumulate_gram: bool = False):
 
     Returns (indices, weights, total_sq, gram_or_None).
     """
-    indices: list[int] = []
-    weights: list[float] = []
+    index_parts: list[np.ndarray] = []
+    weight_parts: list[np.ndarray] = []
     gram = np.zeros((stream.n_cols, stream.n_cols)) if accumulate_gram else None
-    for i, row in stream:
-        indices.append(i)
-        weights.append(float(np.dot(row, row)))
+    for indices, block in stream:
+        index_parts.append(indices)
+        weight_parts.append(_block_weights(block))
         if gram is not None:
-            gram += np.outer(row, row)
-    w = np.array(weights)
-    return np.array(indices, dtype=np.int64), w, float(np.sum(w)), gram
+            gram += block.T @ block
+    if not index_parts:
+        return np.empty(0, dtype=np.int64), np.empty(0), 0.0, gram
+    w = np.concatenate(weight_parts)
+    return np.concatenate(index_parts), w, float(np.sum(w)), gram
 
 
 def materialize_chosen(stream: RowStream, positions, weights, total_sq: float, d: int, seed) -> Sketch:
     """Second pass: collect only the chosen rows and assemble the sketch.
 
-    ``positions`` are positions in traversal order; holds at most the set of
-    distinct chosen rows plus the row currently being read.
+    ``positions`` are positions in traversal order and ``weights`` the row
+    weights of the first pass.  Holds the distinct chosen rows plus the
+    block being read.  Each block's weights are recomputed and compared
+    bit for bit with the first pass's, and the row count must match, so a
+    replay that differs from the first traversal raises ShapeMismatchError.
     """
-    wanted = set(int(p) for p in positions)
-    store: dict[int, np.ndarray] = {}
-    source_indices: list[int] = []
-    for pos, (i, row) in enumerate(stream):
-        source_indices.append(i)
-        if pos in wanted:
-            store[pos] = row
-    missing = wanted.difference(store)
-    if missing:
+    positions = np.asarray(positions, dtype=np.int64)
+    weights = np.asarray(weights)
+    wanted, inverse = np.unique(positions, return_inverse=True)
+    rows = np.empty((wanted.size, stream.n_cols))
+    chosen = np.empty(wanted.size, dtype=np.int64)
+    seen = 0
+    for indices, block in stream:
+        stop = seen + block.shape[0]
+        # weights are sums of squares of finite entries: == is a bitwise test
+        if stop > weights.size or not np.array_equal(
+            _block_weights(block), weights[seen:stop]
+        ):
+            raise ShapeMismatchError(
+                f"stream replay differs from the first pass in rows {seen}..{stop - 1}"
+            )
+        lo, hi = np.searchsorted(wanted, (seen, stop))
+        if hi > lo:
+            local = wanted[lo:hi] - seen
+            rows[lo:hi] = block[local]
+            chosen[lo:hi] = indices[local]
+        seen = stop
+    if seen != weights.size:
         raise ShapeMismatchError(
-            f"stream replay ended before positions {sorted(missing)} were seen"
+            f"stream replay has {seen} rows, the first pass had {weights.size}"
         )
-    rows = np.stack([store[int(p)] for p in positions])
-    matrix = _scaled_rows(rows, np.asarray(weights)[positions], total_sq, d)
-    chosen = np.array([source_indices[int(p)] for p in positions], dtype=np.int64)
-    return Sketch(
-        matrix=matrix,
-        chosen_indices=chosen,
-        frobenius_of_source=math.sqrt(total_sq),
-        d=int(d),
-        seed=seed if isinstance(seed, int) else None,
-    )
+    matrix = _scaled_rows(rows[inverse], weights[positions], total_sq, d)
+    return _sketch(matrix, chosen[inverse], total_sq, d, seed)
 
 
 def sample_sketch_two_pass(stream: RowStream, d: int, seed=0) -> Sketch:
     """Sketch a replayable stream: weight pass, draw, then materialize pass."""
     if not stream.replayable:
         raise NotReplayableError("two-pass sampling requires a replayable stream")
-    if d < 1:
-        raise OutOfRangeError(f"sketch size d must be >= 1, got {d}")
+    _check_size(d)
     _, weights, total_sq, _ = stream_weights(stream)
     if total_sq <= 0.0:
         raise ZeroMatrixError("cannot sample rows of a zero matrix")
-    rng = as_generator(seed)
-    positions = draw_weighted_indices(weights, d, rng)
+    positions = draw_weighted_indices(weights, d, as_generator(seed))
     return materialize_chosen(stream, positions, weights, total_sq, d, seed)
 
 
 def sample_sketch_one_pass(stream: RowStream, d: int, seed=0) -> Sketch:
     """Sketch a stream in a single traversal.
 
-    Keeps ``d`` independent single-item reservoirs.  When a row with weight
-    w arrives and the running weight total becomes W, each reservoir
-    replaces its occupant with probability w/W, independently.  The final
-    occupant of each reservoir is then distributed exactly per the row
-    distribution, and reservoirs are mutually independent.
+    Keeps ``d`` independent single-item weighted reservoirs, updated once per
+    block (Chao 1982; Efraimidis-Spirakis 2006).  With running weight W
+    before a block of total weight w_B, each reservoir independently takes a
+    new occupant from the block with probability w_B/(W + w_B), drawn with
+    probability proportional to its weight within the block.  A row of
+    weight w in block s thus ends as the occupant with probability
+    (w/W_s) * prod_{u>s}(W_{u-1}/W_u) = w/W, the row distribution; the
+    reservoirs are mutually independent.
     """
-    if d < 1:
-        raise OutOfRangeError(f"sketch size d must be >= 1, got {d}")
+    _check_size(d)
     rng = as_generator(seed)
     running = 0.0
-    occupant_rows: list[np.ndarray | None] = [None] * d
+    rows = np.zeros((d, stream.n_cols))
     occupant_index = np.full(d, -1, dtype=np.int64)
     occupant_weight = np.zeros(d)
-    weights: list[float] = []
-    for i, row in stream:
-        w = float(np.dot(row, row))
-        weights.append(w)
-        if w <= 0.0:
+    for indices, block in stream:
+        w = _block_weights(block)
+        block_total = float(np.sum(w))
+        if block_total <= 0.0:
             continue
-        running += w
-        replace = rng.random(d) < (w / running)
-        if replace.any():
-            for slot in np.nonzero(replace)[0]:
-                occupant_rows[slot] = row
-            occupant_index[replace] = i
-            occupant_weight[replace] = w
-    total_sq = float(np.sum(np.array(weights))) if weights else 0.0
-    if running <= 0.0 or total_sq <= 0.0:
+        running += block_total
+        slots = np.flatnonzero(rng.random(d) < block_total / running)
+        if slots.size:
+            picks = draw_weighted_indices(w, slots.size, rng)
+            rows[slots] = block[picks]
+            occupant_index[slots] = indices[picks]
+            occupant_weight[slots] = w[picks]
+    if running <= 0.0:
         raise ZeroMatrixError("stream carried zero total weight")
-    rows = np.stack(occupant_rows)
-    matrix = _scaled_rows(rows, occupant_weight, total_sq, d)
-    return Sketch(
-        matrix=matrix,
-        chosen_indices=occupant_index.copy(),
-        frobenius_of_source=math.sqrt(total_sq),
-        d=int(d),
-        seed=seed if isinstance(seed, int) else None,
-    )
+    matrix = _scaled_rows(rows, occupant_weight, running, d)
+    return _sketch(matrix, occupant_index, running, d, seed)

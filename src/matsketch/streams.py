@@ -1,9 +1,14 @@
-"""Row streams: ordered (index, row) sources for out-of-core sampling.
+"""Row streams: ordered row-block sources for out-of-core sampling.
 
-A stream yields ``(row_index, row)`` pairs with strictly increasing indices
-and a fixed row width.  Replayable streams can be traversed any number of
-times (each traversal re-reads the source); single-shot streams refuse a
-second traversal.
+Iterating a stream yields ``(indices, block)`` pairs: ``indices`` is an
+int64 array of source row indices, strictly increasing across the whole
+traversal, and ``block`` is a ``len(indices) x n_cols`` float64 array of at
+most ``BLOCK_ROWS`` rows.  Every block is checked for width, index order and
+finite entries before it is handed out.  Consumers must not modify a block,
+and a block may be a view of the source (``MatrixRowStream``).
+
+Replayable streams can be traversed any number of times (each traversal
+re-reads the source); single-shot streams refuse a second traversal.
 """
 
 from __future__ import annotations
@@ -15,11 +20,14 @@ import numpy as np
 from .errors import InvalidMatrixError, NotReplayableError, ShapeMismatchError
 from .linalg import as_matrix
 
+BLOCK_ROWS = 4096  # rows per block handed out by every stream
+
 Row = tuple[int, np.ndarray]
+Block = tuple[np.ndarray, np.ndarray]
 
 
 class RowStream:
-    """Base class; subclasses implement ``_rows()``."""
+    """Base class; subclasses implement ``_blocks()``."""
 
     def __init__(self, n_cols: int, replayable: bool):
         if n_cols < 1:
@@ -27,51 +35,64 @@ class RowStream:
         self.n_cols = int(n_cols)
         self.replayable = bool(replayable)
 
-    def _rows(self) -> Iterator[Row]:
+    def _blocks(self) -> Iterator[Block]:
         raise NotImplementedError
 
-    def __iter__(self) -> Iterator[Row]:
-        return self._checked(self._rows())
+    def __iter__(self) -> Iterator[Block]:
+        return self._checked(self._blocks())
 
-    def _checked(self, rows: Iterator[Row]) -> Iterator[Row]:
+    def _checked(self, blocks: Iterator[Block]) -> Iterator[Block]:
         last = -1
-        for index, row in rows:
-            index = int(index)
-            if index <= last:
+        for indices, block in blocks:
+            indices = np.asarray(indices, dtype=np.int64)
+            block = np.asarray(block, dtype=np.float64)
+            if block.ndim != 2 or block.shape[1] != self.n_cols:
                 raise ShapeMismatchError(
-                    f"row indices must be strictly increasing: {index} after {last}"
+                    f"block of shape {block.shape} after row {last}, "
+                    f"expected rows of {self.n_cols} entries"
                 )
-            arr = np.asarray(row, dtype=np.float64)
-            if arr.ndim != 1 or arr.size != self.n_cols:
+            if indices.shape != (block.shape[0],):
                 raise ShapeMismatchError(
-                    f"row {index} has {arr.size} entries, expected {self.n_cols}"
+                    f"{indices.size} indices for a block of {block.shape[0]} rows"
                 )
-            if not np.isfinite(arr).all():
-                raise InvalidMatrixError(f"row {index} contains non-finite entries")
-            last = index
-            yield index, arr
+            if not indices.size:
+                continue
+            if indices[0] <= last or (indices[1:] <= indices[:-1]).any():
+                raise ShapeMismatchError(
+                    f"row indices must be strictly increasing after row {last}"
+                )
+            finite = np.isfinite(block)
+            if not finite.all():
+                bad = int(indices[np.argmin(finite.all(axis=1))])
+                raise InvalidMatrixError(f"row {bad} contains non-finite entries")
+            last = int(indices[-1])
+            yield indices, block
 
 
 class MatrixRowStream(RowStream):
-    """Replayable stream over the rows of an in-memory matrix."""
+    """Replayable stream over an in-memory matrix; blocks are views of it."""
 
     def __init__(self, matrix):
         self.matrix = as_matrix(matrix)
         super().__init__(self.matrix.shape[1], replayable=True)
 
-    def _rows(self) -> Iterator[Row]:
-        for i in range(self.matrix.shape[0]):
-            yield i, self.matrix[i]
+    def _blocks(self) -> Iterator[Block]:
+        m = self.matrix.shape[0]
+        step = BLOCK_ROWS
+        for start in range(0, m, step):
+            stop = min(start + step, m)
+            yield np.arange(start, stop, dtype=np.int64), self.matrix[start:stop]
 
 
-class IterableRowStream(RowStream):
-    """Stream over a row factory (replayable) or a one-shot iterable.
+class BlockStream(RowStream):
+    """Stream over a block factory (replayable) or a one-shot block iterable.
 
-    Pass a zero-argument callable returning a fresh iterator to get a
-    replayable stream; pass an iterator/iterable to get a single-shot one.
+    Pass a zero-argument callable returning a fresh iterator of
+    ``(indices, block)`` pairs to get a replayable stream; pass an
+    iterator/iterable of such pairs to get a single-shot one.
     """
 
-    def __init__(self, source: Callable[[], Iterable[Row]] | Iterable[Row], n_cols: int):
+    def __init__(self, source: Callable[[], Iterable] | Iterable, n_cols: int):
         if callable(source):
             self._factory = source
             self._once = None
@@ -82,10 +103,45 @@ class IterableRowStream(RowStream):
             replayable = False
         super().__init__(n_cols, replayable=replayable)
 
-    def _rows(self) -> Iterator[Row]:
+    def _blocks(self) -> Iterator:
         if self._factory is not None:
             return iter(self._factory())
         if self._once is None:
             raise NotReplayableError("single-shot stream was already consumed")
-        rows, self._once = self._once, None
-        return rows
+        items, self._once = self._once, None
+        return items
+
+
+class IterableRowStream(BlockStream):
+    """Stream over ``(index, row)`` pairs from a factory or a one-shot iterable.
+
+    Rows are copied into a fresh ``BLOCK_ROWS x n_cols`` buffer, which is
+    handed out as a block once it is full or the source ends.
+    """
+
+    def _blocks(self) -> Iterator[Block]:
+        return _pack_rows(super()._blocks(), self.n_cols)
+
+
+def _pack_rows(rows: Iterable[Row], n_cols: int) -> Iterator[Block]:
+    """Group ``(index, row)`` pairs into blocks of at most ``BLOCK_ROWS`` rows."""
+    step = BLOCK_ROWS
+    indices = np.empty(step, dtype=np.int64)
+    buf = np.empty((step, n_cols))
+    filled = 0
+    for index, row in rows:
+        arr = np.asarray(row, dtype=np.float64)
+        if arr.shape != (n_cols,):
+            raise ShapeMismatchError(
+                f"row {index} has {arr.size} entries, expected {n_cols}"
+            )
+        indices[filled] = index
+        buf[filled] = arr
+        filled += 1
+        if filled == step:
+            yield indices, buf
+            indices = np.empty(step, dtype=np.int64)
+            buf = np.empty((step, n_cols))
+            filled = 0
+    if filled:
+        yield indices[:filled], buf[:filled]

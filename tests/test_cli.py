@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from matsketch import block_identity_matrix, write_binary, write_csv
+from matsketch import IterableRowStream, block_identity_matrix, matio, write_binary, write_csv
 from matsketch.cli import main
 from conftest import matrix_with_singular_values
 
@@ -53,6 +53,35 @@ class TestApproxSvd:
     def test_unreadable_file_is_data_error(self, tmp_path):
         code = main(["approx-svd", "--input", str(tmp_path / "nope.csv"), "--k", "1"])
         assert code == 65
+
+    @pytest.mark.parametrize(
+        "stream", [[], ["--stream", "two-pass"], ["--stream", "one-pass", "--d", "5"]]
+    )
+    @pytest.mark.parametrize("trim", [-8, 24])
+    def test_binary_size_mismatch_is_data_error(self, tmp_path, capsys, stream, trim):
+        path = tmp_path / "a.bin"
+        write_binary(path, np.arange(6.0).reshape(3, 2))
+        data = path.read_bytes()
+        path.write_bytes(data[:trim] if trim < 0 else data + bytes(trim))
+        code = main(["approx-svd", "--input", str(path), "--k", "1", "--out", "-"] + stream)
+        assert code == 65
+        assert "a 3x2 matrix needs 64" in capsys.readouterr().err
+
+    def test_two_pass_replay_mismatch_is_data_error(self, tmp_path, monkeypatch, capsys, rng):
+        base = rng.normal(size=(30, 4))
+        traversals = []
+
+        def factory():
+            traversals.append(None)
+            return enumerate(base if len(traversals) == 1 else base[::-1])
+
+        monkeypatch.setattr(matio, "open_stream", lambda *args: IterableRowStream(factory, 4))
+        path = tmp_path / "a.bin"
+        write_binary(path, base)
+        code = main(["approx-svd", "--input", str(path), "--k", "1", "--d", "5",
+                     "--stream", "two-pass", "--out", str(tmp_path / "r.json")])
+        assert code == 65
+        assert "replay differs" in capsys.readouterr().err
 
     def test_two_pass_matches_in_memory_fields(self, tmp_path, rank3_file):
         out_mem = tmp_path / "mem.json"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from matsketch import ParseError, ingest, read_matrix, sample_sketch, sample_sketch_two_pass
+from matsketch import ParseError, read_matrix, sample_sketch, sample_sketch_two_pass
 from matsketch.matio import (
     detect_format,
     open_stream,
@@ -141,6 +141,24 @@ class TestBinary:
         with pytest.raises(ParseError):
             read_matrix(path, "binary")
 
+    @pytest.mark.parametrize("extra", [8, 24])
+    def test_trailing_bytes(self, tmp_path, extra):
+        path = tmp_path / "a.bin"
+        write_binary(path, np.arange(6.0).reshape(3, 2))
+        with open(path, "ab") as fh:
+            fh.write(bytes(extra))
+        with pytest.raises(ParseError, match="bytes"):
+            read_matrix(path, "binary")
+        with pytest.raises(ParseError, match="bytes"):
+            open_stream(path, "binary")
+
+    def test_short_file_rejected_when_opened(self, tmp_path, random_matrix):
+        path = tmp_path / "a.bin"
+        write_binary(path, random_matrix)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ParseError, match="bytes"):
+            open_stream(path, "binary")
+
 
 class TestDetectAndIngest:
     def test_detection(self, tmp_path, random_matrix):
@@ -154,11 +172,11 @@ class TestDetectAndIngest:
         assert detect_format(csv) == "csv"
         assert detect_format(binary) == "binary"
 
-    def test_ingest_matrix_matches_ingest_stream(self, tmp_path, random_matrix):
+    def test_read_matrix_matches_open_stream(self, tmp_path, random_matrix):
         path = tmp_path / "a.csv"
         write_csv(path, random_matrix)
-        dense = ingest(path)
-        stream = ingest(path, as_stream=True)
+        dense = read_matrix(path)
+        stream = open_stream(path)
         mem = sample_sketch(dense, 17, seed=6)
         streamed = sample_sketch_two_pass(stream, 17, seed=6)
         assert np.array_equal(mem.chosen_indices, streamed.chosen_indices)
@@ -168,8 +186,8 @@ class TestDetectAndIngest:
         path = tmp_path / "a.bin"
         write_binary(path, random_matrix)
         stream = open_stream(path)
-        rows = list(stream)
-        assert len(rows) == 100
-        assert all(np.array_equal(row, random_matrix[i]) for i, row in rows)
-        rows_again = list(stream)  # replayable
-        assert len(rows_again) == 100
+        for _ in range(2):  # replayable: the second traversal gives the same blocks
+            blocks = list(stream)
+            indices = np.concatenate([i for i, _ in blocks])
+            assert np.array_equal(indices, np.arange(100))
+            assert np.array_equal(np.concatenate([b for _, b in blocks]), random_matrix)

@@ -5,12 +5,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from matsketch import streams
+from matsketch.sampling import row_weights
+from matsketch.matio import open_stream, write_binary
+
 from matsketch import (
+    BlockStream,
+    InvalidMatrixError,
     IterableRowStream,
     MatrixRowStream,
     NotReplayableError,
     OutOfRangeError,
-    SamplingPlan,
     ShapeMismatchError,
     ZeroMatrixError,
     required_sample_size,
@@ -42,6 +47,15 @@ class TestRowDistribution:
         with pytest.raises(ZeroMatrixError):
             row_distribution(np.zeros((2, 2)))
 
+    def test_weights_match_row_loop(self, rng):
+        a = rng.normal(size=(50, 13)) * rng.lognormal(size=(50, 1))
+        weights = row_weights(a)
+        per_row = np.array([row_weights(a[i : i + 1])[0] for i in range(50)])
+        assert weights.tobytes() == per_row.tobytes()
+        assert weights.tobytes() == row_weights(np.asfortranarray(a)).tobytes()
+        dot_loop = np.array([float(np.dot(row, row)) for row in a])
+        assert np.allclose(weights, dot_loop, rtol=1e-14, atol=0.0)
+
 
 class TestRequiredSampleSize:
     def test_direct_evaluation(self):
@@ -71,9 +85,9 @@ class TestRequiredSampleSize:
         with pytest.raises(OutOfRangeError):
             required_sample_size(r, eps, delta, c)
 
-    def test_plan_derives_d(self):
-        plan = SamplingPlan(r=100, epsilon=0.5, delta=0.5)
-        assert plan.d == 25827
+    def test_default_constant_is_one(self):
+        assert required_sample_size(100, 0.5, 0.5) == required_sample_size(100, 0.5, 0.5, 1.0)
+        assert required_sample_size(100, 0.5, 0.5) == 25827
 
 
 class TestSampleSketch:
@@ -177,6 +191,72 @@ class TestTwoPass:
         assert sketch.matrix.shape == (d, 200)
         assert peak[0] <= d + 1
 
+    @staticmethod
+    def _replay_differs(base, second):
+        """Row factory whose second traversal yields ``second(base)`` instead of ``base``."""
+        traversals = []
+
+        def factory():
+            traversals.append(None)
+            rows = second(base.copy()) if len(traversals) == 2 else base
+            return enumerate(rows)
+
+        return IterableRowStream(factory, base.shape[1])
+
+    def test_replay_with_changed_row_rejected(self, rng):
+        base = rng.normal(size=(40, 7))
+
+        def change_one(rows):
+            rows[17, 3] += 1.0
+            return rows
+
+        with pytest.raises(ShapeMismatchError, match="differs"):
+            sample_sketch_two_pass(self._replay_differs(base, change_one), 5, seed=0)
+
+    def test_replay_with_added_row_rejected(self, rng):
+        base = rng.normal(size=(40, 7))
+        stream = self._replay_differs(base, lambda rows: np.vstack([rows, rows[:1]]))
+        with pytest.raises(ShapeMismatchError):
+            sample_sketch_two_pass(stream, 5, seed=0)
+
+    def test_replay_with_dropped_row_rejected(self, rng):
+        base = rng.normal(size=(40, 7))
+        stream = self._replay_differs(base, lambda rows: rows[:-1])
+        with pytest.raises(ShapeMismatchError, match="39 rows"):
+            sample_sketch_two_pass(stream, 5, seed=0)
+
+
+class TestBlockSize:
+    """Sketches must not depend on how the source is cut into blocks."""
+
+    def test_in_memory_and_two_pass_independent_of_block_size(self, rng, tmp_path, monkeypatch):
+        m = 2 * 4096 + 100  # at least three blocks at every size tried
+        a = rng.normal(size=(m, 5)) * rng.lognormal(size=(m, 1))
+        path = tmp_path / "a.bin"
+        write_binary(path, a)
+        results = []
+        for block_rows in (1, 7, 4096):
+            monkeypatch.setattr(streams, "BLOCK_ROWS", block_rows)
+            assert len(list(MatrixRowStream(a))) == -(-m // block_rows)
+            sources = [
+                sample_sketch(a, 300, seed=8),
+                sample_sketch_two_pass(MatrixRowStream(a), 300, seed=8),
+                sample_sketch_two_pass(IterableRowStream(lambda: enumerate(a), 5), 300, seed=8),
+                sample_sketch_two_pass(open_stream(path), 300, seed=8),
+            ]
+            results.extend((s.chosen_indices.tobytes(), s.matrix.tobytes()) for s in sources)
+        assert all(r == results[0] for r in results)
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 7])
+    def test_blocked_reservoir_law(self, monkeypatch, block_rows):
+        # FIXED_8ROW spans several blocks, so reservoirs change hands between blocks
+        monkeypatch.setattr(streams, "BLOCK_ROWS", block_rows)
+        d = 40_000
+        sketch = sample_sketch_one_pass(MatrixRowStream(FIXED_8ROW), d, seed=block_rows)
+        counts = np.bincount(sketch.chosen_indices, minlength=8)
+        result = stats.chisquare(counts, row_distribution(FIXED_8ROW) * d)
+        assert result.pvalue > 0.001
+
 
 class TestOnePass:
     def test_point_mass(self):
@@ -228,6 +308,28 @@ def test_stream_validation_decreasing_indices():
     stream = IterableRowStream(iter([(1, np.ones(2)), (0, np.ones(2))]), 2)
     with pytest.raises(ShapeMismatchError):
         list(stream)
+
+
+def test_stream_validation_decreasing_across_blocks():
+    blocks = [(np.array([0, 5]), np.ones((2, 2))), (np.array([5, 6]), np.ones((2, 2)))]
+    with pytest.raises(ShapeMismatchError):
+        list(BlockStream(iter(blocks), 2))
+
+
+def test_stream_validation_names_non_finite_row():
+    block = np.ones((3, 2))
+    block[1, 0] = np.inf
+    with pytest.raises(InvalidMatrixError, match="row 11"):
+        list(BlockStream(iter([(np.array([10, 11, 12]), block)]), 2))
+
+
+def test_rows_are_packed_into_blocks(monkeypatch):
+    monkeypatch.setattr(streams, "BLOCK_ROWS", 4)
+    rows = np.arange(20.0).reshape(10, 2)
+    blocks = list(IterableRowStream(iter(enumerate(rows)), 2))
+    assert [b.shape[0] for _, b in blocks] == [4, 4, 2]
+    assert np.array_equal(np.concatenate([b for _, b in blocks]), rows)
+    assert np.array_equal(np.concatenate([i for i, _ in blocks]), np.arange(10))
 
 
 def test_single_shot_refuses_second_traversal():
