@@ -34,6 +34,7 @@ from .errors import (
     ConvergenceError,
     Error,
     InvalidMatrixError,
+    InvariantError,
     NotReplayableError,
     NotSignMatrixError,
     NotSortedError,

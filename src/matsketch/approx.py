@@ -17,10 +17,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OutOfRangeError, ShapeMismatchError, ZeroMatrixError
-from .linalg import as_matrix, spectral_norm, svd, sym_spectral_norm
+from .errors import InvariantError, OutOfRangeError, ShapeMismatchError, ZeroMatrixError
+from .linalg import _singular_values, as_matrix, spectral_norm, sym_spectral_norm
 from .parallel import run_indexed
-from .rng import spawn
+from .rng import as_generator, spawn
 from .sampling import (
     Sketch,
     draw_weighted_indices,
@@ -30,7 +30,11 @@ from .sampling import (
     sample_sketch_one_pass,
     stream_weights,
 )
-from .streams import RowStream
+from .streams import MatrixRowStream, RowStream
+
+# squared values read off a Gram matrix below this many n * eps * |G|_2 are
+# recomputed exactly from the matrix
+_GRAM_FLOOR = 1e3
 
 
 @dataclass(frozen=True)
@@ -94,7 +98,11 @@ def projection_error_bound(a, sketch: Sketch, k: int) -> BoundCheck:
     """Deterministic comparison of the projection error with the Gram gap.
 
     lhs = |a - a P_k|_2^2, rhs = sigma_{k+1}(a)^2 + 2 |a^T a - s^T s|_2
-    where s is the sketch.  Holds for every matrix, sketch, and k.
+    where s is the sketch.  Holds for every matrix, sketch, and k: this is
+    the deterministic inequality of Drineas, Kannan and Mahoney ("Fast
+    Monte Carlo algorithms for matrices II", SIAM J. Comput. 36, 2006).
+    Computed exactly from ``a``; it is the reference for the Gram
+    certificate of ``low_rank_approximate``.
     """
     arr = as_matrix(a)
     if sketch.matrix.shape[1] != arr.shape[1]:
@@ -103,7 +111,7 @@ def projection_error_bound(a, sketch: Sketch, k: int) -> BoundCheck:
         )
     projector = projector_top_k(sketch, k)
     lhs = approximation_error(arr, projector) ** 2
-    values = svd(arr).values
+    values = _singular_values(arr)
     sigma_next = float(values[k]) if k < values.size else 0.0
     gram_gap = sym_spectral_norm(arr.T @ arr - sketch.gram())
     rhs = sigma_next**2 + 2.0 * gram_gap
@@ -114,8 +122,15 @@ def projection_error_bound(a, sketch: Sketch, k: int) -> BoundCheck:
 class ApproxReport:
     """Outcome of one end-to-end approximation run.
 
-    Error fields are None when the source is a stream (the full matrix is
-    never held, so exact singular values are not computed).
+    ``numerical_rank`` is |A|_F^2 / lambda_max(A^T A), taken from the n x n
+    Gram matrix G = A^T A of the weight pass; it is None for single-shot
+    streams, which never form G.  The certificate fields (``sigma_kplus1``,
+    ``error_spectral``, ``bound``, ``gram_deviation``, ``satisfied``) are
+    None for streams.  For in-memory matrices they come from G as well:
+    sigma_{k+1}^2 is the (k+1)-th largest eigenvalue of G,
+    |A - AP|_2^2 = lambda_max((I-P) G (I-P)) and ``gram_deviation`` is
+    |G - S^T S|_2 for the sketch S.  Where G is too coarse for a value (see
+    ``_certify``), sigma_{k+1} and the error are recomputed exactly from A.
     """
 
     k: int
@@ -130,26 +145,6 @@ class ApproxReport:
     satisfied: bool | None
 
 
-def _power_top_eigenvalue(gram: np.ndarray, iterations: int = 30) -> float:
-    """Lower estimate of the top eigenvalue of a PSD matrix.
-
-    Power iteration from a fixed starting vector; both the Rayleigh quotient
-    and the largest diagonal entry are lower bounds, so the estimate only
-    ever inflates the numerical rank (and hence the sample size).
-    """
-    n = gram.shape[0]
-    v = np.full(n, 1.0 / math.sqrt(n))
-    rayleigh = 0.0
-    for _ in range(iterations):
-        w = gram @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            break
-        v = w / norm
-        rayleigh = float(v @ (gram @ v))
-    return max(rayleigh, float(gram.diagonal().max()), 0.0)
-
-
 def low_rank_approximate(
     source,
     k: int,
@@ -161,10 +156,12 @@ def low_rank_approximate(
 ) -> tuple[Projector, ApproxReport]:
     """Sample a sketch sized by the numerical rank and build its projector.
 
-    ``source`` is a dense matrix or a RowStream.  Replayable streams take
-    exactly two traversals; single-shot streams take one but require an
-    explicit ``d`` (the reservoir count must be fixed before the pass).
-    ``d`` overrides the sample-size formula in every mode.
+    ``source`` is a dense matrix or a RowStream.  Dense matrices and
+    replayable streams run the same two-pass sampling and give the same
+    d, numerical rank and projector for the same seed; single-shot streams
+    take one traversal but require an explicit ``d`` (the reservoir count
+    must be fixed before the pass).  ``d`` overrides the sample-size
+    formula in every mode.
     """
     if not 0 < epsilon < 1:
         raise OutOfRangeError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -175,67 +172,104 @@ def low_rank_approximate(
     return _approximate_dense(source, k, epsilon, delta, c_constant, seed, d)
 
 
-def _approximate_dense(a, k, epsilon, delta, c_constant, seed, d):
-    arr = as_matrix(a)
-    decomposition = svd(arr)
-    values = decomposition.values
-    top = float(values[0])
-    if top == 0.0:
+class _TwoPass(NamedTuple):
+    projector: Projector
+    sketch: Sketch
+    gram: np.ndarray
+    eigenvalues: np.ndarray  # of gram, ascending
+    rank: float
+
+
+def _sample_two_pass(stream, k, epsilon, delta, c_constant, seed, d) -> _TwoPass:
+    """Weight-and-Gram pass, index draw and materialise pass, then the projector."""
+    _, weights, total_sq, gram = stream_weights(stream, accumulate_gram=True)
+    if total_sq <= 0.0:
         raise ZeroMatrixError("cannot approximate the zero matrix")
-    fro_sq = float(np.sum(values**2))
-    rank = fro_sq / top**2
+    eigenvalues = np.linalg.eigvalsh(gram)
+    rank = total_sq / float(eigenvalues[-1])
     if d is None:
-        d = required_sample_size(rank, epsilon, delta, c_constant)
-    sketch = sample_sketch(arr, d, seed)
-    projector = projector_top_k(sketch, k)
-    sigma_next = float(values[k]) if k < values.size else 0.0
-    error = approximation_error(arr, projector)
+        # the Gram ratio of a rank-one matrix can round to just below 1
+        d = required_sample_size(max(1.0, rank), epsilon, delta, c_constant)
+    elif d < 1:
+        raise OutOfRangeError(f"sketch size d must be >= 1, got {d}")
+    positions = draw_weighted_indices(weights, d, as_generator(seed))
+    sketch = materialize_chosen(stream, positions, weights, total_sq, d, seed)
+    return _TwoPass(projector_top_k(sketch, k), sketch, gram, eigenvalues, rank)
+
+
+def _approximate_dense(a, k, epsilon, delta, c_constant, seed, d):
+    stream = MatrixRowStream(a)
+    run = _sample_two_pass(stream, k, epsilon, delta, c_constant, seed, d)
+    sigma_next, error, gram_deviation = _certify(stream.matrix, run, k)
+    top = math.sqrt(float(run.eigenvalues[-1]))
     bound = sigma_next + epsilon * top
-    gram_deviation = sym_spectral_norm(arr.T @ arr - sketch.gram())
-    satisfied = bool(error <= bound + 1e-12 * max(1.0, bound))
+    satisfied = bool(error <= bound * (1.0 + 1e-12))
     # small Gram deviation forces success: error^2 <= sigma^2 + 2*dev
-    assert satisfied or gram_deviation > 0.5 * (epsilon * top) ** 2 - 1e-9
+    if not satisfied and gram_deviation <= 0.5 * (epsilon * top) ** 2 - 1e-9 * top**2:
+        raise InvariantError(
+            f"error {error!r} exceeds the bound {bound!r} although the Gram deviation "
+            f"{gram_deviation!r} is at most (epsilon * |A|_2)^2 / 2"
+        )
     report = ApproxReport(
         k=int(k),
-        d=int(d),
+        d=run.sketch.d,
         epsilon=float(epsilon),
         delta=float(delta),
-        numerical_rank=rank,
+        numerical_rank=run.rank,
         sigma_kplus1=sigma_next,
         error_spectral=error,
         bound=bound,
         gram_deviation=gram_deviation,
         satisfied=satisfied,
     )
-    return projector, report
+    return run.projector, report
+
+
+def _certify(arr: np.ndarray, run: _TwoPass, k: int) -> tuple[float, float, float]:
+    """sigma_{k+1}, |A - AP|_2 and |A^T A - S^T S|_2 from the Gram matrix G.
+
+    Squared values read off G carry an absolute error of order
+    n * eps * |G|_2 (the condition number is squared).  So sigma_{k+1} and
+    the error are recomputed exactly from ``arr`` when either squared value
+    falls below ``_GRAM_FLOOR * n * eps * |G|_2``, or when the Gram values
+    break error^2 <= sigma_{k+1}^2 + 2 * deviation, which exact values
+    always satisfy (see ``projection_error_bound``).
+    """
+    gram, lam, basis = run.gram, run.eigenvalues, run.projector.basis
+    n = gram.shape[0]
+    lam_next = float(lam[n - 1 - k]) if k < n else 0.0
+    # (I - P) G (I - P) with P = basis @ basis.T
+    left = gram - basis @ (basis.T @ gram)
+    residual = left - (left @ basis) @ basis.T
+    error_sq = float(np.linalg.eigvalsh(0.5 * (residual + residual.T))[-1])
+    gram_deviation = sym_spectral_norm(gram - run.sketch.gram())
+    floor = _GRAM_FLOOR * n * np.finfo(np.float64).eps * float(lam[-1])
+    coarse = error_sq < floor or (k < n and lam_next < floor)
+    if coarse or error_sq > lam_next + 2.0 * gram_deviation:
+        values = _singular_values(arr)
+        sigma_next = float(values[k]) if k < values.size else 0.0
+        return sigma_next, approximation_error(arr, run.projector), gram_deviation
+    return math.sqrt(lam_next), math.sqrt(error_sq), gram_deviation
 
 
 def _approximate_stream(stream, k, epsilon, delta, c_constant, seed, d):
     if stream.replayable:
-        _, weights, total_sq, gram = stream_weights(stream, accumulate_gram=True)
-        if total_sq <= 0.0:
-            raise ZeroMatrixError("stream carried zero total weight")
-        rank = total_sq / _power_top_eigenvalue(gram)
-        if d is None:
-            d = required_sample_size(max(1.0, rank), epsilon, delta, c_constant)
-        rng = spawn(seed)
-        positions = draw_weighted_indices(weights, d, rng)
-        sketch = materialize_chosen(stream, positions, weights, total_sq, d, seed)
+        run = _sample_two_pass(stream, k, epsilon, delta, c_constant, seed, d)
+        projector, rank, d = run.projector, run.rank, run.sketch.d
     else:
         if d is None:
             raise OutOfRangeError(
                 "single-shot streams need an explicit sketch size d; "
                 "the sample-size formula requires a replayable source"
             )
-        sketch = sample_sketch_one_pass(stream, d, seed)
+        projector = projector_top_k(sample_sketch_one_pass(stream, d, seed), k)
         rank = None
-    projector = projector_top_k(sketch, k)
     report = ApproxReport(
         k=int(k),
         d=int(d),
         epsilon=float(epsilon),
         delta=float(delta),
-        numerical_rank=None if rank is None else float(rank),
+        numerical_rank=rank,
         sigma_kplus1=None,
         error_spectral=None,
         bound=None,

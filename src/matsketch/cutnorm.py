@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    InvariantError,
     NotSignMatrixError,
     NotSortedError,
     NotSquareError,
@@ -334,5 +335,9 @@ def sign_matrix_lower_bound(a) -> float:
     if size > MAX_ENUM:
         raise TooLargeError(f"exact oracle limit is {MAX_ENUM}, got {size}")
     value = inf_to_one_norm_exact(arr)
-    assert value >= size**1.5 / math.sqrt(2) - 1e-9
+    floor = size**1.5 / math.sqrt(2)
+    if value < floor - 1e-9:
+        raise InvariantError(
+            f"infinity-to-one norm {value!r} is below the sign-matrix floor {floor!r}"
+        )
     return value

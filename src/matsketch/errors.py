@@ -50,6 +50,10 @@ class ConvergenceError(Error, RuntimeError):
     """An iterative numerical backend failed to converge."""
 
 
+class InvariantError(Error, RuntimeError):
+    """A computed result breaks a guarantee that holds for every input."""
+
+
 class ParseError(Error, ValueError):
     """A matrix file could not be parsed."""
 

@@ -260,7 +260,7 @@ def _read_binary(path) -> np.ndarray:
         data = np.fromfile(fh, dtype="<f8", count=m * n)
     if data.size != m * n:
         raise ParseError(f"expected {m * n} float64 values, got {data.size}", path=path)
-    arr = data.astype(np.float64).reshape((m, n))
+    arr = data.astype(np.float64, copy=False).reshape((m, n))
     if not np.isfinite(arr).all():
         raise ParseError("non-finite value", path=path)
     return arr

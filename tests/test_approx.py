@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from matsketch import (
+    InvariantError,
     MatrixRowStream,
     IterableRowStream,
     OutOfRangeError,
@@ -19,7 +20,11 @@ from matsketch import (
     sample_sketch,
     spectral_norm,
     svd,
+    sym_spectral_norm,
 )
+from matsketch import approx as approx_module
+from matsketch import linalg
+from matsketch.cli import main
 from conftest import matrix_with_singular_values, random_orthonormal
 
 
@@ -161,11 +166,16 @@ class TestLowRankApproximate:
         _, report = low_rank_approximate(a, k=8, epsilon=0.5, delta=0.5, seed=0, d=50)
         assert report.error_spectral <= 1e-8
 
-    def test_scale_equivariance(self, rng):
+    @pytest.mark.parametrize("factor", [2.0, 2.0**-400, 2.0**400], ids=["2", "2**-400", "2**400"])
+    def test_scale_equivariance(self, rng, factor):
         a = rng.normal(size=(60, 10))
         p1, r1 = low_rank_approximate(a, k=4, epsilon=0.4, delta=0.4, seed=8)
-        p2, r2 = low_rank_approximate(2.0 * a, k=4, epsilon=0.4, delta=0.4, seed=8)
+        p2, r2 = low_rank_approximate(factor * a, k=4, epsilon=0.4, delta=0.4, seed=8)
         assert r1.d == r2.d
+        assert r1.satisfied == r2.satisfied
+        for name in ("sigma_kplus1", "error_spectral", "bound"):
+            scaled = getattr(r1, name) * factor
+            assert getattr(r2, name) == pytest.approx(scaled, rel=1e-12), name
         assert np.allclose(p1.matrix(), p2.matrix(), atol=1e-8)
 
     def test_gram_deviation_implies_satisfied(self, rng):
@@ -183,10 +193,68 @@ class TestLowRankApproximate:
         p_str, r_str = low_rank_approximate(
             MatrixRowStream(a), k=3, epsilon=0.5, delta=0.5, seed=4
         )
-        assert r_str.d >= r_mem.d  # streamed rank estimate only inflates d
+        assert r_str.d == r_mem.d
+        assert r_str.numerical_rank == r_mem.numerical_rank
+        assert np.array_equal(p_str.basis, p_mem.basis)
         assert r_str.error_spectral is None and r_str.satisfied is None
-        if r_str.d == r_mem.d:
-            assert np.allclose(p_mem.matrix(), p_str.matrix(), atol=1e-10)
+
+    def test_gram_certificate_matches_exact_values(self, rng, monkeypatch):
+        # spectra within [1e-2, 1] * sigma_1, so every error is far above
+        # sqrt(eps) * sigma_1 and the certificate must come from the Gram matrix
+        def exact_path(*args):
+            pytest.fail("the Gram certificate fell back to the exact path")
+
+        monkeypatch.setattr(approx_module, "approximation_error", exact_path)
+        monkeypatch.setattr(approx_module, "_singular_values", exact_path)
+        for trial in range(60):
+            m = int(rng.integers(3, 41))
+            n = int(rng.integers(2, 13))
+            rank = min(m, n)
+            values = np.sort(10.0 ** rng.uniform(-2.0, 0.0, size=rank))[::-1]
+            a = matrix_with_singular_values(rng, m, n, values * rng.choice([0.01, 1.0, 300.0]))
+            k = int(rng.integers(1, rank))
+            d = int(rng.integers(1, 30))
+            projector, report = low_rank_approximate(
+                a, k=k, epsilon=0.5, delta=0.5, seed=trial, d=d
+            )
+            exact = np.linalg.svd(a, compute_uv=False)
+            sketch = sample_sketch(a, d, seed=trial)
+            deviation = sym_spectral_norm(a.T @ a - sketch.gram())
+            assert report.error_spectral == pytest.approx(
+                approximation_error(a, projector), rel=1e-9
+            )
+            assert report.sigma_kplus1 == pytest.approx(exact[k], rel=1e-9)
+            assert report.gram_deviation == pytest.approx(deviation, rel=1e-9)
+            assert report.numerical_rank == pytest.approx(linalg.numerical_rank(a), rel=1e-9)
+
+    def test_exact_fallback_below_gram_precision(self, rng):
+        # Gram-derived values would be ~sqrt(n * eps) * sigma_1 ~ 1e-6 here
+        full = rng.normal(size=(40, 12)) * 10.0
+        _, report = low_rank_approximate(full, k=12, epsilon=0.5, delta=0.5, seed=1, d=60)
+        assert report.error_spectral <= 1e-8
+        assert report.sigma_kplus1 == 0.0
+        a = matrix_with_singular_values(rng, 80, 12, [30.0, 20.0, 10.0])
+        for k in (3, 5):
+            _, report = low_rank_approximate(a, k=k, epsilon=0.5, delta=0.5, seed=2)
+            assert report.error_spectral <= 1e-8
+            assert report.sigma_kplus1 <= 1e-8 * 30.0
+            assert report.satisfied
+
+    def test_broken_gram_invariant_raises(self, rng, monkeypatch, tmp_path):
+        # an error above the bound despite a zero Gram deviation is impossible
+        monkeypatch.setattr(approx_module, "_certify", lambda arr, run, k: (0.0, 1e6, 0.0))
+        a = rng.normal(size=(30, 6))
+        with pytest.raises(InvariantError):
+            low_rank_approximate(a, k=2, epsilon=0.5, delta=0.5, seed=0)
+        path = tmp_path / "a.csv"
+        np.savetxt(path, a, delimiter=",")
+        assert main(["approx-svd", "--input", str(path), "--k", "2", "--out", "-"]) == 65
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_two_pass_rejects_d_below_one(self, rng, d):
+        stream = MatrixRowStream(rng.normal(size=(20, 5)))
+        with pytest.raises(OutOfRangeError):
+            low_rank_approximate(stream, k=2, epsilon=0.5, delta=0.5, d=d)
 
     def test_one_pass_requires_d(self, rng):
         a = rng.normal(size=(20, 5))

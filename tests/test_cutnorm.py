@@ -342,6 +342,13 @@ class TestSignMatrixLowerBound:
             assert value == pytest.approx(size**2)
             assert value >= size**1.5 / math.sqrt(2) - 1e-9
 
+    def test_value_below_floor_raises(self, monkeypatch):
+        from matsketch import InvariantError, cutnorm
+
+        monkeypatch.setattr(cutnorm, "inf_to_one_norm_exact", lambda a: 1.0)
+        with pytest.raises(InvariantError):
+            sign_matrix_lower_bound(np.ones((4, 4)))
+
     def test_rejects_non_sign_entries(self):
         with pytest.raises(NotSignMatrixError):
             sign_matrix_lower_bound(np.eye(3))
