@@ -12,7 +12,7 @@ yields a genuinely smaller projector instead of an arbitrary completion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -125,8 +125,9 @@ class ApproxReport:
     ``numerical_rank`` is |A|_F^2 / lambda_max(A^T A), taken from the n x n
     Gram matrix G = A^T A of the weight pass; it is None for single-shot
     streams, which never form G.  The certificate fields (``sigma_kplus1``,
-    ``error_spectral``, ``bound``, ``gram_deviation``, ``satisfied``) are
-    None for streams.  For in-memory matrices they come from G as well:
+    ``error_spectral``, ``bound``, ``gram_deviation``, ``satisfied``)
+    default to None, which is what streams report.  For in-memory matrices
+    they come from G as well:
     sigma_{k+1}^2 is the (k+1)-th largest eigenvalue of G,
     |A - AP|_2^2 = lambda_max((I-P) G (I-P)) and ``gram_deviation`` is
     |G - S^T S|_2 for the sketch S.  Where G is too coarse for a value (see
@@ -138,11 +139,11 @@ class ApproxReport:
     epsilon: float
     delta: float
     numerical_rank: float | None
-    sigma_kplus1: float | None
-    error_spectral: float | None
-    bound: float | None
-    gram_deviation: float | None
-    satisfied: bool | None
+    sigma_kplus1: float | None = None
+    error_spectral: float | None = None
+    bound: float | None = None
+    gram_deviation: float | None = None
+    satisfied: bool | None = None
 
 
 def low_rank_approximate(
@@ -167,9 +168,46 @@ def low_rank_approximate(
         raise OutOfRangeError(f"epsilon must lie in (0, 1), got {epsilon}")
     if not 0 < delta < 1:
         raise OutOfRangeError(f"delta must lie in (0, 1), got {delta}")
-    if isinstance(source, RowStream):
-        return _approximate_stream(source, k, epsilon, delta, c_constant, seed, d)
-    return _approximate_dense(source, k, epsilon, delta, c_constant, seed, d)
+    stream = source if isinstance(source, RowStream) else MatrixRowStream(source)
+    if stream.replayable:
+        run = _sample_two_pass(stream, k, epsilon, delta, c_constant, seed, d)
+        projector, rank, d = run.projector, run.rank, run.sketch.d
+    elif d is None:
+        raise OutOfRangeError(
+            "single-shot streams need an explicit sketch size d; "
+            "the sample-size formula requires a replayable source"
+        )
+    else:
+        projector = projector_top_k(sample_sketch_one_pass(stream, d, seed), k)
+        rank = None
+    report = ApproxReport(
+        k=int(k),
+        d=int(d),
+        epsilon=float(epsilon),
+        delta=float(delta),
+        numerical_rank=rank,
+    )
+    if stream is source:
+        # only an in-memory matrix is at hand for the exact fallback of _certify
+        return projector, report
+    sigma_next, error, gram_deviation = _certify(stream.matrix, run, k)
+    top = math.sqrt(float(run.eigenvalues[-1]))
+    bound = sigma_next + epsilon * top
+    satisfied = bool(error <= bound * (1.0 + 1e-12))
+    # small Gram deviation forces success: error^2 <= sigma^2 + 2*dev
+    if not satisfied and gram_deviation <= 0.5 * (epsilon * top) ** 2 - 1e-9 * top**2:
+        raise InvariantError(
+            f"error {error!r} exceeds the bound {bound!r} although the Gram deviation "
+            f"{gram_deviation!r} is at most (epsilon * |A|_2)^2 / 2"
+        )
+    return projector, replace(
+        report,
+        sigma_kplus1=sigma_next,
+        error_spectral=error,
+        bound=bound,
+        gram_deviation=gram_deviation,
+        satisfied=satisfied,
+    )
 
 
 class _TwoPass(NamedTuple):
@@ -197,34 +235,6 @@ def _sample_two_pass(stream, k, epsilon, delta, c_constant, seed, d) -> _TwoPass
     return _TwoPass(projector_top_k(sketch, k), sketch, gram, eigenvalues, rank)
 
 
-def _approximate_dense(a, k, epsilon, delta, c_constant, seed, d):
-    stream = MatrixRowStream(a)
-    run = _sample_two_pass(stream, k, epsilon, delta, c_constant, seed, d)
-    sigma_next, error, gram_deviation = _certify(stream.matrix, run, k)
-    top = math.sqrt(float(run.eigenvalues[-1]))
-    bound = sigma_next + epsilon * top
-    satisfied = bool(error <= bound * (1.0 + 1e-12))
-    # small Gram deviation forces success: error^2 <= sigma^2 + 2*dev
-    if not satisfied and gram_deviation <= 0.5 * (epsilon * top) ** 2 - 1e-9 * top**2:
-        raise InvariantError(
-            f"error {error!r} exceeds the bound {bound!r} although the Gram deviation "
-            f"{gram_deviation!r} is at most (epsilon * |A|_2)^2 / 2"
-        )
-    report = ApproxReport(
-        k=int(k),
-        d=run.sketch.d,
-        epsilon=float(epsilon),
-        delta=float(delta),
-        numerical_rank=run.rank,
-        sigma_kplus1=sigma_next,
-        error_spectral=error,
-        bound=bound,
-        gram_deviation=gram_deviation,
-        satisfied=satisfied,
-    )
-    return run.projector, report
-
-
 def _certify(arr: np.ndarray, run: _TwoPass, k: int) -> tuple[float, float, float]:
     """sigma_{k+1}, |A - AP|_2 and |A^T A - S^T S|_2 from the Gram matrix G.
 
@@ -250,33 +260,6 @@ def _certify(arr: np.ndarray, run: _TwoPass, k: int) -> tuple[float, float, floa
         sigma_next = float(values[k]) if k < values.size else 0.0
         return sigma_next, approximation_error(arr, run.projector), gram_deviation
     return math.sqrt(lam_next), math.sqrt(error_sq), gram_deviation
-
-
-def _approximate_stream(stream, k, epsilon, delta, c_constant, seed, d):
-    if stream.replayable:
-        run = _sample_two_pass(stream, k, epsilon, delta, c_constant, seed, d)
-        projector, rank, d = run.projector, run.rank, run.sketch.d
-    else:
-        if d is None:
-            raise OutOfRangeError(
-                "single-shot streams need an explicit sketch size d; "
-                "the sample-size formula requires a replayable source"
-            )
-        projector = projector_top_k(sample_sketch_one_pass(stream, d, seed), k)
-        rank = None
-    report = ApproxReport(
-        k=int(k),
-        d=int(d),
-        epsilon=float(epsilon),
-        delta=float(delta),
-        numerical_rank=rank,
-        sigma_kplus1=None,
-        error_spectral=None,
-        bound=None,
-        gram_deviation=None,
-        satisfied=None,
-    )
-    return projector, report
 
 
 def block_identity_matrix(n: int, m: int) -> np.ndarray:

@@ -10,7 +10,8 @@ Subcommands::
     matsketch optimality   block-identity coverage/failure experiment
 
 Every command is deterministic given its flags and seed and writes a JSON
-report (see report_schema.json).  Exit codes: 0 success, 2 guarantee
+report (see report_schema.json) whose ``config`` records every flag of the
+subcommand except ``--out``.  Exit codes: 0 success, 2 guarantee
 violation under --strict, 64 usage error, 65 data error.
 """
 
@@ -101,27 +102,7 @@ def _provenance(path) -> dict:
     return {"input": str(path), "sha256": matio.sha256_file(path)}
 
 
-def _write(report: reports.ExperimentReport, out: str) -> None:
-    if out == "-":
-        sys.stdout.write(report.to_json())
-    else:
-        report.write(out)
-
-
-def _cmd_approx_svd(args) -> int:
-    config = {
-        "input": args.input,
-        "format": args.format,
-        "k": args.k,
-        "epsilon": args.epsilon,
-        "delta": args.delta,
-        "c_const": args.c_const,
-        "d": args.d,
-        "seed": args.seed,
-        "stream": args.stream,
-        "strict": args.strict,
-    }
-    started = reports.utc_now()
+def _cmd_approx_svd(args):
     if args.stream == "none":
         source = matio.read_matrix(args.input, args.format)
     else:
@@ -150,19 +131,8 @@ def _cmd_approx_svd(args) -> int:
         "gram_deviation": report.gram_deviation,
         "satisfied": report.satisfied,
     }
-    out = reports.ExperimentReport(
-        command="approx-svd",
-        config=config,
-        per_trial=[trial],
-        results={"d": report.d, "satisfied": report.satisfied},
-        provenance=_provenance(args.input),
-        started_at=started,
-        finished_at=reports.utc_now(),
-    )
-    _write(out, args.out)
-    if args.strict and report.satisfied is False:
-        return EXIT_VIOLATION
-    return EXIT_OK
+    exit_code = EXIT_VIOLATION if args.strict and report.satisfied is False else EXIT_OK
+    return [trial], {"d": report.d, "satisfied": report.satisfied}, exit_code
 
 
 def _witness_matrix(args) -> np.ndarray:
@@ -181,19 +151,7 @@ def _witness_matrix(args) -> np.ndarray:
     return approx.block_identity_matrix(args.n, args.m)
 
 
-def _cmd_decay(args) -> int:
-    config = {
-        "norm": args.norm,
-        "q": args.q,
-        "trials": args.trials,
-        "seed": args.seed,
-        "witness": args.witness,
-        "n": args.n,
-        "m": args.m,
-        "input": args.input,
-        "format": args.format,
-    }
-    started = reports.utc_now()
+def _cmd_decay(args):
     matrix = _witness_matrix(args)
     estimator = cutnorm.cut_decay_estimate if args.norm == "cut" else cutnorm.spectral_decay_estimate
     estimate = estimator(matrix, args.q, args.trials, args.seed)
@@ -201,36 +159,15 @@ def _cmd_decay(args) -> int:
         {"trial": i, "subset_size": int(s), "value": float(v)}
         for i, (s, v) in enumerate(zip(estimate.subset_sizes, estimate.samples))
     ]
-    out = reports.ExperimentReport(
-        command="decay",
-        config=config,
-        per_trial=per_trial,
-        results={
-            "norm": args.norm,
-            "mean": estimate.mean,
-            "bound_terms": list(estimate.bound_terms),
-            "fitted_constant": estimate.fitted_constant,
-        },
-        provenance=_provenance(args.input),
-        started_at=started,
-        finished_at=reports.utc_now(),
-    )
-    _write(out, args.out)
-    return EXIT_OK
+    return per_trial, {
+        "norm": args.norm,
+        "mean": estimate.mean,
+        "bound_terms": list(estimate.bound_terms),
+        "fitted_constant": estimate.fitted_constant,
+    }, EXIT_OK
 
 
-def _cmd_lln(args) -> int:
-    config = {
-        "ensemble": args.ensemble,
-        "n": args.n,
-        "input": args.input,
-        "format": args.format,
-        "d": args.d,
-        "trials": args.trials,
-        "c_const": args.c_const,
-        "seed": args.seed,
-    }
-    started = reports.utc_now()
+def _cmd_lln(args):
     if args.ensemble == "scaled-basis":
         ensemble = lln.scaled_basis_ensemble(args.n)
     else:
@@ -239,26 +176,14 @@ def _cmd_lln(args) -> int:
         ensemble = lln.matrix_rows_ensemble(matio.read_matrix(args.input, args.format))
     stats = lln.lln_deviation(ensemble, args.d, args.trials, args.seed, args.c_const)
     per_trial = [{"trial": i, "deviation": float(v)} for i, v in enumerate(stats.deviations)]
-    out = reports.ExperimentReport(
-        command="lln",
-        config=config,
-        per_trial=per_trial,
-        results={
-            "a_value": stats.a_value,
-            "mean_deviation": stats.mean,
-            "max_deviation": stats.max,
-        },
-        provenance=_provenance(args.input),
-        started_at=started,
-        finished_at=reports.utc_now(),
-    )
-    _write(out, args.out)
-    return EXIT_OK
+    return per_trial, {
+        "a_value": stats.a_value,
+        "mean_deviation": stats.mean,
+        "max_deviation": stats.max,
+    }, EXIT_OK
 
 
-def _cmd_optimality(args) -> int:
-    config = {"n": args.n, "m": args.m, "d": args.d, "trials": args.trials, "seed": args.seed}
-    started = reports.utc_now()
+def _cmd_optimality(args):
     result = approx.optimality_experiment(args.n, args.m, args.d, args.trials, args.seed)
     per_trial = [
         {
@@ -269,20 +194,10 @@ def _cmd_optimality(args) -> int:
         }
         for i, (mb, err, fl) in enumerate(zip(result.missed_blocks, result.errors, result.failed))
     ]
-    out = reports.ExperimentReport(
-        command="optimality",
-        config=config,
-        per_trial=per_trial,
-        results={
-            "failure_fraction": result.failure_fraction,
-            "missed_block_fraction": result.missed_block_fraction,
-        },
-        provenance=_provenance(None),
-        started_at=started,
-        finished_at=reports.utc_now(),
-    )
-    _write(out, args.out)
-    return EXIT_OK
+    return per_trial, {
+        "failure_fraction": result.failure_fraction,
+        "missed_block_fraction": result.missed_block_fraction,
+    }, EXIT_OK
 
 
 _COMMANDS = {
@@ -293,11 +208,32 @@ _COMMANDS = {
 }
 
 
+def _run(args) -> int:
+    """Run one subcommand and write its report; returns the exit code."""
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+    started = reports.utc_now()
+    per_trial, results, exit_code = _COMMANDS[args.command](args)
+    report = reports.ExperimentReport(
+        command=args.command,
+        config=config,
+        per_trial=per_trial,
+        results=results,
+        provenance=_provenance(getattr(args, "input", None)),
+        started_at=started,
+        finished_at=reports.utc_now(),
+    )
+    if args.out == "-":
+        sys.stdout.write(report.to_json())
+    else:
+        report.write(args.out)
+    return exit_code
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _run(args)
     except UsageError as exc:
         print(f"matsketch: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

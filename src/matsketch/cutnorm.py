@@ -331,11 +331,8 @@ def sign_matrix_lower_bound(a) -> float:
         raise NotSquareError(f"expected a square restriction, got shape {arr.shape}")
     if not np.isin(arr, (-1.0, 1.0)).all():
         raise NotSignMatrixError("entries must all be +1 or -1")
-    size = arr.shape[0]
-    if size > MAX_ENUM:
-        raise TooLargeError(f"exact oracle limit is {MAX_ENUM}, got {size}")
     value = inf_to_one_norm_exact(arr)
-    floor = size**1.5 / math.sqrt(2)
+    floor = arr.shape[0] ** 1.5 / math.sqrt(2)
     if value < floor - 1e-9:
         raise InvariantError(
             f"infinity-to-one norm {value!r} is below the sign-matrix floor {floor!r}"

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import matsketch
 from matsketch import IterableRowStream, block_identity_matrix, matio, write_binary, write_csv
 from matsketch.cli import main
 from conftest import matrix_with_singular_values
@@ -93,7 +96,8 @@ class TestApproxSvd:
         streamed = read_report(out_str)["per_trial"][0]
         assert streamed["error_spectral"] is None
         assert streamed["satisfied"] is None
-        assert streamed["d"] >= mem["d"]
+        assert streamed["d"] == mem["d"]
+        assert streamed["numerical_rank"] == mem["numerical_rank"]
 
     def test_one_pass_requires_d(self, tmp_path, rank3_file):
         code = main(
@@ -196,9 +200,16 @@ class TestDeterminism:
             ["lln", "--ensemble", "scaled-basis", "--n", "8", "--d", "64", "--trials", "25",
              "--seed", "3"],
             ["optimality", "--n", "8", "--m", "32", "--d", "10", "--trials", "25", "--seed", "3"],
+            ["approx-svd", "--input", "CSV", "--k", "3", "--seed", "2"],
+            ["approx-svd", "--input", "CSV", "--k", "3", "--seed", "2", "--stream", "two-pass"],
+            ["approx-svd", "--input", "CSV", "--k", "3", "--seed", "2", "--stream", "one-pass",
+             "--d", "40"],
         ],
     )
     def test_per_trial_bytes_reproduce(self, tmp_path, argv):
+        csv = tmp_path / "a.csv"
+        write_csv(csv, np.random.default_rng(0).standard_normal((300, 20)))
+        argv = [str(csv) if arg == "CSV" else arg for arg in argv]
         out1 = tmp_path / "r1.json"
         out2 = tmp_path / "r2.json"
         assert main(argv + ["--out", str(out1)]) == 0
@@ -214,11 +225,14 @@ class TestDeterminism:
 
 def test_console_entry_point_runs(tmp_path):
     out = tmp_path / "report.json"
+    # the child imports the package under test, installed or not
+    package_root = str(Path(matsketch.__file__).parents[1])
     result = subprocess.run(
         [sys.executable, "-m", "matsketch.cli", "optimality", "--n", "4", "--m", "8",
          "--d", "2", "--trials", "5", "--out", str(out)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": package_root},
     )
     assert result.returncode == 0
     assert out.exists()

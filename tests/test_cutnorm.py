@@ -353,6 +353,10 @@ class TestSignMatrixLowerBound:
         with pytest.raises(NotSignMatrixError):
             sign_matrix_lower_bound(np.eye(3))
 
+    def test_above_enumeration_limit_raises(self):
+        with pytest.raises(TooLargeError):
+            sign_matrix_lower_bound(np.ones((25, 25)))
+
     def test_rejects_non_square(self):
         with pytest.raises(NotSquareError):
             sign_matrix_lower_bound(np.ones((2, 3)))
