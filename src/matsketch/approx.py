@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import InvariantError, OutOfRangeError, ShapeMismatchError, ZeroMatrixError
 from .linalg import _singular_values, as_matrix, spectral_norm, sym_spectral_norm
-from .parallel import run_indexed
-from .rng import as_generator, spawn
+from .parallel import run_trials
+from .rng import as_generator
 from .sampling import (
     Sketch,
     draw_weighted_indices,
@@ -220,7 +220,7 @@ class _TwoPass(NamedTuple):
 
 def _sample_two_pass(stream, k, epsilon, delta, c_constant, seed, d) -> _TwoPass:
     """Weight-and-Gram pass, index draw and materialise pass, then the projector."""
-    _, weights, total_sq, gram = stream_weights(stream, accumulate_gram=True)
+    weights, total_sq, gram = stream_weights(stream, accumulate_gram=True)
     if total_sq <= 0.0:
         raise ZeroMatrixError("cannot approximate the zero matrix")
     eigenvalues = np.linalg.eigvalsh(gram)
@@ -302,18 +302,16 @@ def optimality_experiment(n: int, m: int, d: int, trials: int, seed: int = 0) ->
     """
     if d < 1:
         raise OutOfRangeError(f"d must be >= 1, got {d}")
-    if trials < 1:
-        raise OutOfRangeError(f"trials must be >= 1, got {trials}")
     arr = block_identity_matrix(n, m)
 
-    def run(trial: int):
-        sketch = sample_sketch(arr, d, spawn(seed, trial))
+    def run(rng):
+        sketch = sample_sketch(arr, d, rng)
         blocks = {_block_of_row(int(i), n, m) for i in sketch.chosen_indices}
         missed = n - len(blocks)
         error = approximation_error(arr, projector_top_k(sketch, n))
         return missed, error
 
-    outcomes = run_indexed(run, trials)
+    outcomes = run_trials(run, trials, seed)
     missed_blocks = np.array([o[0] for o in outcomes], dtype=np.int64)
     errors = np.array([o[1] for o in outcomes])
     failed = errors >= 1.0 - 1e-6

@@ -32,7 +32,7 @@ from .linalg import (
     spectral_norm,
     top_k_column_average,
 )
-from .parallel import run_indexed
+from .parallel import run_trials
 from .rng import as_generator, spawn
 
 MAX_ENUM = 24
@@ -50,9 +50,6 @@ class SubsetMask:
     @property
     def size(self) -> int:
         return int(np.count_nonzero(self.included))
-
-    def indices(self) -> np.ndarray:
-        return np.nonzero(self.included)[0]
 
 
 def full_mask(n: int) -> SubsetMask:
@@ -93,12 +90,41 @@ class CutNormResult:
     col_set: tuple[int, ...]
 
 
-def _subset_sums(rows: np.ndarray) -> np.ndarray:
-    """All 2^k subset sums of the given rows; bit i of the index picks row i."""
+def _combinations(rows: np.ndarray, signed: bool) -> np.ndarray:
+    """All 2^k combinations of the rows; bit i adds row i (subtracts it if signed)."""
     table = np.zeros((1, rows.shape[1]))
     for row in rows:
-        table = np.vstack([table, table + row])
+        table = np.vstack([table + row, table - row] if signed else [table, table + row])
     return table
+
+
+def _enumerate(work: np.ndarray, signed: bool, score) -> tuple[np.ndarray, float, int]:
+    """Best ``score`` over all combinations of the rows of the smaller side of ``work``
+    (both norms are transpose-invariant), chunk by chunk.  Returns the enumerated
+    matrix, the best value and the first combination index attaining it."""
+    if work.shape[0] > work.shape[1]:
+        work = work.T
+    k = work.shape[0]
+    if k > MAX_ENUM:
+        raise TooLargeError(f"exact enumeration needs min(m, n) <= {MAX_ENUM}, got {k}")
+    lo_bits = min(k, _CHUNK_BITS)
+    low = _combinations(work[:lo_bits], signed)
+    high = _combinations(work[lo_bits:], signed)
+    best_value = -1.0
+    best_index = 0
+    block = np.empty_like(low)  # one buffer: a fresh chunk per step costs page faults
+    for h in range(high.shape[0]):
+        values = score(np.add(high[h], low, out=block))
+        local = int(np.argmax(values))
+        if values[local] > best_value:
+            best_value = float(values[local])
+            best_index = (h << lo_bits) | local
+    return work, best_value, best_index
+
+
+def _cut_score(block: np.ndarray) -> np.ndarray:
+    positive = np.where(block > 0, block, 0.0).sum(axis=1)
+    return np.maximum(positive, positive - block.sum(axis=1))
 
 
 def cut_norm_exact(a) -> CutNormResult:
@@ -109,73 +135,31 @@ def cut_norm_exact(a) -> CutNormResult:
     Includes the empty sets, so the value is always >= 0.
     """
     arr = as_matrix(a, allow_empty=True)
-    if arr.size == 0:
-        return CutNormResult(value=0.0, row_set=(), col_set=())
-    transposed = arr.shape[0] > arr.shape[1]
-    work = arr.T if transposed else arr
-    m = work.shape[0]
-    if m > MAX_ENUM:
-        raise TooLargeError(
-            f"exact cut norm enumerates min(m, n) <= {MAX_ENUM} rows, got {m}"
-        )
-    lo_bits = min(m, _CHUNK_BITS)
-    low = _subset_sums(work[:lo_bits])
-    high = _subset_sums(work[lo_bits:])
-    best_value = -1.0
-    best_subset = 0
-    for h in range(high.shape[0]):
-        block = high[h] + low
-        positive = np.where(block > 0, block, 0.0).sum(axis=1)
-        values = np.maximum(positive, positive - block.sum(axis=1))
-        local = int(np.argmax(values))
-        if values[local] > best_value:
-            best_value = float(values[local])
-            best_subset = (h << lo_bits) | local
-    rows = tuple(i for i in range(m) if (best_subset >> i) & 1)
+    work, _, best_subset = _enumerate(arr, False, _cut_score)
+    rows = tuple(i for i in range(work.shape[0]) if (best_subset >> i) & 1)
     sums = work[list(rows)].sum(axis=0) if rows else np.zeros(work.shape[1])
-    pos_total = float(sums[sums > 0].sum())
-    neg_total = float(-sums[sums < 0].sum())
-    if pos_total >= neg_total:
-        cols = tuple(int(j) for j in np.nonzero(sums > 0)[0])
-        value = pos_total
-    else:
-        cols = tuple(int(j) for j in np.nonzero(sums < 0)[0])
-        value = neg_total
-    if transposed:
+    value, keep = _signed_part(sums)
+    cols = tuple(int(j) for j in np.nonzero(keep)[0])
+    if work is not arr:
         rows, cols = cols, rows
     return CutNormResult(value=value, row_set=rows, col_set=cols)
 
 
-def _sign_sums(cols: np.ndarray) -> np.ndarray:
-    """All 2^k signed column combinations; bit i of the index flips column i."""
-    table = np.zeros((1, cols.shape[0]))
-    for col in cols.T:
-        table = np.vstack([table + col, table - col])
-    return table
+def _signed_part(v: np.ndarray) -> tuple[float, np.ndarray]:
+    """Cut norm of diag(v): the larger of v's positive and -(negative) sums, and its entries."""
+    pos_total = float(v[v > 0].sum())
+    neg_total = float(-v[v < 0].sum())
+    return (pos_total, v > 0) if pos_total >= neg_total else (neg_total, v < 0)
 
 
 def inf_to_one_norm_exact(a) -> float:
     """Operator norm from the max-norm cube into l1, by vertex enumeration.
 
-    The supremum over the cube is attained at a sign vector; the norm is
-    transpose-invariant, so the smaller dimension is enumerated.
+    The supremum over the cube is attained at a sign vector on the rows of a^T;
+    the norm is transpose-invariant, so the smaller dimension is enumerated.
     """
     arr = as_matrix(a, allow_empty=True)
-    if arr.size == 0:
-        return 0.0
-    work = arr.T if arr.shape[1] > arr.shape[0] else arr
-    n = work.shape[1]
-    if n > MAX_ENUM:
-        raise TooLargeError(
-            f"exact norm enumerates 2^min(m, n) sign vectors with min <= {MAX_ENUM}, got {n}"
-        )
-    lo_bits = min(n, _CHUNK_BITS)
-    low = _sign_sums(work[:, :lo_bits])
-    high = _sign_sums(work[:, lo_bits:])
-    best = 0.0
-    for h in range(high.shape[0]):
-        best = max(best, float(np.abs(high[h] + low).sum(axis=1).max()))
-    return best
+    return _enumerate(arr.T, True, lambda block: np.abs(block).sum(axis=1))[1]
 
 
 @dataclass(frozen=True)
@@ -191,17 +175,25 @@ class DecayEstimate:
     fitted_constant: float
 
 
-def _decay_estimate(q, samples, sizes, bound_terms) -> DecayEstimate:
+def _decay_estimate(arr, q, trials, seed, restricted_norm, bound_terms) -> DecayEstimate:
+    """Mean of ``restricted_norm(mask)`` over Bernoulli(q/n) masks, then ``bound_terms()``."""
+
+    def run(rng):
+        mask = bernoulli_subset(arr.shape[0], q, rng)
+        return restricted_norm(mask), mask.size
+
+    samples, sizes = zip(*run_trials(run, trials, seed))
     samples = np.asarray(samples)
+    terms = bound_terms()
     mean = float(samples.mean())
-    total = float(sum(bound_terms))
+    total = float(sum(terms))
     return DecayEstimate(
         q=float(q),
         trials=samples.size,
         samples=samples,
         subset_sizes=np.asarray(sizes, dtype=np.int64),
         mean=mean,
-        bound_terms=tuple(float(t) for t in bound_terms),
+        bound_terms=tuple(float(t) for t in terms),
         fitted_constant=mean / total if total > 0 else 0.0,
     )
 
@@ -219,23 +211,16 @@ def cut_decay_estimate(a, q: float, trials: int, seed: int = 0) -> DecayEstimate
         raise TooLargeError(f"cut decay needs n <= {MAX_ENUM} for the exact oracle, got {n}")
     if not 0 <= q <= n:
         raise OutOfRangeError(f"q must lie in [0, {n}], got {q}")
-    if trials < 1:
-        raise OutOfRangeError(f"trials must be >= 1, got {trials}")
-
-    def run(trial: int):
-        mask = bernoulli_subset(n, q, spawn(seed, trial))
-        value = cut_norm_exact(restrict(arr, mask, mask)).value
-        return value, mask.size
-
-    outcomes = run_indexed(run, trials)
     delta = q / n
-    diag = diagonal_part(arr)
-    terms = (
-        delta**2 * cut_norm_exact(arr - diag).value,
-        delta * cut_norm_exact(diag).value,
-        delta**1.5 * (column_norm_sum(arr) + column_norm_sum(arr.T)),
+    return _decay_estimate(
+        arr, q, trials, seed,
+        restricted_norm=lambda mask: cut_norm_exact(restrict(arr, mask, mask)).value,
+        bound_terms=lambda: (
+            delta**2 * cut_norm_exact(arr - diagonal_part(arr)).value,
+            delta * _signed_part(np.diag(arr))[0],
+            delta**1.5 * (column_norm_sum(arr) + column_norm_sum(arr.T)),
+        ),
     )
-    return _decay_estimate(q, [o[0] for o in outcomes], [o[1] for o in outcomes], terms)
 
 
 def spectral_decay_estimate(a, q: float, trials: int, seed: int = 0) -> DecayEstimate:
@@ -248,20 +233,15 @@ def spectral_decay_estimate(a, q: float, trials: int, seed: int = 0) -> DecayEst
     n = arr.shape[0]
     if not 1 <= q <= n:
         raise OutOfRangeError(f"q must lie in [1, {n}], got {q}")
-    if trials < 1:
-        raise OutOfRangeError(f"trials must be >= 1, got {trials}")
-
-    def run(trial: int):
-        mask = bernoulli_subset(n, q, spawn(seed, trial))
-        return spectral_norm(arr[mask.included]), mask.size
-
-    outcomes = run_indexed(run, trials)
     log_factor = max(1.0, math.sqrt(math.log(q)))
-    terms = (
-        math.sqrt(q / n) * spectral_norm(arr),
-        log_factor * top_k_column_average(arr, math.ceil(n / q)),
+    return _decay_estimate(
+        arr, q, trials, seed,
+        restricted_norm=lambda mask: spectral_norm(arr[mask.included]),
+        bound_terms=lambda: (
+            math.sqrt(q / n) * spectral_norm(arr),
+            log_factor * top_k_column_average(arr, math.ceil(n / q)),
+        ),
     )
-    return _decay_estimate(q, [o[0] for o in outcomes], [o[1] for o in outcomes], terms)
 
 
 def order_statistics_check(a, delta: float, trials: int, seed: int = 0):

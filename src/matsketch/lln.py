@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import OutOfRangeError, ShapeMismatchError, ZeroMatrixError
 from .linalg import as_matrix
-from .parallel import run_indexed
-from .rng import as_generator, spawn
-from .sampling import draw_weighted_indices, row_weights
+from .parallel import run_trials
+from .rng import as_generator
+from .sampling import draw_weighted_indices, row_weights, total_weight
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def matrix_rows_ensemble(a) -> VectorEnsemble:
     """
     arr = as_matrix(a)
     weights = row_weights(arr)
-    total = float(np.sum(weights))
+    total = total_weight(weights)
     if total <= 0.0:
         raise ZeroMatrixError("ensemble needs at least one nonzero row")
     top = float(np.linalg.svd(arr, compute_uv=False)[0])
@@ -123,18 +123,16 @@ def lln_deviation(
     """
     if d < 2:
         raise OutOfRangeError(f"d must be >= 2, got {d}")
-    if trials < 1:
-        raise OutOfRangeError(f"trials must be >= 1, got {trials}")
     atoms = ensemble.atoms
     exact = ensemble.second_moment
 
-    def run(trial: int) -> float:
-        counts = ensemble.sample_counts(spawn(seed, trial), d)
+    def run(rng) -> float:
+        counts = ensemble.sample_counts(rng, d)
         empirical = atoms.T @ (counts[:, None] * atoms) / d
         gap = 0.5 * (empirical + empirical.T) - exact
         return float(np.abs(np.linalg.eigvalsh(gap)).max())
 
-    deviations = np.array(run_indexed(run, trials))
+    deviations = np.array(run_trials(run, trials, seed))
     a_value = c_constant * math.sqrt(math.log(d) / d) * ensemble.bound
     return DeviationStats(
         d=int(d),

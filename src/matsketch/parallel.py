@@ -1,14 +1,17 @@
 """Optional thread fan-out for Monte-Carlo trial loops.
 
-Every trial owns a generator derived from (seed, trial index), so results do
-not depend on scheduling; output order is always trial order.  The env var
-``MATSKETCH_THREADS`` caps the worker count (default 1 = sequential).
+``run_trials`` gives trial i the generator ``SeedSequence([seed, i])``, so
+results do not depend on scheduling; output order is always trial order.
+The env var ``MATSKETCH_THREADS`` caps the worker count (default 1 = sequential).
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+
+from .errors import OutOfRangeError
+from .rng import spawn
 
 
 def thread_count() -> int:
@@ -26,3 +29,10 @@ def run_indexed(fn, count: int) -> list:
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=min(workers, count)) as pool:
         return list(pool.map(fn, range(count)))
+
+
+def run_trials(fn, trials: int, seed) -> list:
+    """Evaluate ``fn(spawn(seed, i))`` for trial i in range(trials), in trial order."""
+    if trials < 1:
+        raise OutOfRangeError(f"trials must be >= 1, got {trials}")
+    return run_indexed(lambda i: fn(spawn(seed, i)), trials)

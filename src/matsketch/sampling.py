@@ -31,7 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotReplayableError, OutOfRangeError, ShapeMismatchError, ZeroMatrixError
+from .errors import (
+    InvalidMatrixError,
+    NotReplayableError,
+    OutOfRangeError,
+    ShapeMismatchError,
+    ZeroMatrixError,
+)
 from .linalg import as_matrix
 from .rng import as_generator
 from .streams import MatrixRowStream, RowStream
@@ -87,10 +93,19 @@ def _block_weights(block: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", block, block)
 
 
+def total_weight(weights) -> float:
+    """Sum of row weights; InvalidMatrixError if it overflows float64 (or is NaN)."""
+    with np.errstate(over="ignore"):
+        total = float(np.sum(weights))
+    if not math.isfinite(total):
+        raise InvalidMatrixError(f"squared row lengths sum to {total}, not a finite float64")
+    return total
+
+
 def row_distribution(a) -> np.ndarray:
     """Sampling probabilities: squared row length over squared Frobenius norm."""
     w = row_weights(a)
-    total = float(np.sum(w))
+    total = total_weight(w)
     if total <= 0.0:
         raise ZeroMatrixError("cannot sample rows of a zero matrix")
     return w / total
@@ -158,20 +173,18 @@ def sample_sketch(a, d: int, seed=0) -> Sketch:
 def stream_weights(stream: RowStream, accumulate_gram: bool = False):
     """One traversal collecting per-row weights (and optionally the Gram matrix).
 
-    Returns (indices, weights, total_sq, gram_or_None).
+    Returns (weights, total_sq, gram_or_None); total_sq is checked by ``total_weight``.
     """
-    index_parts: list[np.ndarray] = []
-    weight_parts: list[np.ndarray] = []
+    weight_parts = [np.empty(0)]  # an empty stream has no weights
     gram = np.zeros((stream.n_cols, stream.n_cols)) if accumulate_gram else None
-    for indices, block in stream:
-        index_parts.append(indices)
+    for _, block in stream:
         weight_parts.append(_block_weights(block))
         if gram is not None:
-            gram += block.T @ block
-    if not index_parts:
-        return np.empty(0, dtype=np.int64), np.empty(0), 0.0, gram
+            # a Gram entry overflows only if the weight total does
+            with np.errstate(over="ignore", invalid="ignore"):
+                gram += block.T @ block
     w = np.concatenate(weight_parts)
-    return np.concatenate(index_parts), w, float(np.sum(w)), gram
+    return w, total_weight(w), gram
 
 
 def materialize_chosen(stream: RowStream, positions, weights, total_sq: float, d: int, seed) -> Sketch:
@@ -217,7 +230,7 @@ def sample_sketch_two_pass(stream: RowStream, d: int, seed=0) -> Sketch:
     if not stream.replayable:
         raise NotReplayableError("two-pass sampling requires a replayable stream")
     _check_size(d)
-    _, weights, total_sq, _ = stream_weights(stream)
+    weights, total_sq, _ = stream_weights(stream)
     if total_sq <= 0.0:
         raise ZeroMatrixError("cannot sample rows of a zero matrix")
     positions = draw_weighted_indices(weights, d, as_generator(seed))
@@ -244,10 +257,10 @@ def sample_sketch_one_pass(stream: RowStream, d: int, seed=0) -> Sketch:
     occupant_weight = np.zeros(d)
     for indices, block in stream:
         w = _block_weights(block)
-        block_total = float(np.sum(w))
+        block_total = total_weight(w)
         if block_total <= 0.0:
             continue
-        running += block_total
+        running = total_weight((running, block_total))
         slots = np.flatnonzero(rng.random(d) < block_total / running)
         if slots.size:
             picks = draw_weighted_indices(w, slots.size, rng)

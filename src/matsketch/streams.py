@@ -3,9 +3,9 @@
 Iterating a stream yields ``(indices, block)`` pairs: ``indices`` is an
 int64 array of source row indices, strictly increasing across the whole
 traversal, and ``block`` is a ``len(indices) x n_cols`` float64 array of at
-most ``BLOCK_ROWS`` rows.  Every block is checked for width, index order and
-finite entries before it is handed out.  Consumers must not modify a block,
-and a block may be a view of the source (``MatrixRowStream``).
+most ``BLOCK_ROWS`` rows.  Blocks are checked for width, index order and
+finite entries (a ``MatrixRowStream`` checks its matrix once, when built).
+Consumers must not modify a block; ``MatrixRowStream`` blocks are views.
 
 Replayable streams can be traversed any number of times (each traversal
 re-reads the source); single-shot streams refuse a second traversal.
@@ -70,13 +70,13 @@ class RowStream:
 
 
 class MatrixRowStream(RowStream):
-    """Replayable stream over an in-memory matrix; blocks are views of it."""
+    """Replayable stream over a matrix checked once, when built; blocks are views of it."""
 
     def __init__(self, matrix):
         self.matrix = as_matrix(matrix)
         super().__init__(self.matrix.shape[1], replayable=True)
 
-    def _blocks(self) -> Iterator[Block]:
+    def __iter__(self) -> Iterator[Block]:
         m = self.matrix.shape[0]
         step = BLOCK_ROWS
         for start in range(0, m, step):

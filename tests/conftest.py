@@ -1,6 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+from matsketch.matio import _BINARY_HEADER, write_binary
 
 settings.register_profile(
     "matsketch",
@@ -25,3 +29,13 @@ def matrix_with_singular_values(rng, m, n, values):
     u = random_orthonormal(rng, m, values.size)
     v = random_orthonormal(rng, n, values.size)
     return (u * values) @ v.T
+
+
+def write_binary_with_nan(path):
+    """Write a 3x2 binary matrix file whose entry (1, 0) is NaN; returns the path."""
+    write_binary(path, np.arange(6.0).reshape(3, 2))
+    data = bytearray(path.read_bytes())
+    offset = _BINARY_HEADER.size + 8 * 2
+    data[offset : offset + 8] = struct.pack("<d", float("nan"))
+    path.write_bytes(bytes(data))
+    return path

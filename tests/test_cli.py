@@ -10,7 +10,7 @@ import pytest
 import matsketch
 from matsketch import IterableRowStream, block_identity_matrix, matio, write_binary, write_csv
 from matsketch.cli import main
-from conftest import matrix_with_singular_values
+from conftest import matrix_with_singular_values, write_binary_with_nan
 
 
 def read_report(path):
@@ -69,6 +69,25 @@ class TestApproxSvd:
         code = main(["approx-svd", "--input", str(path), "--k", "1", "--out", "-"] + stream)
         assert code == 65
         assert "a 3x2 matrix needs 64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "stream", [[], ["--stream", "two-pass"], ["--stream", "one-pass", "--d", "5"]]
+    )
+    def test_nan_entry_is_data_error(self, tmp_path, capsys, stream):
+        path = write_binary_with_nan(tmp_path / "a.bin")
+        code = main(["approx-svd", "--input", str(path), "--k", "1", "--out", "-"] + stream)
+        assert code == 65
+        assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "stream", [[], ["--stream", "two-pass"], ["--stream", "one-pass", "--d", "20"]]
+    )
+    def test_overflowing_row_weights_are_data_error(self, tmp_path, capsys, stream):
+        path = tmp_path / "a.bin"
+        write_binary(path, np.random.default_rng(0).standard_normal((50, 5)) * 1e160)
+        code = main(["approx-svd", "--input", str(path), "--k", "2", "--out", "-"] + stream)
+        assert code == 65
+        assert "not a finite" in capsys.readouterr().err
 
     def test_two_pass_replay_mismatch_is_data_error(self, tmp_path, monkeypatch, capsys, rng):
         base = rng.normal(size=(30, 4))

@@ -19,6 +19,7 @@ from matsketch import (
     bernoulli_subset,
     cut_decay_estimate,
     cut_norm_exact,
+    cutnorm,
     frobenius_norm,
     full_mask,
     inf_to_one_norm_exact,
@@ -98,6 +99,15 @@ class TestCutNormExact:
     def test_too_large(self):
         with pytest.raises(TooLargeError):
             cut_norm_exact(np.zeros((32, 32)))
+
+
+class TestSignedPart:
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16])
+    @pytest.mark.parametrize("sign", ["mixed", "negative", "zero"])
+    def test_is_cut_norm_of_diagonal(self, n, sign):
+        v = np.random.default_rng(n).normal(size=n)
+        v = {"mixed": v, "negative": -np.abs(v), "zero": np.zeros(n)}[sign]
+        assert cutnorm._signed_part(v)[0] == cut_norm_exact(np.diag(v)).value
 
 
 class TestInfToOneExact:

@@ -10,6 +10,7 @@ from matsketch.matio import (
     write_csv,
     write_matrixmarket,
 )
+from conftest import write_binary_with_nan
 
 
 @pytest.fixture
@@ -151,6 +152,11 @@ class TestBinary:
             read_matrix(path, "binary")
         with pytest.raises(ParseError, match="bytes"):
             open_stream(path, "binary")
+
+    def test_nan_entry(self, tmp_path):
+        path = write_binary_with_nan(tmp_path / "a.bin")
+        with pytest.raises(ParseError, match="non-finite"):
+            read_matrix(path, "binary")
 
     def test_short_file_rejected_when_opened(self, tmp_path, random_matrix):
         path = tmp_path / "a.bin"

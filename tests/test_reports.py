@@ -4,8 +4,32 @@ import jsonschema
 import numpy as np
 import pytest
 
-from matsketch.parallel import run_indexed
+import matsketch as ms
+from matsketch import OutOfRangeError, cutnorm
+from matsketch.parallel import run_indexed, run_trials
+from matsketch.rng import spawn
 from matsketch.reports import ExperimentReport, check_summary, load_schema, summarize
+
+
+# each Monte-Carlo experiment as a function of the trial count, with its per-trial fields
+EXPERIMENTS = {
+    "cut_decay": (
+        lambda t: ms.cut_decay_estimate(np.eye(12), 6, t, seed=3),
+        ("samples", "subset_sizes"),
+    ),
+    "spectral_decay": (
+        lambda t: ms.spectral_decay_estimate(ms.witness_random_sign(10, 1), 4, t, seed=3),
+        ("samples", "subset_sizes"),
+    ),
+    "lln": (
+        lambda t: ms.lln_deviation(ms.scaled_basis_ensemble(6), 20, t, seed=3),
+        ("deviations",),
+    ),
+    "optimality": (
+        lambda t: ms.optimality_experiment(4, 16, 6, t, seed=3),
+        ("missed_blocks", "errors"),
+    ),
+}
 
 
 @pytest.fixture
@@ -86,12 +110,33 @@ class TestParallel:
         monkeypatch.setenv("MATSKETCH_THREADS", "lots")
         assert run_indexed(lambda i: i, 3) == [0, 1, 2]
 
-    def test_threaded_trial_loop_is_deterministic(self, monkeypatch):
-        from matsketch import cut_decay_estimate
-
-        a = np.eye(12)
-        base = cut_decay_estimate(a, 6, 40, seed=3)
+    def test_run_trials_seeds_trial_i_with_seed_and_i(self, monkeypatch):
         monkeypatch.setenv("MATSKETCH_THREADS", "4")
-        threaded = cut_decay_estimate(a, 6, 40, seed=3)
-        assert np.array_equal(base.samples, threaded.samples)
-        assert np.array_equal(base.subset_sizes, threaded.subset_sizes)
+        draws = run_trials(lambda rng: rng.random(), 9, seed=7)
+        assert draws == [spawn(7, i).random() for i in range(9)]
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_threaded_trial_loop_is_deterministic(self, monkeypatch, name):
+        run, fields = EXPERIMENTS[name]
+        base = run(40)
+        monkeypatch.setenv("MATSKETCH_THREADS", "4")
+        threaded = run(40)
+        for field in fields:
+            assert np.array_equal(getattr(base, field), getattr(threaded, field))
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_zero_trials_rejected(self, name):
+        run, _ = EXPERIMENTS[name]
+        with pytest.raises(OutOfRangeError, match="trials"):
+            run(0)
+
+    def test_trial_count_checked_before_any_oracle_call(self, monkeypatch):
+        def oracle(a):
+            raise AssertionError("oracle called")
+
+        monkeypatch.setattr(cutnorm, "cut_norm_exact", oracle)
+        monkeypatch.setattr(cutnorm, "spectral_norm", oracle)
+        with pytest.raises(OutOfRangeError, match="trials"):
+            cutnorm.cut_decay_estimate(np.eye(6), 3, 0)
+        with pytest.raises(OutOfRangeError, match="trials"):
+            cutnorm.spectral_decay_estimate(np.eye(6), 3, 0)

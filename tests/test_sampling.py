@@ -6,7 +6,8 @@ import pytest
 from scipy import stats
 
 from matsketch import streams
-from matsketch.sampling import row_weights
+from matsketch.lln import matrix_rows_ensemble
+from matsketch.sampling import materialize_chosen, row_weights, stream_weights
 from matsketch.matio import open_stream, write_binary
 
 from matsketch import (
@@ -224,6 +225,56 @@ class TestTwoPass:
         stream = self._replay_differs(base, lambda rows: rows[:-1])
         with pytest.raises(ShapeMismatchError, match="39 rows"):
             sample_sketch_two_pass(stream, 5, seed=0)
+
+    def test_matrix_changed_to_nan_after_wrapping_fails_weight_pass(self, rng):
+        stream = MatrixRowStream(rng.normal(size=(40, 7)))
+        stream.matrix[17, 3] = np.nan
+        with pytest.raises(InvalidMatrixError, match="not a finite"):
+            sample_sketch_two_pass(stream, 5, seed=0)
+        with pytest.raises(InvalidMatrixError, match="not a finite"):
+            sample_sketch_one_pass(stream, 5, seed=0)
+
+    def test_matrix_changed_to_nan_between_passes_fails_replay(self, rng):
+        stream = MatrixRowStream(rng.normal(size=(40, 7)))
+        weights, total_sq, _ = stream_weights(stream)
+        stream.matrix[17, 3] = np.nan
+        with pytest.raises(ShapeMismatchError, match="differs"):
+            materialize_chosen(stream, np.arange(5), weights, total_sq, 5, seed=0)
+
+
+# every squared row length overflows / finite squared lengths whose sum overflows
+OVERFLOWING = {
+    "row": np.random.default_rng(0).standard_normal((50, 5)) * 1e160,
+    "sum": np.full((4, 1), 1e154),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OVERFLOWING))
+class TestWeightOverflow:
+    """A weight total past the float64 range is a data error in every mode."""
+
+    def test_row_distribution(self, kind):
+        with pytest.raises(InvalidMatrixError, match="not a finite"):
+            row_distribution(OVERFLOWING[kind])
+
+    def test_in_memory(self, kind):
+        with pytest.raises(InvalidMatrixError, match="not a finite"):
+            sample_sketch(OVERFLOWING[kind], 10)
+
+    def test_weight_and_gram_pass(self, kind):
+        with pytest.raises(InvalidMatrixError, match="not a finite"):
+            stream_weights(MatrixRowStream(OVERFLOWING[kind]), accumulate_gram=True)
+
+    @pytest.mark.parametrize("block_rows", [1, 4096])
+    def test_one_pass(self, kind, block_rows, monkeypatch):
+        # with one row per block, only the running total of "sum" overflows
+        monkeypatch.setattr(streams, "BLOCK_ROWS", block_rows)
+        with pytest.raises(InvalidMatrixError, match="not a finite"):
+            sample_sketch_one_pass(MatrixRowStream(OVERFLOWING[kind]), 10)
+
+    def test_lln_ensemble(self, kind):
+        with pytest.raises(InvalidMatrixError, match="not a finite"):
+            matrix_rows_ensemble(OVERFLOWING[kind])
 
 
 class TestBlockSize:
