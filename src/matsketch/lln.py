@@ -36,11 +36,6 @@ class VectorEnsemble:
     atoms: np.ndarray
     probabilities: np.ndarray
 
-    def sample(self, rng_or_seed, size: int) -> np.ndarray:
-        rng = as_generator(rng_or_seed)
-        idx = draw_weighted_indices(self.probabilities, size, rng)
-        return self.atoms[idx]
-
     def sample_counts(self, rng_or_seed, size: int) -> np.ndarray:
         """Draw ``size`` atoms and return how often each atom occurred."""
         rng = as_generator(rng_or_seed)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -40,6 +41,24 @@ def all_block_sums(a: np.ndarray) -> np.ndarray:
     row_masks = np.array(list(itertools.product((0.0, 1.0), repeat=m)))
     col_masks = np.array(list(itertools.product((0.0, 1.0), repeat=n)))
     return np.abs(row_masks @ a @ col_masks.T)
+
+
+def cut_norm_reference(a: np.ndarray) -> tuple[float, tuple, tuple]:
+    """``cut_norm_exact`` by the direct score max(sum c+, sum c-) of each subset's
+    column sums c: first maximizer in bit order (bit i = row i) over the smaller side."""
+    work = a.T if a.shape[0] > a.shape[1] else a
+    masks = np.array(list(itertools.product((0.0, 1.0), repeat=work.shape[0])))[:, ::-1]
+    sums = masks @ work
+    positive = np.where(sums > 0, sums, 0.0).sum(axis=1)
+    negative = np.where(sums < 0, -sums, 0.0).sum(axis=1)
+    best = int(np.argmax(np.maximum(positive, negative)))
+    c = sums[best]
+    keep = c > 0 if positive[best] >= negative[best] else c < 0
+    rows = tuple(int(i) for i in np.nonzero(masks[best])[0])
+    cols = tuple(int(j) for j in np.nonzero(keep)[0])
+    if work is not a:
+        rows, cols = cols, rows
+    return float(max(positive[best], negative[best])), rows, cols
 
 
 def inf_to_one_by_vertices(a: np.ndarray) -> float:
@@ -99,6 +118,63 @@ class TestCutNormExact:
     def test_too_large(self):
         with pytest.raises(TooLargeError):
             cut_norm_exact(np.zeros((32, 32)))
+
+
+def integer_matrix(rng, m, n, ties):
+    a = rng.integers(-3, 4, size=(m, n)).astype(float)
+    if ties:  # a zero row and a duplicate row on the enumerated side
+        side = a if m <= n else a.T
+        side[0] = 0.0
+        side[-1] = side[1 % side.shape[0]]
+    return a
+
+
+class TestChunkSeams:
+    """Both oracles at chunk sizes that split the enumeration at every seam."""
+
+    @pytest.fixture(params=[1, 3, 12], autouse=True)
+    def chunk_bits(self, request, monkeypatch):
+        monkeypatch.setattr(cutnorm, "_CHUNK_BITS", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_cut_norm_matches_direct_score_on_integers(self, ties):
+        rng = np.random.default_rng(17)
+        shapes = [(1, 4), (2, 5), (5, 3), (7, 9), (9, 7), (13, 13), (14, 10)]
+        for m, n in shapes:
+            a = integer_matrix(rng, m, n, ties)
+            result = cut_norm_exact(a)
+            assert (result.value, result.row_set, result.col_set) == cut_norm_reference(a)
+        zero = cut_norm_exact(np.zeros((5, 6)))
+        assert (zero.value, zero.row_set, zero.col_set) == cut_norm_reference(np.zeros((5, 6)))
+
+    @pytest.mark.parametrize("scale", [2.0**-300, 2.0**300])
+    def test_cut_norm_matches_double_enumeration_on_scaled_floats(self, scale):
+        rng = np.random.default_rng(23)
+        for m, n in [(1, 6), (4, 4), (6, 8), (8, 5)]:
+            a = rng.normal(size=(m, n)) * scale
+            expected = all_block_sums(a).max()
+            assert cut_norm_exact(a).value == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("k", [1, 2, 12, 13])
+    def test_inf_to_one_equals_vertex_enumeration_on_integers(self, k):
+        rng = np.random.default_rng(k)
+        a = integer_matrix(rng, 15, k, ties=k > 1)
+        assert inf_to_one_norm_exact(a) == inf_to_one_by_vertices(a)
+        assert inf_to_one_norm_exact(a.T) == inf_to_one_by_vertices(a)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0)])
+    def test_empty_inputs(self, shape):
+        a = np.zeros(shape)
+        assert inf_to_one_norm_exact(a) == inf_to_one_by_vertices(a) == 0.0
+        assert cut_norm_exact(a) == cutnorm.CutNormResult(0.0, (), ())
+
+
+def test_enumerator_throughput_smoke():
+    # k = 16 > _CHUNK_BITS: the chunk loop runs 16 times; no timing is asserted
+    a = witness_random_sign(16, seed=4)
+    result = cut_norm_exact(a)
+    assert (result.value, result.row_set, result.col_set) == cut_norm_reference(a)
 
 
 class TestSignedPart:
@@ -218,6 +294,20 @@ class TestCutDecay:
     def test_oracle_limit(self):
         with pytest.raises(TooLargeError):
             cut_decay_estimate(np.eye(32), 8, 10, seed=0)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_seed_pins_bytes(self, monkeypatch, threads):
+        monkeypatch.setenv("MATSKETCH_THREADS", threads)
+        est = cut_decay_estimate(witness_random_sign(16, seed=0), 8, trials=50, seed=0)
+        digests = {
+            name: hashlib.sha256(np.asarray(getattr(est, name)).tobytes()).hexdigest()
+            for name in ("samples", "subset_sizes", "bound_terms")
+        }
+        assert digests == {
+            "samples": "f8b3da5b1f985594c3df9e5e95a176422520b79ef4c613370a9b49c3d278f26a",
+            "subset_sizes": "29a66be02ab24d5be66364c001287181b5828140ae9370402f8215da0f7119d4",
+            "bound_terms": "40adc9e7437d03579b2bd47c40c5d502eb955616f524a6dec068f009a8f3b777",
+        }
 
     @pytest.mark.parametrize(
         "maker,term_index,ratio_band",

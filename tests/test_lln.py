@@ -108,7 +108,7 @@ class TestLlnDeviation:
             counts = ens.sample_counts(spawn(seed, t), d)
             formula = np.abs((8 / d) * counts - 1.0).max()
             assert stats.deviations[t] == pytest.approx(formula, abs=1e-10)
-            samples = ens.sample(spawn(seed, t), d)
+            samples = np.repeat(ens.atoms, counts, axis=0)
             gap = empirical_second_moment(samples) - ens.second_moment
             dense = np.linalg.svd(gap, compute_uv=False)[0]
             assert stats.deviations[t] == pytest.approx(dense, abs=1e-10)
