@@ -12,19 +12,17 @@ yields a genuinely smaller projector instead of an arbitrary completion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvariantError, OutOfRangeError, ShapeMismatchError, ZeroMatrixError
+from .errors import InvariantError, OutOfRangeError, ShapeMismatchError
 from .linalg import _singular_values, as_matrix, spectral_norm, sym_spectral_norm
 from .parallel import run_trials
-from .rng import as_generator
 from .sampling import (
     Sketch,
-    draw_weighted_indices,
-    materialize_chosen,
+    draw_sketch,
     required_sample_size,
     sample_sketch,
     sample_sketch_one_pass,
@@ -158,128 +156,100 @@ def low_rank_approximate(
     """Sample a sketch sized by the numerical rank and build its projector.
 
     ``source`` is a dense matrix or a RowStream.  Dense matrices and
-    replayable streams run the same two-pass sampling and give the same
-    d, numerical rank and projector for the same seed; single-shot streams
-    take one traversal but require an explicit ``d`` (the reservoir count
-    must be fixed before the pass).  ``d`` overrides the sample-size
-    formula in every mode.
+    replayable streams run the same two-pass sampling and give the same d,
+    numerical rank and projector for the same seed: ``stream_weights`` also
+    forms the Gram matrix, whose top eigenvalue gives the rank and d, and
+    rejects a zero matrix; ``sampling.draw_sketch`` draws and gathers the
+    rows.  Single-shot streams take one traversal but require an explicit
+    ``d`` (the reservoir count must be fixed before the pass).  ``d``
+    overrides the sample-size formula in every mode.
     """
     if not 0 < epsilon < 1:
         raise OutOfRangeError(f"epsilon must lie in (0, 1), got {epsilon}")
     if not 0 < delta < 1:
         raise OutOfRangeError(f"delta must lie in (0, 1), got {delta}")
     stream = source if isinstance(source, RowStream) else MatrixRowStream(source)
+    rank = None
     if stream.replayable:
-        run = _sample_two_pass(stream, k, epsilon, delta, c_constant, seed, d)
-        projector, rank, d = run.projector, run.rank, run.sketch.d
+        weights, total_sq, gram = stream_weights(stream, accumulate_gram=True)
+        eigenvalues = np.linalg.eigvalsh(gram)
+        rank = total_sq / float(eigenvalues[-1])
+        if d is None:
+            # the Gram ratio of a rank-one matrix can round to just below 1
+            d = required_sample_size(max(1.0, rank), epsilon, delta, c_constant)
+        sketch = draw_sketch(stream, weights, total_sq, d, seed)
     elif d is None:
         raise OutOfRangeError(
             "single-shot streams need an explicit sketch size d; "
             "the sample-size formula requires a replayable source"
         )
     else:
-        projector = projector_top_k(sample_sketch_one_pass(stream, d, seed), k)
-        rank = None
-    report = ApproxReport(
-        k=int(k),
-        d=int(d),
-        epsilon=float(epsilon),
-        delta=float(delta),
-        numerical_rank=rank,
-    )
-    if stream is source:
-        # only an in-memory matrix is at hand for the exact fallback of _certify
-        return projector, report
-    sigma_next, error, gram_deviation = _certify(stream.matrix, run, k)
-    top = math.sqrt(float(run.eigenvalues[-1]))
-    bound = sigma_next + epsilon * top
-    satisfied = bool(error <= bound * (1.0 + 1e-12))
-    # small Gram deviation forces success: error^2 <= sigma^2 + 2*dev
-    if not satisfied and gram_deviation <= 0.5 * (epsilon * top) ** 2 - 1e-9 * top**2:
-        raise InvariantError(
-            f"error {error!r} exceeds the bound {bound!r} although the Gram deviation "
-            f"{gram_deviation!r} is at most (epsilon * |A|_2)^2 / 2"
+        sketch = sample_sketch_one_pass(stream, d, seed)
+    projector = projector_top_k(sketch, k)
+    sigma_next = error = bound = gram_deviation = satisfied = None
+    # only an in-memory matrix is at hand for the exact fallback of _certify
+    if stream is not source:
+        sigma_next, error, gram_deviation = _certify(
+            stream.matrix, gram, eigenvalues, sketch, projector, k
         )
-    return projector, replace(
-        report,
-        sigma_kplus1=sigma_next,
-        error_spectral=error,
-        bound=bound,
-        gram_deviation=gram_deviation,
-        satisfied=satisfied,
+        top = math.sqrt(float(eigenvalues[-1]))
+        bound = sigma_next + epsilon * top
+        satisfied = bool(error <= bound * (1.0 + 1e-12))
+        # small Gram deviation forces success: error^2 <= sigma^2 + 2*dev
+        if not satisfied and gram_deviation <= 0.5 * (epsilon * top) ** 2 - 1e-9 * top**2:
+            raise InvariantError(
+                f"error {error!r} exceeds the bound {bound!r} although the Gram deviation "
+                f"{gram_deviation!r} is at most (epsilon * |A|_2)^2 / 2"
+            )
+    return projector, ApproxReport(
+        k=int(k), d=int(d), epsilon=float(epsilon), delta=float(delta), numerical_rank=rank,
+        sigma_kplus1=sigma_next, error_spectral=error, bound=bound,
+        gram_deviation=gram_deviation, satisfied=satisfied,
     )
 
 
-class _TwoPass(NamedTuple):
-    projector: Projector
-    sketch: Sketch
-    gram: np.ndarray
-    eigenvalues: np.ndarray  # of gram, ascending
-    rank: float
-
-
-def _sample_two_pass(stream, k, epsilon, delta, c_constant, seed, d) -> _TwoPass:
-    """Weight-and-Gram pass, index draw and materialise pass, then the projector."""
-    weights, total_sq, gram = stream_weights(stream, accumulate_gram=True)
-    if total_sq <= 0.0:
-        raise ZeroMatrixError("cannot approximate the zero matrix")
-    eigenvalues = np.linalg.eigvalsh(gram)
-    rank = total_sq / float(eigenvalues[-1])
-    if d is None:
-        # the Gram ratio of a rank-one matrix can round to just below 1
-        d = required_sample_size(max(1.0, rank), epsilon, delta, c_constant)
-    elif d < 1:
-        raise OutOfRangeError(f"sketch size d must be >= 1, got {d}")
-    positions = draw_weighted_indices(weights, d, as_generator(seed))
-    sketch = materialize_chosen(stream, positions, weights, total_sq, d, seed)
-    return _TwoPass(projector_top_k(sketch, k), sketch, gram, eigenvalues, rank)
-
-
-def _certify(arr: np.ndarray, run: _TwoPass, k: int) -> tuple[float, float, float]:
+def _certify(arr, gram, lam, sketch, projector, k) -> tuple[float, float, float]:
     """sigma_{k+1}, |A - AP|_2 and |A^T A - S^T S|_2 from the Gram matrix G.
 
-    Squared values read off G carry an absolute error of order
-    n * eps * |G|_2 (the condition number is squared).  So sigma_{k+1} and
-    the error are recomputed exactly from ``arr`` when either squared value
-    falls below ``_GRAM_FLOOR * n * eps * |G|_2``, or when the Gram values
-    break error^2 <= sigma_{k+1}^2 + 2 * deviation, which exact values
-    always satisfy (see ``projection_error_bound``).
+    ``arr`` is A, ``lam`` the eigenvalues of G = ``gram`` in ascending
+    order, S is ``sketch`` and P is ``projector``.  Squared values read off
+    G carry an absolute error of order n * eps * |G|_2 (the condition
+    number is squared).  So sigma_{k+1} and the error are recomputed
+    exactly from ``arr`` when either squared value falls below
+    ``_GRAM_FLOOR * n * eps * |G|_2``, or when the Gram values break
+    error^2 <= sigma_{k+1}^2 + 2 * deviation, which exact values always
+    satisfy (see ``projection_error_bound``).
     """
-    gram, lam, basis = run.gram, run.eigenvalues, run.projector.basis
+    basis = projector.basis
     n = gram.shape[0]
     lam_next = float(lam[n - 1 - k]) if k < n else 0.0
     # (I - P) G (I - P) with P = basis @ basis.T
     left = gram - basis @ (basis.T @ gram)
     residual = left - (left @ basis) @ basis.T
     error_sq = float(np.linalg.eigvalsh(0.5 * (residual + residual.T))[-1])
-    gram_deviation = sym_spectral_norm(gram - run.sketch.gram())
+    gram_deviation = sym_spectral_norm(gram - sketch.gram())
     floor = _GRAM_FLOOR * n * np.finfo(np.float64).eps * float(lam[-1])
     coarse = error_sq < floor or (k < n and lam_next < floor)
     if coarse or error_sq > lam_next + 2.0 * gram_deviation:
         values = _singular_values(arr)
         sigma_next = float(values[k]) if k < values.size else 0.0
-        return sigma_next, approximation_error(arr, run.projector), gram_deviation
+        return sigma_next, approximation_error(arr, projector), gram_deviation
     return math.sqrt(lam_next), math.sqrt(error_sq), gram_deviation
 
 
 def block_identity_matrix(n: int, m: int) -> np.ndarray:
     """m x n matrix of m/n stacked identical-row blocks, orthonormal columns.
 
-    Row i (1-based) has a single entry sqrt(n/m) in column ceil(n*i/m); each
-    column carries m/n such entries, so spectral norm is 1 and the squared
-    Frobenius norm is n.
+    Row i (0-based) has a single entry sqrt(n/m) in column i // (m/n), the
+    block it lies in; each column carries m/n such entries, so spectral norm
+    is 1 and the squared Frobenius norm is n.
     """
     if n < 1 or m <= n or m % n != 0:
         raise ShapeMismatchError(f"need n < m with n dividing m, got n={n}, m={m}")
     arr = np.zeros((m, n))
-    value = math.sqrt(n / m)
-    for i in range(1, m + 1):
-        arr[i - 1, math.ceil(n * i / m) - 1] = value
+    rows = np.arange(m)
+    arr[rows, rows // (m // n)] = math.sqrt(n / m)
     return arr
-
-
-def _block_of_row(row_index: int, n: int, m: int) -> int:
-    return math.ceil(n * (row_index + 1) / m) - 1
 
 
 @dataclass(frozen=True)
@@ -306,8 +276,7 @@ def optimality_experiment(n: int, m: int, d: int, trials: int, seed: int = 0) ->
 
     def run(rng):
         sketch = sample_sketch(arr, d, rng)
-        blocks = {_block_of_row(int(i), n, m) for i in sketch.chosen_indices}
-        missed = n - len(blocks)
+        missed = n - np.unique(sketch.chosen_indices // (m // n)).size
         error = approximation_error(arr, projector_top_k(sketch, n))
         return missed, error
 

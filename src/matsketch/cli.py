@@ -18,6 +18,7 @@ violation under --strict, 64 usage error, 65 data error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 
 import numpy as np
@@ -112,7 +113,7 @@ def _cmd_approx_svd(args):
                 raise UsageError("--stream one-pass requires an explicit --d")
             # one traversal of the file's blocks, refused a second time
             source = BlockStream(iter(source), source.n_cols)
-    _, report = approx.low_rank_approximate(
+    projector, report = approx.low_rank_approximate(
         source,
         k=args.k,
         epsilon=args.epsilon,
@@ -132,7 +133,10 @@ def _cmd_approx_svd(args):
         "satisfied": report.satisfied,
     }
     exit_code = EXIT_VIOLATION if args.strict and report.satisfied is False else EXIT_OK
-    return [trial], {"d": report.d, "satisfied": report.satisfied}, exit_code
+    # decided by the drawn sample in every mode, streams included
+    projector_sha256 = hashlib.sha256(projector.basis.tobytes()).hexdigest()
+    results = {"d": report.d, "satisfied": report.satisfied, "projector_sha256": projector_sha256}
+    return [trial], results, exit_code
 
 
 def _witness_matrix(args) -> np.ndarray:

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRangeError, ShapeMismatchError, ZeroMatrixError
-from .linalg import as_matrix
+from .errors import OutOfRangeError, ShapeMismatchError
+from .linalg import spectral_norm
 from .parallel import run_trials
 from .rng import as_generator
-from .sampling import draw_weighted_indices, row_weights, total_weight
+from .sampling import draw_weighted_indices, stream_weights
+from .streams import MatrixRowStream
 
 
 @dataclass(frozen=True)
@@ -61,14 +62,13 @@ def matrix_rows_ensemble(a) -> VectorEnsemble:
     """Length-normalized rows of ``a`` weighted by squared length.
 
     The matrix is rescaled by its spectral norm first, so the exact second
-    moment (the rescaled Gram matrix) has unit spectral norm.
+    moment (the rescaled Gram matrix) has unit spectral norm.  A zero matrix
+    raises ZeroMatrixError in ``stream_weights``.
     """
-    arr = as_matrix(a)
-    weights = row_weights(arr)
-    total = total_weight(weights)
-    if total <= 0.0:
-        raise ZeroMatrixError("ensemble needs at least one nonzero row")
-    top = float(np.linalg.svd(arr, compute_uv=False)[0])
+    stream = MatrixRowStream(a)
+    weights, total, _ = stream_weights(stream)
+    arr = stream.matrix
+    top = spectral_norm(arr)
     arr = arr / top
     weights = weights / top**2
     total = total / top**2

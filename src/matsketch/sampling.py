@@ -13,9 +13,10 @@ source as row blocks (see ``streams``), computes weights per block with
 * ``sample_sketch``          -- in-memory matrix: two-pass sampling over the
   matrix's blocks, so it is bit-identical to the two-pass mode by
   construction;
-* ``sample_sketch_two_pass`` -- replayable stream: pass 1 accumulates row
-  weights, pass 2 checks that it replays the same weights and materializes
-  only the chosen rows;
+* ``sample_sketch_two_pass`` -- replayable stream: pass 1
+  (``stream_weights``) accumulates row weights and rejects a zero total,
+  then ``draw_sketch`` draws the positions and runs pass 2, which checks
+  that it replays the same weights and materializes only the chosen rows;
 * ``sample_sketch_one_pass`` -- single traversal keeping d independent
   single-item weighted reservoirs, updated once per block.  Same occupant
   law, its own index stream.
@@ -104,10 +105,7 @@ def total_weight(weights) -> float:
 
 def row_distribution(a) -> np.ndarray:
     """Sampling probabilities: squared row length over squared Frobenius norm."""
-    w = row_weights(a)
-    total = total_weight(w)
-    if total <= 0.0:
-        raise ZeroMatrixError("cannot sample rows of a zero matrix")
+    w, total, _ = stream_weights(MatrixRowStream(a))
     return w / total
 
 
@@ -173,7 +171,8 @@ def sample_sketch(a, d: int, seed=0) -> Sketch:
 def stream_weights(stream: RowStream, accumulate_gram: bool = False):
     """One traversal collecting per-row weights (and optionally the Gram matrix).
 
-    Returns (weights, total_sq, gram_or_None); total_sq is checked by ``total_weight``.
+    Returns (weights, total_sq, gram_or_None); total_sq is checked by
+    ``total_weight`` and a zero total raises ZeroMatrixError.
     """
     weight_parts = [np.empty(0)]  # an empty stream has no weights
     gram = np.zeros((stream.n_cols, stream.n_cols)) if accumulate_gram else None
@@ -184,7 +183,10 @@ def stream_weights(stream: RowStream, accumulate_gram: bool = False):
             with np.errstate(over="ignore", invalid="ignore"):
                 gram += block.T @ block
     w = np.concatenate(weight_parts)
-    return w, total_weight(w), gram
+    total = total_weight(w)
+    if total <= 0.0:
+        raise ZeroMatrixError("cannot sample rows of a zero matrix")
+    return w, total, gram
 
 
 def materialize_chosen(stream: RowStream, positions, weights, total_sq: float, d: int, seed) -> Sketch:
@@ -225,16 +227,20 @@ def materialize_chosen(stream: RowStream, positions, weights, total_sq: float, d
     return _sketch(matrix, chosen[inverse], total_sq, d, seed)
 
 
+def draw_sketch(stream: RowStream, weights, total_sq: float, d: int, seed) -> Sketch:
+    """Draw ``d`` positions by ``weights``, then gather them in ``materialize_chosen``'s pass."""
+    _check_size(d)
+    positions = draw_weighted_indices(weights, d, as_generator(seed))
+    return materialize_chosen(stream, positions, weights, total_sq, d, seed)
+
+
 def sample_sketch_two_pass(stream: RowStream, d: int, seed=0) -> Sketch:
-    """Sketch a replayable stream: weight pass, draw, then materialize pass."""
+    """Sketch a replayable stream: weight pass, then ``draw_sketch``."""
     if not stream.replayable:
         raise NotReplayableError("two-pass sampling requires a replayable stream")
     _check_size(d)
     weights, total_sq, _ = stream_weights(stream)
-    if total_sq <= 0.0:
-        raise ZeroMatrixError("cannot sample rows of a zero matrix")
-    positions = draw_weighted_indices(weights, d, as_generator(seed))
-    return materialize_chosen(stream, positions, weights, total_sq, d, seed)
+    return draw_sketch(stream, weights, total_sq, d, seed)
 
 
 def sample_sketch_one_pass(stream: RowStream, d: int, seed=0) -> Sketch:

@@ -24,6 +24,7 @@ from matsketch import (
 )
 from matsketch import approx as approx_module
 from matsketch import linalg
+from matsketch.matio import open_stream, write_binary
 from matsketch.cli import main
 from conftest import matrix_with_singular_values, random_orthonormal
 
@@ -198,6 +199,23 @@ class TestLowRankApproximate:
         assert np.array_equal(p_str.basis, p_mem.basis)
         assert r_str.error_spectral is None and r_str.satisfied is None
 
+    @pytest.mark.parametrize("d", [None, 37], ids=["formula", "explicit"])
+    @pytest.mark.parametrize("kind", ["matrix", "matrix-stream", "binary-stream"])
+    def test_every_replayable_source_draws_the_sampling_sketch(self, rng, tmp_path, kind, d):
+        # more rows than one stream block, so the draw spans a block boundary
+        a = rng.normal(size=(4500, 6)) * rng.uniform(0.1, 3.0, size=(4500, 1))
+        if kind == "matrix":
+            source = a
+        elif kind == "matrix-stream":
+            source = MatrixRowStream(a)
+        else:
+            write_binary(tmp_path / "a.bin", a)
+            source = open_stream(tmp_path / "a.bin")
+        projector, report = low_rank_approximate(source, k=3, epsilon=0.6, delta=0.5, seed=5, d=d)
+        assert d is None or report.d == d
+        expected = projector_top_k(sample_sketch(a, report.d, seed=5), 3)
+        assert np.array_equal(projector.basis, expected.basis)
+
     def test_gram_certificate_matches_exact_values(self, rng, monkeypatch):
         # spectra within [1e-2, 1] * sigma_1, so every error is far above
         # sqrt(eps) * sigma_1 and the certificate must come from the Gram matrix
@@ -242,7 +260,8 @@ class TestLowRankApproximate:
 
     def test_broken_gram_invariant_raises(self, rng, monkeypatch, tmp_path):
         # an error above the bound despite a zero Gram deviation is impossible
-        monkeypatch.setattr(approx_module, "_certify", lambda arr, run, k: (0.0, 1e6, 0.0))
+        broken = lambda arr, gram, lam, sketch, projector, k: (0.0, 1e6, 0.0)  # noqa: E731
+        monkeypatch.setattr(approx_module, "_certify", broken)
         a = rng.normal(size=(30, 6))
         with pytest.raises(InvariantError):
             low_rank_approximate(a, k=2, epsilon=0.5, delta=0.5, seed=0)
