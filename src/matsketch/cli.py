@@ -97,17 +97,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _provenance(path) -> dict:
-    if path is None:
+def _provenance(path, digest: matio.InputDigest) -> dict:
+    """The input file and the sha256 of the bytes the run read; nulls if it read none."""
+    if path is None or not digest.size:
         return {"input": None, "sha256": None}
-    return {"input": str(path), "sha256": matio.sha256_file(path)}
+    return {"input": str(path), "sha256": digest.hexdigest()}
 
 
-def _cmd_approx_svd(args):
+def _cmd_approx_svd(args, digest):
     if args.stream == "none":
-        source = matio.read_matrix(args.input, args.format)
+        source = matio.read_matrix(args.input, args.format, digest)
     else:
-        source = matio.open_stream(args.input, args.format)
+        source = matio.open_stream(args.input, args.format, digest)
         if args.stream == "one-pass":
             if args.d is None:
                 raise UsageError("--stream one-pass requires an explicit --d")
@@ -139,11 +140,11 @@ def _cmd_approx_svd(args):
     return [trial], results, exit_code
 
 
-def _witness_matrix(args) -> np.ndarray:
+def _witness_matrix(args, digest) -> np.ndarray:
     if args.witness == "file":
         if args.input is None:
             raise UsageError("--witness file requires --input")
-        return matio.read_matrix(args.input, args.format)
+        return matio.read_matrix(args.input, args.format, digest)
     if args.witness == "all-ones":
         return cutnorm.witness_all_ones(args.n)
     if args.witness == "identity":
@@ -155,8 +156,8 @@ def _witness_matrix(args) -> np.ndarray:
     return approx.block_identity_matrix(args.n, args.m)
 
 
-def _cmd_decay(args):
-    matrix = _witness_matrix(args)
+def _cmd_decay(args, digest):
+    matrix = _witness_matrix(args, digest)
     estimator = cutnorm.cut_decay_estimate if args.norm == "cut" else cutnorm.spectral_decay_estimate
     estimate = estimator(matrix, args.q, args.trials, args.seed)
     per_trial = [
@@ -171,13 +172,13 @@ def _cmd_decay(args):
     }, EXIT_OK
 
 
-def _cmd_lln(args):
+def _cmd_lln(args, digest):
     if args.ensemble == "scaled-basis":
         ensemble = lln.scaled_basis_ensemble(args.n)
     else:
         if args.input is None:
             raise UsageError("--ensemble matrix-rows requires --input")
-        ensemble = lln.matrix_rows_ensemble(matio.read_matrix(args.input, args.format))
+        ensemble = lln.matrix_rows_ensemble(matio.read_matrix(args.input, args.format, digest))
     stats = lln.lln_deviation(ensemble, args.d, args.trials, args.seed, args.c_const)
     per_trial = [{"trial": i, "deviation": float(v)} for i, v in enumerate(stats.deviations)]
     return per_trial, {
@@ -187,7 +188,7 @@ def _cmd_lln(args):
     }, EXIT_OK
 
 
-def _cmd_optimality(args):
+def _cmd_optimality(args, digest):
     result = approx.optimality_experiment(args.n, args.m, args.d, args.trials, args.seed)
     per_trial = [
         {
@@ -216,13 +217,16 @@ def _run(args) -> int:
     """Run one subcommand and write its report; returns the exit code."""
     config = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
     started = reports.utc_now()
-    per_trial, results, exit_code = _COMMANDS[args.command](args)
+    # the input is hashed on one worker thread while the command reads it
+    with matio.InputDigest() as digest:
+        per_trial, results, exit_code = _COMMANDS[args.command](args, digest)
+        provenance = _provenance(getattr(args, "input", None), digest)
     report = reports.ExperimentReport(
         command=args.command,
         config=config,
         per_trial=per_trial,
         results=results,
-        provenance=_provenance(getattr(args, "input", None)),
+        provenance=provenance,
         started_at=started,
         finished_at=reports.utc_now(),
     )

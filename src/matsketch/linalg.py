@@ -24,8 +24,12 @@ ORTHONORMALITY_TOL = 1e-8
 RECONSTRUCTION_TOL = 1e-6
 
 
-def as_matrix(a, allow_empty: bool = False) -> np.ndarray:
-    """Validate and return ``a`` as a 2-d float64 array with finite entries."""
+def as_matrix(a, allow_empty: bool = False, check_finite: bool = True) -> np.ndarray:
+    """Validate and return ``a`` as a 2-d float64 array with finite entries.
+
+    ``check_finite=False`` checks the shape only, for callers that reject
+    non-finite entries on their own.
+    """
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
         raise InvalidMatrixError(f"expected a 2-d matrix, got ndim={arr.ndim}")
@@ -33,7 +37,7 @@ def as_matrix(a, allow_empty: bool = False) -> np.ndarray:
         if allow_empty:
             return arr
         raise InvalidMatrixError(f"matrix has an empty dimension: shape={arr.shape}")
-    if not np.isfinite(arr).all():
+    if check_finite and not np.isfinite(arr).all():
         raise InvalidMatrixError("matrix entries must be finite")
     return arr
 

@@ -103,6 +103,12 @@ def total_weight(weights) -> float:
     return total
 
 
+def _check_nonzero(total: float) -> None:
+    """The zero-total check of every sampling mode."""
+    if total <= 0.0:
+        raise ZeroMatrixError("cannot sample rows of a zero matrix")
+
+
 def row_distribution(a) -> np.ndarray:
     """Sampling probabilities: squared row length over squared Frobenius norm."""
     w, total, _ = stream_weights(MatrixRowStream(a))
@@ -184,8 +190,7 @@ def stream_weights(stream: RowStream, accumulate_gram: bool = False):
                 gram += block.T @ block
     w = np.concatenate(weight_parts)
     total = total_weight(w)
-    if total <= 0.0:
-        raise ZeroMatrixError("cannot sample rows of a zero matrix")
+    _check_nonzero(total)
     return w, total, gram
 
 
@@ -273,7 +278,6 @@ def sample_sketch_one_pass(stream: RowStream, d: int, seed=0) -> Sketch:
             rows[slots] = block[picks]
             occupant_index[slots] = indices[picks]
             occupant_weight[slots] = w[picks]
-    if running <= 0.0:
-        raise ZeroMatrixError("stream carried zero total weight")
+    _check_nonzero(running)
     matrix = _scaled_rows(rows, occupant_weight, running, d)
     return _sketch(matrix, occupant_index, running, d, seed)

@@ -4,8 +4,10 @@ Iterating a stream yields ``(indices, block)`` pairs: ``indices`` is an
 int64 array of source row indices, strictly increasing across the whole
 traversal, and ``block`` is a ``len(indices) x n_cols`` float64 array of at
 most ``BLOCK_ROWS`` rows.  Blocks are checked for width, index order and
-finite entries (a ``MatrixRowStream`` checks its matrix once, when built).
-Consumers must not modify a block; ``MatrixRowStream`` blocks are views.
+finite entries, except a ``MatrixRowStream``'s: it checks only its matrix's
+shape, because a non-finite entry makes the row weights non-finite, which
+every sampling pass rejects (``sampling.total_weight``).  Consumers must
+not modify a block; ``MatrixRowStream`` blocks are views.
 
 Replayable streams can be traversed any number of times (each traversal
 re-reads the source); single-shot streams refuse a second traversal.
@@ -70,10 +72,13 @@ class RowStream:
 
 
 class MatrixRowStream(RowStream):
-    """Replayable stream over a matrix checked once, when built; blocks are views of it."""
+    """Replayable stream over an in-memory matrix; blocks are views of it.
+
+    Only the shape is checked here, so wrapping a matrix scans none of it.
+    """
 
     def __init__(self, matrix):
-        self.matrix = as_matrix(matrix)
+        self.matrix = as_matrix(matrix, check_finite=False)
         super().__init__(self.matrix.shape[1], replayable=True)
 
     def __iter__(self) -> Iterator[Block]:

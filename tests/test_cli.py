@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,33 @@ class TestApproxSvd:
         assert code == 65
         assert "not a finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "stream", [[], ["--stream", "two-pass"], ["--stream", "one-pass", "--d", "5"]]
+    )
+    def test_non_ascii_csv_is_data_error(self, tmp_path, capsys, stream):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"1,2\n3,\xe94\n")
+        code = main(["approx-svd", "--input", str(path), "--k", "1", "--out", "-"] + stream)
+        assert code == 65
+        assert "bad.csv:2: non-ASCII byte 0xe9" in capsys.readouterr().err
+
+    def test_non_ascii_matrixmarket_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.mtx"
+        path.write_bytes(b"%%MatrixMarket matrix array real general\n2 1\n1\n\xff\n")
+        code = main(["approx-svd", "--input", str(path), "--k", "1", "--out", "-"])
+        assert code == 65
+        assert "bad.mtx:4: non-ASCII byte 0xff" in capsys.readouterr().err
+
+    def test_zero_matrix_is_one_data_error_in_every_mode(self, tmp_path, capsys):
+        path = tmp_path / "zero.bin"
+        write_binary(path, np.zeros((20, 4)))
+        errors = set()
+        for stream in [[], ["--stream", "two-pass"], ["--stream", "one-pass"]]:
+            argv = ["approx-svd", "--input", str(path), "--k", "1", "--d", "3", "--out", "-"]
+            assert main(argv + stream) == 65
+            errors.add(capsys.readouterr().err)
+        assert errors == {"matsketch: cannot sample rows of a zero matrix\n"}
+
     def test_two_pass_replay_mismatch_is_data_error(self, tmp_path, monkeypatch, capsys, rng):
         base = rng.normal(size=(30, 4))
         traversals = []
@@ -132,6 +160,64 @@ class TestApproxSvd:
         )
         assert code == 0
         assert read_report(out)["per_trial"][0]["error_spectral"] is None
+
+
+def _matrix_files(tmp_path):
+    a = np.random.default_rng(4).standard_normal((12, 12))  # square for decay
+    write_binary(tmp_path / "a.bin", a)
+    write_csv(tmp_path / "a.csv", a)
+    matio.write_matrixmarket(tmp_path / "a.mtx", a)
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes((tmp_path / "a.csv").read_bytes().replace(b"\n", b"\r\n"))
+    return [tmp_path / "a.bin", tmp_path / "a.csv", tmp_path / "a.mtx", crlf]
+
+
+# every command that reads --input; INPUT stands for the file
+INPUT_COMMANDS = [
+    ["approx-svd", "--input", "INPUT", "--k", "2"],
+    ["approx-svd", "--input", "INPUT", "--k", "2", "--stream", "two-pass"],
+    ["approx-svd", "--input", "INPUT", "--k", "2", "--stream", "one-pass", "--d", "5"],
+    ["decay", "--norm", "spectral", "--witness", "file", "--input", "INPUT", "--q", "3",
+     "--trials", "5"],
+    ["lln", "--ensemble", "matrix-rows", "--input", "INPUT", "--d", "20", "--trials", "3"],
+]
+
+
+class TestProvenance:
+    """provenance.sha256 is hashed from the bytes the run read, on one worker thread."""
+
+    @pytest.mark.parametrize("argv", INPUT_COMMANDS)
+    def test_digest_is_the_file_sha256(self, tmp_path, monkeypatch, argv):
+        files = _matrix_files(tmp_path)
+        expected = {path: matio.sha256_file(path) for path in files}
+
+        def no_second_read(path):
+            raise AssertionError("the input was read a second time")
+
+        monkeypatch.setattr(matio, "sha256_file", no_second_read)
+        for path in files:
+            out = tmp_path / "r.json"
+            assert main([str(path) if a == "INPUT" else a for a in argv] + ["--out", str(out)]) == 0
+            provenance = read_report(out)["provenance"]
+            assert provenance == {"input": str(path), "sha256": expected[path]}
+
+    def test_input_not_read_has_no_provenance(self, tmp_path, rank3_file):
+        out = tmp_path / "r.json"
+        code = main(["decay", "--norm", "cut", "--witness", "identity", "--input", str(rank3_file),
+                     "--q", "4", "--trials", "5", "--out", str(out)])
+        assert code == 0
+        assert read_report(out)["provenance"] == {"input": None, "sha256": None}
+
+    def test_worker_thread_joined(self, tmp_path, rank3_file):
+        baseline = threading.active_count()
+        argv = ["approx-svd", "--input", str(rank3_file), "--k", "3", "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 0
+        assert threading.active_count() == baseline
+        nan_file = write_binary_with_nan(tmp_path / "nan.bin")
+        for stream in [[], ["--stream", "two-pass"], ["--stream", "one-pass", "--d", "5"]]:
+            argv = ["approx-svd", "--input", str(nan_file), "--k", "1", "--out", "-"]
+            assert main(argv + stream) == 65
+            assert threading.active_count() == baseline
 
 
 class TestDecay:
