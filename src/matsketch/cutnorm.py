@@ -91,62 +91,81 @@ class CutNormResult:
 
 
 def _combinations(rows: np.ndarray, signed: bool) -> np.ndarray:
-    """All 2^k combinations of the rows; bit i adds row i (subtracts it if signed)."""
-    table = np.zeros((1 << rows.shape[0], rows.shape[1]))
+    """All 2^k combinations of the rows, one column each; bit i adds row i
+    (subtracts it if signed).  The table has the dtype of ``rows``."""
+    table = np.zeros((rows.shape[1], 1 << rows.shape[0]), dtype=rows.dtype)
     for i, row in enumerate(rows):
         size = 1 << i
+        column = row[:, None]
         if signed:
-            np.subtract(table[:size], row, out=table[size : 2 * size])
-            table[:size] += row
+            np.subtract(table[:, :size], column, out=table[:, size : 2 * size])
+            table[:, :size] += column
         else:
-            np.add(table[:size], row, out=table[size : 2 * size])
+            np.add(table[:, :size], column, out=table[:, size : 2 * size])
     return table
 
 
-def _enumerate(work: np.ndarray, signed: bool) -> tuple[np.ndarray, float, int]:
-    """Best score over all combinations of the rows of the smaller side of ``work``
-    (both norms are transpose-invariant), chunk by chunk.  Returns the enumerated
-    matrix, the best score and the first combination index attaining it.
+def _score_dtype(work: np.ndarray) -> type:
+    """Smallest signed integer type holding 2 sum |a| when every entry is an
+    integer, else float64.  No combination entry, subset sum or score exceeds
+    that bound, so integer scores are exact."""
+    if not np.array_equal(work, np.rint(work)):
+        return np.float64
+    bound = 2 * float(np.abs(work).sum())
+    for dtype in (np.int16, np.int32):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    return np.float64
+
+
+def _enumerate(work: np.ndarray, signed: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    """First maximizing combination of the rows of the smaller side of ``work``
+    (both norms are transpose-invariant), chunk by chunk.  Returns the
+    enumerated matrix, the maximizing combination (1-d, in the score dtype)
+    and its index.
 
     Signed combinations x score sum |x|, the infinity-to-one value; x and -x
     score the same, so only those whose last sign is + are walked.  Subset
     sums c score sum |c| + |sum c| = 2 max(sum c+, sum c-), twice the best cut
-    with that row set, as one matrix-vector product per chunk.
+    with that row set; a last column of row sums makes |sum c| one more entry
+    of the combination, so both scores are sums of absolute entries.  The
+    tables hold one combination per column: a chunk is the low table plus
+    one column of the high table, and its scores are its column sums after
+    ``abs``.  They run in the dtype ``_score_dtype`` picks: exact int16 or
+    int32 on integer input (sign matrices, witnesses, MAX-2CSP weights), so
+    the first maximizer is exact; float64 otherwise, where a near-tie may
+    select another maximizer.
     """
     if work.shape[0] > work.shape[1]:
         work = work.T
     k = work.shape[0]
     if k > MAX_ENUM:
         raise TooLargeError(f"exact enumeration needs min(m, n) <= {MAX_ENUM}, got {k}")
+    dtype = _score_dtype(work)
+    rows = work.astype(dtype, copy=False)
+    if not signed:
+        rows = np.column_stack((rows, rows.sum(axis=1, dtype=dtype)))
     lo_bits = min(k, _CHUNK_BITS)
-    low = _combinations(work[:lo_bits], signed)
-    high = _combinations(work[lo_bits:], signed)
+    low = _combinations(rows[:lo_bits], signed)
+    high = _combinations(rows[lo_bits:], signed)
     if signed and k:
-        if high.shape[0] > 1:
-            high = high[: high.shape[0] // 2]
+        if high.shape[1] > 1:
+            high = high[:, : high.shape[1] // 2]
         else:
-            low = low[: low.shape[0] // 2]
-    low_sum = low.sum(axis=1)
-    high_sum = high.sum(axis=1)
-    ones = np.ones(work.shape[1])
-    values = np.empty(low.shape[0])
-    totals = np.empty(low.shape[0])
-    best_value = -1.0
-    best_index = 0
-    block = np.empty_like(low)  # one buffer: a fresh chunk per step costs page faults
-    for h in range(high.shape[0]):
-        np.abs(np.add(high[h], low, out=block), out=block)
-        if signed:
-            block.sum(axis=1, out=values)
-        else:
-            np.matmul(block, ones, out=values)
-            np.abs(np.add(low_sum, high_sum[h], out=totals), out=totals)
-            values += totals
+            low = low[:, : low.shape[1] // 2]
+    values = np.empty(low.shape[1], dtype=dtype)
+    best_value = -1
+    best = (0, 0)
+    block = np.empty(low.shape, dtype=dtype)  # one buffer: a fresh chunk per step costs page faults
+    for h in range(high.shape[1]):
+        np.abs(np.add(low, high[:, h : h + 1], out=block), out=block)
+        block.sum(axis=0, out=values)
         local = int(np.argmax(values))
         if values[local] > best_value:
-            best_value = float(values[local])
-            best_index = (h << lo_bits) | local
-    return work, best_value, best_index
+            best_value = values[local]
+            best = (h, local)
+    h, local = best
+    return work, high[:, h] + low[:, local], (h << lo_bits) | local
 
 
 def cut_norm_exact(a) -> CutNormResult:
@@ -179,9 +198,12 @@ def inf_to_one_norm_exact(a) -> float:
 
     The supremum over the cube is attained at a sign vector on the rows of a^T;
     the norm is transpose-invariant, so the smaller dimension is enumerated.
+    The value is summed over the winning combination as one contiguous
+    vector, so its bits do not depend on the chunk layout that found it.
     """
     arr = as_matrix(a, allow_empty=True)
-    return _enumerate(arr.T, True)[1]
+    combination = _enumerate(arr.T, True)[1]
+    return float(np.abs(combination).sum())
 
 
 @dataclass(frozen=True)

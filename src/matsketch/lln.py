@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRangeError, ShapeMismatchError
-from .linalg import spectral_norm
+from .errors import ConvergenceError, OutOfRangeError, ShapeMismatchError
 from .parallel import run_trials
 from .rng import as_generator
 from .sampling import draw_weighted_indices, stream_weights
@@ -62,24 +61,25 @@ def matrix_rows_ensemble(a) -> VectorEnsemble:
     """Length-normalized rows of ``a`` weighted by squared length.
 
     The matrix is rescaled by its spectral norm first, so the exact second
-    moment (the rescaled Gram matrix) has unit spectral norm.  A zero matrix
-    raises ZeroMatrixError in ``stream_weights``.
+    moment (the rescaled Gram matrix) has unit spectral norm.  The squared
+    norm is the top eigenvalue of the Gram matrix that the weight pass
+    accumulates.  A zero matrix raises ZeroMatrixError in ``stream_weights``.
     """
     stream = MatrixRowStream(a)
-    weights, total, _ = stream_weights(stream)
-    arr = stream.matrix
-    top = spectral_norm(arr)
-    arr = arr / top
-    weights = weights / top**2
-    total = total / top**2
-    fro = math.sqrt(total)
+    weights, total, gram = stream_weights(stream, accumulate_gram=True)
+    try:
+        top_sq = float(np.linalg.eigvalsh(gram)[-1])
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver failed to converge: {exc}") from exc
+    fro = math.sqrt(total / top_sq)
     keep = weights > 0
-    atoms = arr[keep] * (fro / np.sqrt(weights[keep]))[:, None]
+    # each atom is its row rescaled to length fro; the spectral norm cancels
+    atoms = stream.matrix[keep] * (fro / np.sqrt(weights[keep]))[:, None]
     return VectorEnsemble(
         kind="matrix_rows",
-        dimension=arr.shape[1],
+        dimension=stream.n_cols,
         bound=fro,
-        second_moment=arr.T @ arr,
+        second_moment=gram / top_sq,
         atoms=atoms,
         probabilities=weights[keep] / total,
     )

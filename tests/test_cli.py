@@ -279,6 +279,18 @@ class TestLln:
         assert code == 0
         assert read_report(out)["results"]["a_value"] > 0
 
+    def test_matrix_rows_eigensolver_failure_exits_65(self, tmp_path, rank3_file, monkeypatch, capsys):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        code = main(
+            ["lln", "--ensemble", "matrix-rows", "--input", str(rank3_file), "--d", "20",
+             "--out", str(tmp_path / "lln.json")]
+        )
+        assert code == 65
+        assert "failed to converge" in capsys.readouterr().err
+
     def test_matrix_rows_requires_input(self):
         assert main(["lln", "--ensemble", "matrix-rows", "--d", "10"]) == 64
 

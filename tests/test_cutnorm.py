@@ -163,6 +163,42 @@ class TestChunkSeams:
         assert inf_to_one_norm_exact(a) == inf_to_one_by_vertices(a)
         assert inf_to_one_norm_exact(a.T) == inf_to_one_by_vertices(a)
 
+    @pytest.mark.parametrize(
+        "total,dtype",
+        [(16383, np.int16), (16384, np.int32), (2**30 - 1, np.int32), (2**30, np.float64)],
+    )
+    def test_score_dtype_seams(self, total, dtype):
+        # sum |a| = total; the all-positive and all-negative inputs reach the
+        # score bound 2 * total at the full row set, so a type one unit too
+        # small wraps there and the first maximizer moves
+        rng = np.random.default_rng(total % 1000)
+        cells = rng.multinomial(total, np.full(63, 1 / 63)).reshape(7, 9).astype(float)
+        signs = rng.choice([-1.0, 1.0], size=cells.shape)
+        for a in (cells, -cells, signs * cells, cells.T):
+            assert cutnorm._score_dtype(a) == dtype
+            result = cut_norm_exact(a)
+            assert (result.value, result.row_set, result.col_set) == cut_norm_reference(a)
+            assert inf_to_one_norm_exact(a) == inf_to_one_by_vertices(a)
+
+    @pytest.mark.parametrize(
+        "case,dtype",
+        [("past_int32", np.float64), ("one_half", np.float64), ("negative_zero", np.int16)],
+    )
+    def test_inputs_off_the_integer_path(self, case, dtype):
+        rng = np.random.default_rng(29)
+        a = integer_matrix(rng, 7, 9, ties=True)
+        if case == "past_int32":
+            a *= 1e12  # integral floats, every sum still exact in float64
+        elif case == "one_half":
+            a[2, 3] = 0.5
+        else:
+            a[a == 0] = -0.0
+        for b in (a, np.full((5, 6), -0.0) if case == "negative_zero" else -a):
+            assert cutnorm._score_dtype(b) == dtype
+            result = cut_norm_exact(b)
+            assert (result.value, result.row_set, result.col_set) == cut_norm_reference(b)
+            assert inf_to_one_norm_exact(b) == inf_to_one_by_vertices(b)
+
     @pytest.mark.parametrize("shape", [(0, 5), (5, 0)])
     def test_empty_inputs(self, shape):
         a = np.zeros(shape)
@@ -196,6 +232,24 @@ class TestInfToOneExact:
     @given(tiny_matrices)
     def test_matches_vertex_enumeration(self, a):
         assert inf_to_one_norm_exact(a) == pytest.approx(inf_to_one_by_vertices(a), abs=1e-9)
+
+    def test_float_value_is_bitwise_stable(self):
+        # hex values of the row-local sum |x| of the maximizing sign vector; on
+        # the 16x16 case a column-major score of that vector is one ulp lower
+        rng = np.random.default_rng(3)
+        values = [inf_to_one_norm_exact(rng.normal(size=(n, n))) for n in (12, 16)]
+        rng = np.random.default_rng(5)
+        values += [inf_to_one_norm_exact(rng.normal(size=s)) for s in ((13, 20), (20, 13), (1, 7))]
+        # the sum of its 15 signed rows moves by one ulp if the chunk split moves from row 12
+        values.append(inf_to_one_norm_exact(np.random.default_rng(8).normal(size=(15, 16))))
+        assert [float(v).hex() for v in values] == [
+            "0x1.f222cbee635d2p+5",
+            "0x1.7c9f721ecc258p+6",
+            "0x1.61e046c2cf6e2p+6",
+            "0x1.6a80a47d81afap+6",
+            "0x1.8e125c11c144bp+2",
+            "0x1.6a5a2ea57d437p+6",
+        ]
 
     def test_too_large(self):
         with pytest.raises(TooLargeError):
@@ -296,18 +350,31 @@ class TestCutDecay:
             cut_decay_estimate(np.eye(32), 8, 10, seed=0)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_seed_pins_bytes(self, monkeypatch, threads):
+    @pytest.mark.parametrize(
+        "n,q,trials,expected",
+        [
+            (16, 8, 50, {
+                "samples": "f8b3da5b1f985594c3df9e5e95a176422520b79ef4c613370a9b49c3d278f26a",
+                "subset_sizes": "29a66be02ab24d5be66364c001287181b5828140ae9370402f8215da0f7119d4",
+                "bound_terms": "40adc9e7437d03579b2bd47c40c5d502eb955616f524a6dec068f009a8f3b777",
+            }),
+            # subsets of about 15 rows: the enumeration runs past the first chunk
+            (20, 15, 20, {
+                "samples": "9b9fa30964c4fd259fbd04341fe0fa6dfdd536430c401b7d778387bf8fae3d03",
+                "subset_sizes": "c5a1ecad3920eb71e311c8488a1ba07451d9ad27f297855926d02b7416619469",
+                "bound_terms": "fac7454821dd279f3041340be1d886dc57edba49cdcd11a0013363e22ddeb5bf",
+            }),
+        ],
+        ids=["n16-q8", "n20-q15"],
+    )
+    def test_seed_pins_bytes(self, monkeypatch, threads, n, q, trials, expected):
         monkeypatch.setenv("MATSKETCH_THREADS", threads)
-        est = cut_decay_estimate(witness_random_sign(16, seed=0), 8, trials=50, seed=0)
+        est = cut_decay_estimate(witness_random_sign(n, seed=0), q, trials=trials, seed=0)
         digests = {
             name: hashlib.sha256(np.asarray(getattr(est, name)).tobytes()).hexdigest()
             for name in ("samples", "subset_sizes", "bound_terms")
         }
-        assert digests == {
-            "samples": "f8b3da5b1f985594c3df9e5e95a176422520b79ef4c613370a9b49c3d278f26a",
-            "subset_sizes": "29a66be02ab24d5be66364c001287181b5828140ae9370402f8215da0f7119d4",
-            "bound_terms": "40adc9e7437d03579b2bd47c40c5d502eb955616f524a6dec068f009a8f3b777",
-        }
+        assert digests == expected
 
     @pytest.mark.parametrize(
         "maker,term_index,ratio_band",

@@ -13,6 +13,7 @@ from matsketch import (
     matrix_rows_ensemble,
     rademacher_moment_check,
     scaled_basis_ensemble,
+    spectral_norm,
     tail_bound_eval,
 )
 from matsketch.rng import spawn
@@ -64,6 +65,13 @@ class TestEnsembles:
             expected += prob * np.outer(atom, atom)
         assert np.allclose(ens.second_moment, expected, atol=1e-10)
         assert np.abs(np.linalg.eigvalsh(ens.second_moment)).max() == pytest.approx(1.0)
+
+    def test_matrix_rows_scale_from_gram_matches_svd(self, rng):
+        a = rng.normal(size=(40, 6)) * rng.lognormal(size=(40, 1))
+        ens = matrix_rows_ensemble(a)
+        top = spectral_norm(a)
+        assert ens.bound == pytest.approx(np.linalg.norm(a) / top, rel=1e-12)
+        assert np.allclose(ens.second_moment, a.T @ a / top**2, rtol=0, atol=1e-12)
 
     def test_matrix_rows_bound(self, rng):
         a = rng.normal(size=(6, 3))
