@@ -18,7 +18,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvariantError, OutOfRangeError, ShapeMismatchError
-from .linalg import _singular_values, as_matrix, spectral_norm, sym_spectral_norm
+from .linalg import (
+    _singular_values,
+    as_matrix,
+    gram_eigenvalues,
+    spectral_norm,
+    sym_spectral_norm,
+)
 from .parallel import run_trials
 from .sampling import (
     Sketch,
@@ -172,7 +178,7 @@ def low_rank_approximate(
     rank = None
     if stream.replayable:
         weights, total_sq, gram = stream_weights(stream, accumulate_gram=True)
-        eigenvalues = np.linalg.eigvalsh(gram)
+        eigenvalues = gram_eigenvalues(gram)
         rank = total_sq / float(eigenvalues[-1])
         if d is None:
             # the Gram ratio of a rank-one matrix can round to just below 1

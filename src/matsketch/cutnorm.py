@@ -106,15 +106,13 @@ def _combinations(rows: np.ndarray, signed: bool) -> np.ndarray:
 
 
 def _score_dtype(work: np.ndarray) -> type:
-    """Smallest signed integer type holding 2 sum |a| when every entry is an
-    integer, else float64.  No combination entry, subset sum or score exceeds
-    that bound, so integer scores are exact."""
+    """int16 when every entry is an integer and 2 sum |a| fits in it, else
+    float64.  No combination entry, subset sum or score exceeds that bound,
+    so int16 scores are exact."""
     if not np.array_equal(work, np.rint(work)):
         return np.float64
-    bound = 2 * float(np.abs(work).sum())
-    for dtype in (np.int16, np.int32):
-        if bound <= np.iinfo(dtype).max:
-            return dtype
+    if 2 * float(np.abs(work).sum()) <= np.iinfo(np.int16).max:
+        return np.int16
     return np.float64
 
 
@@ -131,10 +129,10 @@ def _enumerate(work: np.ndarray, signed: bool) -> tuple[np.ndarray, np.ndarray, 
     of the combination, so both scores are sums of absolute entries.  The
     tables hold one combination per column: a chunk is the low table plus
     one column of the high table, and its scores are its column sums after
-    ``abs``.  They run in the dtype ``_score_dtype`` picks: exact int16 or
-    int32 on integer input (sign matrices, witnesses, MAX-2CSP weights), so
-    the first maximizer is exact; float64 otherwise, where a near-tie may
-    select another maximizer.
+    ``abs``.  They run in the dtype ``_score_dtype`` picks: exact int16 on
+    small integer input (sign matrices, the CLI's witnesses), so the first
+    maximizer is exact; float64 otherwise, where on non-integer input a
+    near-tie may select another maximizer.
     """
     if work.shape[0] > work.shape[1]:
         work = work.T

@@ -71,6 +71,15 @@ def sym_spectral_norm(a) -> float:
     return float(np.abs(np.linalg.eigvalsh(sym)).max())
 
 
+def gram_eigenvalues(gram: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric Gram matrix; the last is the
+    squared spectral norm of any matrix with that Gram."""
+    try:
+        return np.linalg.eigvalsh(gram)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver failed to converge: {exc}") from exc
+
+
 def numerical_rank(a) -> float:
     """Squared Frobenius norm over squared spectral norm.
 

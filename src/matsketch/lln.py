@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, OutOfRangeError, ShapeMismatchError
+from .errors import OutOfRangeError, ShapeMismatchError
+from .linalg import gram_eigenvalues
 from .parallel import run_trials
 from .rng import as_generator
 from .sampling import draw_weighted_indices, stream_weights
@@ -67,10 +68,7 @@ def matrix_rows_ensemble(a) -> VectorEnsemble:
     """
     stream = MatrixRowStream(a)
     weights, total, gram = stream_weights(stream, accumulate_gram=True)
-    try:
-        top_sq = float(np.linalg.eigvalsh(gram)[-1])
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolver failed to converge: {exc}") from exc
+    top_sq = float(gram_eigenvalues(gram)[-1])
     fro = math.sqrt(total / top_sq)
     keep = weights > 0
     # each atom is its row rescaled to length fro; the spectral norm cancels

@@ -58,6 +58,19 @@ class TestApproxSvd:
         code = main(["approx-svd", "--input", str(tmp_path / "nope.csv"), "--k", "1"])
         assert code == 65
 
+    @pytest.mark.parametrize("stream", [[], ["--stream", "two-pass"]])
+    def test_eigensolver_failure_exits_65(self, tmp_path, rank3_file, monkeypatch, capsys, stream):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        code = main(
+            ["approx-svd", "--input", str(rank3_file), "--k", "3",
+             "--out", str(tmp_path / "r.json")] + stream
+        )
+        assert code == 65
+        assert "failed to converge" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "stream", [[], ["--stream", "two-pass"], ["--stream", "one-pass", "--d", "5"]]
     )

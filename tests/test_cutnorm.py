@@ -165,12 +165,13 @@ class TestChunkSeams:
 
     @pytest.mark.parametrize(
         "total,dtype",
-        [(16383, np.int16), (16384, np.int32), (2**30 - 1, np.int32), (2**30, np.float64)],
+        [(16383, np.int16), (16384, np.float64), (2**30 - 1, np.float64), (2**30, np.float64)],
     )
     def test_score_dtype_seams(self, total, dtype):
         # sum |a| = total; the all-positive and all-negative inputs reach the
-        # score bound 2 * total at the full row set, so a type one unit too
-        # small wraps there and the first maximizer moves
+        # score bound 2 * total at the full row set, so int16 one unit past
+        # its seam wraps there and the first maximizer moves; past the seam,
+        # float64 scores integers exactly
         rng = np.random.default_rng(total % 1000)
         cells = rng.multinomial(total, np.full(63, 1 / 63)).reshape(7, 9).astype(float)
         signs = rng.choice([-1.0, 1.0], size=cells.shape)
@@ -182,12 +183,12 @@ class TestChunkSeams:
 
     @pytest.mark.parametrize(
         "case,dtype",
-        [("past_int32", np.float64), ("one_half", np.float64), ("negative_zero", np.int16)],
+        [("large_integers", np.float64), ("one_half", np.float64), ("negative_zero", np.int16)],
     )
     def test_inputs_off_the_integer_path(self, case, dtype):
         rng = np.random.default_rng(29)
         a = integer_matrix(rng, 7, 9, ties=True)
-        if case == "past_int32":
+        if case == "large_integers":
             a *= 1e12  # integral floats, every sum still exact in float64
         elif case == "one_half":
             a[2, 3] = 0.5
