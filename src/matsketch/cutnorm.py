@@ -37,6 +37,9 @@ from .rng import as_generator, spawn
 
 MAX_ENUM = 24
 _CHUNK_BITS = 12
+# Bytes of one enumeration step's block (see _span).  Set in bytes, not
+# entries: int16 and float64 steps are fastest at different entry counts.
+_SPAN_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -116,6 +119,12 @@ def _score_dtype(work: np.ndarray) -> type:
     return np.float64
 
 
+def _span(low: np.ndarray, columns: int) -> int:
+    """High-table columns one enumeration step scores: as many blocks the size
+    of ``low`` as fit in ``_SPAN_BYTES``, at least one and at most ``columns``."""
+    return min(columns, max(1, _SPAN_BYTES // max(low.nbytes, 1)))
+
+
 def _enumerate(work: np.ndarray, signed: bool) -> tuple[np.ndarray, np.ndarray, int]:
     """First maximizing combination of the rows of the smaller side of ``work``
     (both norms are transpose-invariant), chunk by chunk.  Returns the
@@ -127,12 +136,17 @@ def _enumerate(work: np.ndarray, signed: bool) -> tuple[np.ndarray, np.ndarray, 
     sums c score sum |c| + |sum c| = 2 max(sum c+, sum c-), twice the best cut
     with that row set; a last column of row sums makes |sum c| one more entry
     of the combination, so both scores are sums of absolute entries.  The
-    tables hold one combination per column: a chunk is the low table plus
-    one column of the high table, and its scores are its column sums after
-    ``abs``.  They run in the dtype ``_score_dtype`` picks: exact int16 on
-    small integer input (sign matrices, the CLI's witnesses), so the first
-    maximizer is exact; float64 otherwise, where on non-integer input a
-    near-tie may select another maximizer.
+    tables hold one combination per column, split at row ``_CHUNK_BITS``
+    into a low and a high table.  A chunk is the low table plus one column
+    of the high table; each step scores a span of consecutive high columns
+    (as many chunks as fit in ``_SPAN_BYTES``) as one block, whose scores
+    are its sums over axis 0 after ``abs``, row by row as for one chunk.
+    The first maximizer is the first in (high column, low column) order: a
+    flat argmax within a span and a strict ``>`` across spans.  Scores run in
+    the dtype ``_score_dtype`` picks: exact int16 on small integer input
+    (sign matrices, the CLI's witnesses), so the first maximizer is exact;
+    float64 otherwise, where on non-integer input a near-tie may select
+    another maximizer.
     """
     if work.shape[0] > work.shape[1]:
         work = work.T
@@ -151,19 +165,29 @@ def _enumerate(work: np.ndarray, signed: bool) -> tuple[np.ndarray, np.ndarray, 
             high = high[:, : high.shape[1] // 2]
         else:
             low = low[:, : low.shape[1] // 2]
-    values = np.empty(low.shape[1], dtype=dtype)
+    columns, size = high.shape[1], low.shape[1]
+    span = _span(low, columns)
+    # one reused buffer pair: a fresh block per step costs page faults.  The
+    # block is held 2-d, (entries, span * size), so abs, the row-order sum and
+    # the argmax run as for one chunk (a 3-d sum is slower at a span of one);
+    # a score's flat index, in (high, low) order, is its combination's index.
+    values = np.empty(span * size, dtype=dtype)
+    block = np.empty((low.shape[0], span * size), dtype=dtype)
     best_value = -1
-    best = (0, 0)
-    block = np.empty(low.shape, dtype=dtype)  # one buffer: a fresh chunk per step costs page faults
-    for h in range(high.shape[1]):
-        np.abs(np.add(low, high[:, h : h + 1], out=block), out=block)
-        block.sum(axis=0, out=values)
-        local = int(np.argmax(values))
-        if values[local] > best_value:
-            best_value = values[local]
-            best = (h, local)
-    h, local = best
-    return work, high[:, h] + low[:, local], (h << lo_bits) | local
+    best = 0
+    for h0 in range(0, columns, span):
+        width = min(span, columns - h0)
+        chunk, scores = block[:, : width * size], values[: width * size]
+        target = chunk.reshape(low.shape[0], width, size)  # a view: splits the last axis
+        np.add(low[:, None, :], high[:, h0 : h0 + width, None], out=target)
+        np.abs(chunk, out=chunk)
+        chunk.sum(axis=0, out=scores)
+        i = int(np.argmax(scores))
+        if scores[i] > best_value:
+            best_value = scores[i]
+            best = h0 * size + i
+    h, local = divmod(best, size)
+    return work, high[:, h] + low[:, local], best
 
 
 def cut_norm_exact(a) -> CutNormResult:

@@ -110,9 +110,10 @@ def lln_deviation(
     """Per-trial spectral-norm deviation of the empirical second moment.
 
     Trial t draws d atoms with the generator spawned from (seed, t).  The
-    empirical moment is accumulated atom by atom (sum_i y_i y_i^T equals
-    sum_j count_j v_j v_j^T) and its deviation from the exact moment is read
-    off a symmetric eigensolver.
+    empirical moment is accumulated over the atoms drawn (sum_i y_i y_i^T
+    equals sum_j count_j v_j v_j^T over the at most d atoms with a nonzero
+    count) and its deviation from the exact moment is read off a symmetric
+    eigensolver.
     """
     if d < 2:
         raise OutOfRangeError(f"d must be >= 2, got {d}")
@@ -121,7 +122,9 @@ def lln_deviation(
 
     def run(rng) -> float:
         counts = ensemble.sample_counts(rng, d)
-        empirical = atoms.T @ (counts[:, None] * atoms) / d
+        drawn = np.flatnonzero(counts)
+        chosen = atoms[drawn]
+        empirical = chosen.T @ (counts[drawn, None] * chosen) / d
         gap = 0.5 * (empirical + empirical.T) - exact
         return float(np.abs(np.linalg.eigvalsh(gap)).max())
 

@@ -129,13 +129,33 @@ def integer_matrix(rng, m, n, ties):
     return a
 
 
-class TestChunkSeams:
-    """Both oracles at chunk sizes that split the enumeration at every seam."""
+# High-table columns one enumeration step scores, in place of the byte budget
+# of cutnorm._span: one chunk per step; three, which leaves a partial last step
+# (the high tables have 2^j columns); and the whole table in one step.
+SPANS = {
+    "one": lambda columns: 1,
+    "three": lambda columns: min(3, columns),
+    "all": lambda columns: columns,
+}
 
-    @pytest.fixture(params=[1, 3, 12], autouse=True)
-    def chunk_bits(self, request, monkeypatch):
-        monkeypatch.setattr(cutnorm, "_CHUNK_BITS", request.param)
-        return request.param
+
+def use_span(monkeypatch, span):
+    monkeypatch.setattr(cutnorm, "_span", lambda low, columns: SPANS[span](columns))
+
+
+class TestChunkSeams:
+    """Both oracles at chunk sizes and spans that split the enumeration at every seam."""
+
+    # a one-column span is the plain chunk loop, so its id is the chunk size alone
+    @pytest.fixture(
+        params=[(bits, span) for bits in (1, 3, 12) for span in SPANS],
+        ids=lambda p: str(p[0]) if p[1] == "one" else f"{p[0]}-{p[1]}",
+        autouse=True,
+    )
+    def chunk_layout(self, request, monkeypatch):
+        bits, span = request.param
+        monkeypatch.setattr(cutnorm, "_CHUNK_BITS", bits)
+        use_span(monkeypatch, span)
 
     @pytest.mark.parametrize("ties", [False, True])
     def test_cut_norm_matches_direct_score_on_integers(self, ties):
@@ -207,8 +227,22 @@ class TestChunkSeams:
         assert cut_norm_exact(a) == cutnorm.CutNormResult(0.0, (), ())
 
 
+@pytest.mark.parametrize(
+    "shape,dtype",
+    [((21, 4096), np.int16), ((21, 4096), np.float64), ((3, 8), np.int16), ((0, 1), np.float64)],
+)
+@pytest.mark.parametrize("columns", [1, 5, 4096])
+def test_span_fills_the_byte_budget(shape, dtype, columns):
+    low = np.zeros(shape, dtype=dtype)
+    span = cutnorm._span(low, columns)
+    assert 1 <= span <= columns
+    assert span == 1 or span * low.nbytes <= cutnorm._SPAN_BYTES
+    assert span == columns or (span + 1) * low.nbytes > cutnorm._SPAN_BYTES
+
+
 def test_enumerator_throughput_smoke():
-    # k = 16 > _CHUNK_BITS: the chunk loop runs 16 times; no timing is asserted
+    # k = 16 > _CHUNK_BITS: 16 chunks of 2^12 subsets, scored at the default byte
+    # budget in spans of 7, 7 and 2 high columns; no timing is asserted
     a = witness_random_sign(16, seed=4)
     result = cut_norm_exact(a)
     assert (result.value, result.row_set, result.col_set) == cut_norm_reference(a)
@@ -234,7 +268,9 @@ class TestInfToOneExact:
     def test_matches_vertex_enumeration(self, a):
         assert inf_to_one_norm_exact(a) == pytest.approx(inf_to_one_by_vertices(a), abs=1e-9)
 
-    def test_float_value_is_bitwise_stable(self):
+    @pytest.mark.parametrize("span", list(SPANS))
+    def test_float_value_is_bitwise_stable(self, monkeypatch, span):
+        use_span(monkeypatch, span)
         # hex values of the row-local sum |x| of the maximizing sign vector; on
         # the 16x16 case a column-major score of that vector is one ulp lower
         rng = np.random.default_rng(3)

@@ -121,6 +121,19 @@ class TestLlnDeviation:
             dense = np.linalg.svd(gap, compute_uv=False)[0]
             assert stats.deviations[t] == pytest.approx(dense, abs=1e-10)
 
+    def test_few_draws_from_many_atoms_match_naive_route(self, rng):
+        # d << m: most atoms are never drawn in a trial
+        ens = matrix_rows_ensemble(rng.normal(size=(5000, 20)))
+        d, trials, seed = 50, 4, 7
+        stats = lln_deviation(ens, d=d, trials=trials, seed=seed)
+        for t in range(trials):
+            counts = ens.sample_counts(spawn(seed, t), d)
+            assert np.count_nonzero(counts) <= d
+            samples = np.repeat(ens.atoms, counts, axis=0)
+            gap = empirical_second_moment(samples) - ens.second_moment
+            dense = np.linalg.svd(gap, compute_uv=False)[0]
+            assert stats.deviations[t] == pytest.approx(dense, abs=1e-10)
+
     def test_log_factor_is_necessary(self):
         # d = n draws miss some coordinate almost surely, deviation stays ~1
         stats = lln_deviation(scaled_basis_ensemble(64), d=64, trials=100, seed=4)
