@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import approx, cutnorm, lln, matio, reports
+from . import approx, cutnorm, lln, matio, parallel, reports
 from .errors import Error
 from .streams import BlockStream
 
@@ -217,8 +217,9 @@ def _run(args) -> int:
     """Run one subcommand and write its report; returns the exit code."""
     config = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
     started = reports.utc_now()
-    # the input is hashed on one worker thread while the command reads it
-    with matio.InputDigest() as digest:
+    # the input is hashed on one worker thread while the command reads it;
+    # one BLAS thread keeps the report's bytes independent of the BLAS setting
+    with parallel.one_blas_thread(), matio.InputDigest() as digest:
         per_trial, results, exit_code = _COMMANDS[args.command](args, digest)
         provenance = _provenance(getattr(args, "input", None), digest)
     report = reports.ExperimentReport(

@@ -322,6 +322,8 @@ def order_statistics_check(a, delta: float, trials: int, seed: int = 0):
     seq = np.asarray(a, dtype=np.float64)
     if seq.ndim != 1 or seq.size == 0:
         raise OutOfRangeError("need a nonempty 1-d sequence")
+    if not np.isfinite(seq).all():
+        raise OutOfRangeError("sequence entries must be finite")
     if (seq < 0).any():
         raise OutOfRangeError("sequence entries must be nonnegative")
     if (np.diff(seq) > 0).any():
@@ -338,7 +340,9 @@ def order_statistics_check(a, delta: float, trials: int, seed: int = 0):
         count = min(batch, trials - start)
         mask = rng.random((count, n)) < delta
         log_term = np.sqrt(np.log(math.e + mask.sum(axis=1)))
-        values[start : start + count] = log_term * (mask * seq).max(axis=1)
+        # seq is nonincreasing, so the first included entry is the largest
+        top = np.where(mask.any(axis=1), seq[mask.argmax(axis=1)], 0.0)
+        values[start : start + count] = log_term * top
     head = float(seq[: math.ceil(1.0 / delta)].sum())
     width = math.sqrt(math.log(delta * n)) * head
     return float(values.mean()), (delta / (4 * math.e)) * width, 4 * delta * width

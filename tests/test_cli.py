@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import matsketch
-from matsketch import IterableRowStream, block_identity_matrix, matio, write_binary, write_csv
+from matsketch import IterableRowStream, approx, block_identity_matrix, matio, parallel, write_binary, write_csv
 from matsketch.cli import main
 from conftest import matrix_with_singular_values, write_binary_with_nan
 
@@ -351,6 +351,88 @@ class TestDeterminism:
         )
         for key in ("config", "summary", "results", "provenance"):
             assert r1[key] == r2[key]
+
+
+# runs approx-svd in all three modes on argv[1], each report to stdout
+_APPROX_ALL_MODES = """
+import sys
+from matsketch.cli import main
+modes = [[], ["--stream", "two-pass"], ["--stream", "one-pass", "--d", "20"]]
+base = ["approx-svd", "--input", sys.argv[1], "--k", "3", "--seed", "2", "--out", "-"]
+sys.exit(max(main(base + mode) for mode in modes))
+"""
+
+
+class TestBlasThreads:
+    """Every CLI run sets numpy's OpenBLAS to one thread and gives the caller's count back."""
+
+    def test_report_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # on 40x110 both the in-memory and the two-pass report change between
+        # one and two OpenBLAS threads unless the run pins one
+        path = tmp_path / "a.bin"
+        write_binary(path, np.random.default_rng(0).standard_normal((40, 110)))
+        package_root = str(Path(matsketch.__file__).parents[1])
+        stdout = {}
+        for threads in ("1", "2"):
+            result = subprocess.run(
+                [sys.executable, "-c", _APPROX_ALL_MODES, str(path)],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": package_root, "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert result.returncode == 0, result.stderr
+            stdout[threads] = [
+                line for line in result.stdout.splitlines()
+                if '"started_at"' not in line and '"finished_at"' not in line
+            ]
+        assert sum(line == "{" for line in stdout["1"]) == 3
+        assert stdout["1"] == stdout["2"]
+
+    @pytest.fixture
+    def blas_threads(self):
+        """numpy's OpenBLAS thread getter, with the caller's count set to 2 for the test."""
+        api = parallel._openblas_api()
+        if api is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        get, set_ = api
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    @staticmethod
+    def _spy(monkeypatch, get):
+        """BLAS thread counts seen inside approx.low_rank_approximate, one per call."""
+        seen = []
+        real = approx.low_rank_approximate
+
+        def spy(*args, **kwargs):
+            seen.append(get())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(approx, "low_rank_approximate", spy)
+        return seen
+
+    @pytest.mark.parametrize("zero,code", [(False, 0), (True, 65)])
+    def test_pins_one_thread_and_restores(self, tmp_path, monkeypatch, blas_threads, zero, code):
+        caller = blas_threads()
+        a = np.zeros((20, 4)) if zero else np.random.default_rng(0).standard_normal((20, 4))
+        write_binary(tmp_path / "a.bin", a)
+        seen = self._spy(monkeypatch, blas_threads)
+        argv = ["approx-svd", "--input", str(tmp_path / "a.bin"), "--k", "2", "--out", "-"]
+        assert main(argv) == code
+        assert seen == [1]
+        assert blas_threads() == caller
+
+    def test_no_op_where_openblas_is_not_found(self, tmp_path, monkeypatch, blas_threads):
+        caller = blas_threads()
+        write_binary(tmp_path / "a.bin", np.random.default_rng(0).standard_normal((20, 4)))
+        seen = self._spy(monkeypatch, blas_threads)
+        monkeypatch.setattr(parallel, "_openblas_api", lambda: None)
+        argv = ["approx-svd", "--input", str(tmp_path / "a.bin"), "--k", "2", "--out", "-"]
+        assert main(argv) == 0
+        assert seen == [caller]
+        assert blas_threads() == caller
 
 
 def test_console_entry_point_runs(tmp_path):

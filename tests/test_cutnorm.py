@@ -33,6 +33,7 @@ from matsketch import (
     witness_identity,
     witness_random_sign,
 )
+from matsketch.rng import spawn
 
 
 def all_block_sums(a: np.ndarray) -> np.ndarray:
@@ -513,6 +514,21 @@ class TestOrderStatistics:
     def test_negative_entries(self):
         with pytest.raises(OutOfRangeError):
             order_statistics_check(np.array([1.0, -0.5]), 0.9, 10, seed=0)
+
+    @pytest.mark.parametrize("a", [[np.inf, 1.0], [1.0, np.nan], [np.nan, 1.0], [2.0, 1.0, np.inf]])
+    def test_non_finite_entries(self, a):
+        # 0 * inf is NaN, so such an entry would turn the estimate into NaN
+        with pytest.raises(OutOfRangeError, match="finite"):
+            order_statistics_check(np.array(a), 0.9, 10, seed=0)
+
+    def test_matches_masked_maximum(self, rng):
+        # the largest included entry, taken as the first one, equals
+        # max(mask * seq) bit for bit on a nonincreasing sequence with ties
+        a = np.sort(rng.integers(0, 5, size=40).astype(float))[::-1]
+        delta, trials = 0.1, 3000
+        mask = spawn(3).random((trials, a.size)) < delta
+        expected = (np.sqrt(np.log(math.e + mask.sum(axis=1))) * (mask * a).max(axis=1)).mean()
+        assert order_statistics_check(a, delta, trials, seed=3)[0] == float(expected)
 
 
 class TestWitnesses:

@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 
 import jsonschema
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 import matsketch as ms
 from matsketch import OutOfRangeError, cutnorm
-from matsketch.parallel import run_indexed, run_trials
+from matsketch.parallel import run_indexed, run_trials, thread_count
 from matsketch.rng import spawn
 from matsketch.reports import ExperimentReport, check_summary, load_schema, summarize
 
@@ -109,6 +111,17 @@ class TestParallel:
     def test_bad_env_value_falls_back(self, monkeypatch):
         monkeypatch.setenv("MATSKETCH_THREADS", "lots")
         assert run_indexed(lambda i: i, 3) == [0, 1, 2]
+
+    def test_thread_count_capped_at_usable_cpus(self, monkeypatch):
+        # read alone, never passed to a pool: no thread is started
+        monkeypatch.setenv("MATSKETCH_THREADS", "100000")
+        threads = threading.active_count()
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert thread_count() == cpus
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert thread_count() == 3
+        assert threading.active_count() == threads
 
     def test_run_trials_seeds_trial_i_with_seed_and_i(self, monkeypatch):
         monkeypatch.setenv("MATSKETCH_THREADS", "4")
