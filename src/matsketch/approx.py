@@ -29,6 +29,7 @@ from .parallel import run_trials
 from .sampling import (
     Sketch,
     draw_sketch,
+    replay,
     required_sample_size,
     sample_sketch,
     sample_sketch_one_pass,
@@ -127,15 +128,14 @@ class ApproxReport:
     """Outcome of one end-to-end approximation run.
 
     ``numerical_rank`` is |A|_F^2 / lambda_max(A^T A), taken from the n x n
-    Gram matrix G = A^T A of the weight pass; it is None for single-shot
-    streams, which never form G.  The certificate fields (``sigma_kplus1``,
-    ``error_spectral``, ``bound``, ``gram_deviation``, ``satisfied``)
-    default to None, which is what streams report.  For in-memory matrices
-    they come from G as well:
-    sigma_{k+1}^2 is the (k+1)-th largest eigenvalue of G,
-    |A - AP|_2^2 = lambda_max((I-P) G (I-P)) and ``gram_deviation`` is
-    |G - S^T S|_2 for the sketch S.  Where G is too coarse for a value (see
-    ``_certify``), sigma_{k+1} and the error are recomputed exactly from A.
+    Gram matrix G = A^T A of the weight pass.  The certificate fields
+    (``sigma_kplus1``, ``error_spectral``, ``bound``, ``gram_deviation``,
+    ``satisfied``) come from G as well: sigma_{k+1}^2 is the (k+1)-th
+    largest eigenvalue of G, |A - AP|_2^2 = lambda_max((I-P) G (I-P)) and
+    ``gram_deviation`` is |G - S^T S|_2 for the sketch S.  Where G is too
+    coarse for a value (see ``_certify``), sigma_{k+1} and the error are
+    recomputed exactly from an R factor of A.  Single-shot streams never
+    form G, so they report None for the rank and every certificate field.
     """
 
     k: int
@@ -159,54 +159,53 @@ def low_rank_approximate(
     seed: int = 0,
     d: int | None = None,
 ) -> tuple[Projector, ApproxReport]:
-    """Sample a sketch sized by the numerical rank and build its projector.
+    """Sample a sketch sized by the numerical rank; build and certify its projector.
 
-    ``source`` is a dense matrix or a RowStream.  Dense matrices and
-    replayable streams run the same two-pass sampling and give the same d,
-    numerical rank and projector for the same seed: ``stream_weights`` also
-    forms the Gram matrix, whose top eigenvalue gives the rank and d, and
-    rejects a zero matrix; ``sampling.draw_sketch`` draws and gathers the
-    rows.  Single-shot streams take one traversal but require an explicit
-    ``d`` (the reservoir count must be fixed before the pass).  ``d``
-    overrides the sample-size formula in every mode.
+    ``source`` is a dense matrix, run as a ``MatrixRowStream``, or a
+    RowStream.  For a replayable source ``stream_weights`` forms the Gram
+    matrix, whose top eigenvalue gives the rank and d, and rejects a zero
+    matrix; ``sampling.draw_sketch`` draws and gathers the rows, and
+    ``_certify`` certifies the projector.  A matrix and a stream of its rows
+    thus give the same report for the same seed.  Single-shot streams take
+    one traversal, need an explicit ``d`` (the reservoir count must be fixed
+    before the pass) and are not certified.  ``d`` overrides the sample-size
+    formula in every mode.
     """
     if not 0 < epsilon < 1:
         raise OutOfRangeError(f"epsilon must lie in (0, 1), got {epsilon}")
     if not 0 < delta < 1:
         raise OutOfRangeError(f"delta must lie in (0, 1), got {delta}")
     stream = source if isinstance(source, RowStream) else MatrixRowStream(source)
-    rank = None
-    if stream.replayable:
-        weights, total_sq, gram = stream_weights(stream, accumulate_gram=True)
-        eigenvalues = gram_eigenvalues(gram)
-        rank = total_sq / float(eigenvalues[-1])
+    if not stream.replayable:
         if d is None:
-            # the Gram ratio of a rank-one matrix can round to just below 1
-            d = required_sample_size(max(1.0, rank), epsilon, delta, c_constant)
-        sketch = draw_sketch(stream, weights, total_sq, d, seed)
-    elif d is None:
-        raise OutOfRangeError(
-            "single-shot streams need an explicit sketch size d; "
-            "the sample-size formula requires a replayable source"
-        )
-    else:
-        sketch = sample_sketch_one_pass(stream, d, seed)
-    projector = projector_top_k(sketch, k)
-    sigma_next = error = bound = gram_deviation = satisfied = None
-    # only an in-memory matrix is at hand for the exact fallback of _certify
-    if stream is not source:
-        sigma_next, error, gram_deviation = _certify(
-            stream.matrix, gram, eigenvalues, sketch, projector, k
-        )
-        top = math.sqrt(float(eigenvalues[-1]))
-        bound = sigma_next + epsilon * top
-        satisfied = bool(error <= bound * (1.0 + 1e-12))
-        # small Gram deviation forces success: error^2 <= sigma^2 + 2*dev
-        if not satisfied and gram_deviation <= 0.5 * (epsilon * top) ** 2 - 1e-9 * top**2:
-            raise InvariantError(
-                f"error {error!r} exceeds the bound {bound!r} although the Gram deviation "
-                f"{gram_deviation!r} is at most (epsilon * |A|_2)^2 / 2"
+            raise OutOfRangeError(
+                "single-shot streams need an explicit sketch size d; "
+                "the sample-size formula requires a replayable source"
             )
+        projector = projector_top_k(sample_sketch_one_pass(stream, d, seed), k)
+        return projector, ApproxReport(
+            k=int(k), d=int(d), epsilon=float(epsilon), delta=float(delta), numerical_rank=None
+        )
+    weights, total_sq, gram = stream_weights(stream, accumulate_gram=True)
+    eigenvalues = gram_eigenvalues(gram)
+    rank = total_sq / float(eigenvalues[-1])
+    if d is None:
+        # the Gram ratio of a rank-one matrix can round to just below 1
+        d = required_sample_size(max(1.0, rank), epsilon, delta, c_constant)
+    sketch = draw_sketch(stream, weights, total_sq, d, seed)
+    projector = projector_top_k(sketch, k)
+    sigma_next, error, gram_deviation = _certify(
+        replay(stream, weights), gram, eigenvalues, sketch, projector, k
+    )
+    top = math.sqrt(float(eigenvalues[-1]))
+    bound = sigma_next + epsilon * top
+    satisfied = bool(error <= bound * (1.0 + 1e-12))
+    # small Gram deviation forces success: error^2 <= sigma^2 + 2*dev
+    if not satisfied and gram_deviation <= 0.5 * (epsilon * top) ** 2 - 1e-9 * top**2:
+        raise InvariantError(
+            f"error {error!r} exceeds the bound {bound!r} although the Gram deviation "
+            f"{gram_deviation!r} is at most (epsilon * |A|_2)^2 / 2"
+        )
     return projector, ApproxReport(
         k=int(k), d=int(d), epsilon=float(epsilon), delta=float(delta), numerical_rank=rank,
         sigma_kplus1=sigma_next, error_spectral=error, bound=bound,
@@ -214,17 +213,20 @@ def low_rank_approximate(
     )
 
 
-def _certify(arr, gram, lam, sketch, projector, k) -> tuple[float, float, float]:
+def _certify(blocks, gram, lam, sketch, projector, k) -> tuple[float, float, float]:
     """sigma_{k+1}, |A - AP|_2 and |A^T A - S^T S|_2 from the Gram matrix G.
 
-    ``arr`` is A, ``lam`` the eigenvalues of G = ``gram`` in ascending
-    order, S is ``sketch`` and P is ``projector``.  Squared values read off
-    G carry an absolute error of order n * eps * |G|_2 (the condition
-    number is squared).  So sigma_{k+1} and the error are recomputed
-    exactly from ``arr`` when either squared value falls below
-    ``_GRAM_FLOOR * n * eps * |G|_2``, or when the Gram values break
+    ``blocks`` yields the ``(indices, block)`` pairs of A, ``lam`` holds the
+    eigenvalues of G = ``gram`` in ascending order, S is ``sketch`` and P is
+    ``projector``.  Squared values read off G carry an absolute error of
+    order n * eps * |G|_2 (the condition number is squared).  So sigma_{k+1}
+    and the error are recomputed exactly when either squared value falls
+    below ``_GRAM_FLOOR * n * eps * |G|_2``, or when the Gram values break
     error^2 <= sigma_{k+1}^2 + 2 * deviation, which exact values always
-    satisfy (see ``projection_error_bound``).
+    satisfy (see ``projection_error_bound``): from the R of A = QR, folded
+    block by block (TSQR; Demmel, Grigori, Hoemmen, Langou, SIAM J. Sci.
+    Comput. 34, 2012).  Q has orthonormal columns, so sigma(R) = sigma(A)
+    and |A - AP|_2 = |R - RP|_2.  Only the fallback reads ``blocks``.
     """
     basis = projector.basis
     n = gram.shape[0]
@@ -237,9 +239,12 @@ def _certify(arr, gram, lam, sketch, projector, k) -> tuple[float, float, float]
     floor = _GRAM_FLOOR * n * np.finfo(np.float64).eps * float(lam[-1])
     coarse = error_sq < floor or (k < n and lam_next < floor)
     if coarse or error_sq > lam_next + 2.0 * gram_deviation:
-        values = _singular_values(arr)
+        r = np.empty((0, n))
+        for _, block in blocks:
+            r = np.linalg.qr(np.vstack((r, block)), mode="r")
+        values = _singular_values(r)
         sigma_next = float(values[k]) if k < values.size else 0.0
-        return sigma_next, approximation_error(arr, projector), gram_deviation
+        return sigma_next, approximation_error(r, projector), gram_deviation
     return math.sqrt(lam_next), math.sqrt(error_sq), gram_deviation
 
 

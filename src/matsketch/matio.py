@@ -11,8 +11,8 @@
 as a replayable stream of row blocks (see ``streams``).  CSV and binary
 streams re-read the file lazily on each traversal: binary files with one
 ``np.fromfile`` per block, CSV with the per-line parser (so errors name the
-line) packed into blocks.  MatrixMarket sources are parsed fully and then
-streamed in row order.  A binary file's size must match its header exactly,
+line) grouped into blocks, which ``read_matrix`` joins.  MatrixMarket
+sources are parsed fully and then streamed in row order.  A binary file's size must match its header exactly,
 which is checked before any data is read.  Text formats are read as bytes
 and decoded line by line, so a non-ASCII byte is a ParseError naming its
 line.
@@ -29,6 +29,7 @@ import io
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ import numpy as np
 from .errors import ParseError
 from .linalg import as_matrix
 from . import streams
-from .streams import BlockStream, IterableRowStream, MatrixRowStream, RowStream
+from .streams import BlockStream, MatrixRowStream, RowStream
 
 _BINARY_HEADER = struct.Struct("<QQ")
 _MM_MAGIC = "%%MatrixMarket"
@@ -159,7 +160,7 @@ def open_stream(path, fmt: str = "auto", digest: InputDigest | None = None) -> R
     feeds = iter([digest])  # next(feeds, None): the digest, then None on later traversals
     if fmt == "csv":
         n_cols = _csv_width(path)
-        return IterableRowStream(lambda: _iter_csv_rows(path, n_cols, next(feeds, None)), n_cols)
+        return BlockStream(lambda: _iter_csv_blocks(path, n_cols, next(feeds, None)), n_cols)
     with open(path, "rb") as fh:
         m, n = _binary_shape(fh, path)
     return BlockStream(lambda: _iter_binary_blocks(path, m, n, next(feeds, None)), n)
@@ -203,7 +204,6 @@ def _parse_csv_line(line: str, path, lineno: int) -> np.ndarray:
 
 
 def _iter_csv_rows(path, n_cols: int, digest: InputDigest | None = None):
-    index = 0
     for lineno, line in _text_lines(path, digest):
         line = line.strip()
         if not line:
@@ -213,8 +213,16 @@ def _iter_csv_rows(path, n_cols: int, digest: InputDigest | None = None):
             raise ParseError(
                 f"expected {n_cols} fields, got {row.size}", path=path, line=lineno
             )
-        yield index, row
-        index += 1
+        yield row
+
+
+def _iter_csv_blocks(path, n_cols: int, digest: InputDigest | None = None):
+    """Yield ``(indices, block)`` pairs of at most ``BLOCK_ROWS`` CSV rows."""
+    rows = _iter_csv_rows(path, n_cols, digest)
+    start = 0
+    while block := list(islice(rows, streams.BLOCK_ROWS)):
+        yield np.arange(start, start + len(block), dtype=np.int64), np.array(block)
+        start += len(block)
 
 
 def _csv_width(path) -> int:
@@ -226,9 +234,8 @@ def _csv_width(path) -> int:
 
 
 def _read_csv(path, digest: InputDigest | None = None) -> np.ndarray:
-    width = _csv_width(path)
-    rows = [row for _, row in _iter_csv_rows(path, width, digest)]
-    return np.stack(rows)
+    blocks = _iter_csv_blocks(path, _csv_width(path), digest)
+    return np.concatenate([block for _, block in blocks])
 
 
 def write_csv(path, a) -> None:

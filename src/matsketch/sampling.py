@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .errors import (
 )
 from .linalg import as_matrix
 from .rng import as_generator
-from .streams import MatrixRowStream, RowStream
+from .streams import Block, MatrixRowStream, RowStream
 
 _CEIL_GUARD = 1e-9  # absorbs float noise so exact-integer products do not round up
 
@@ -119,7 +120,7 @@ def draw_weighted_indices(weights, size: int, rng) -> np.ndarray:
     """Draw ``size`` indices i.i.d. with probability weights[i]/sum(weights).
 
     Inversion of the cumulative sum in extended precision; rows with zero
-    weight are never drawn.
+    weight are never drawn, and negative or non-finite weights are refused.
     """
     w = np.asarray(weights, dtype=np.longdouble)
     if w.ndim != 1 or w.size == 0:
@@ -128,6 +129,8 @@ def draw_weighted_indices(weights, size: int, rng) -> np.ndarray:
         raise OutOfRangeError("weights must be nonnegative")
     cum = np.cumsum(w)
     total = cum[-1]
+    if not np.isfinite(total):
+        raise OutOfRangeError(f"weights must be finite, their sum is {total}")
     if not total > 0:
         raise ZeroMatrixError("all weights are zero")
     u = np.asarray(rng.random(size), dtype=np.longdouble) * total
@@ -194,20 +197,15 @@ def stream_weights(stream: RowStream, accumulate_gram: bool = False):
     return w, total, gram
 
 
-def materialize_chosen(stream: RowStream, positions, weights, total_sq: float, d: int, seed) -> Sketch:
-    """Second pass: collect only the chosen rows and assemble the sketch.
+def replay(stream: RowStream, weights) -> Iterator[Block]:
+    """Traverse ``stream`` again, checking it replays the first pass's rows.
 
-    ``positions`` are positions in traversal order and ``weights`` the row
-    weights of the first pass.  Holds the distinct chosen rows plus the
-    block being read.  Each block's weights are recomputed and compared
-    bit for bit with the first pass's, and the row count must match, so a
-    replay that differs from the first traversal raises ShapeMismatchError.
+    ``weights`` are the row weights of the first pass.  Each block's weights
+    are recomputed and compared bit for bit with them, and the row count
+    must match, so a traversal that differs from the first raises
+    ShapeMismatchError.  Yields the stream's ``(indices, block)`` pairs.
     """
-    positions = np.asarray(positions, dtype=np.int64)
     weights = np.asarray(weights)
-    wanted, inverse = np.unique(positions, return_inverse=True)
-    rows = np.empty((wanted.size, stream.n_cols))
-    chosen = np.empty(wanted.size, dtype=np.int64)
     seen = 0
     for indices, block in stream:
         stop = seen + block.shape[0]
@@ -218,16 +216,36 @@ def materialize_chosen(stream: RowStream, positions, weights, total_sq: float, d
             raise ShapeMismatchError(
                 f"stream replay differs from the first pass in rows {seen}..{stop - 1}"
             )
+        yield indices, block
+        seen = stop
+    if seen != weights.size:
+        raise ShapeMismatchError(
+            f"stream replay has {seen} rows, the first pass had {weights.size}"
+        )
+
+
+def materialize_chosen(stream: RowStream, positions, weights, total_sq: float, d: int, seed) -> Sketch:
+    """Second pass: collect only the chosen rows and assemble the sketch.
+
+    ``positions`` are positions in traversal order and ``weights`` the row
+    weights of the first pass.  Holds the distinct chosen rows plus the
+    block being read.  The pass runs through ``replay``, so a replay that
+    differs from the first traversal raises ShapeMismatchError.
+    """
+    positions = np.asarray(positions, dtype=np.int64)
+    weights = np.asarray(weights)
+    wanted, inverse = np.unique(positions, return_inverse=True)
+    rows = np.empty((wanted.size, stream.n_cols))
+    chosen = np.empty(wanted.size, dtype=np.int64)
+    seen = 0
+    for indices, block in replay(stream, weights):
+        stop = seen + block.shape[0]
         lo, hi = np.searchsorted(wanted, (seen, stop))
         if hi > lo:
             local = wanted[lo:hi] - seen
             rows[lo:hi] = block[local]
             chosen[lo:hi] = indices[local]
         seen = stop
-    if seen != weights.size:
-        raise ShapeMismatchError(
-            f"stream replay has {seen} rows, the first pass had {weights.size}"
-        )
     matrix = _scaled_rows(rows[inverse], weights[positions], total_sq, d)
     return _sketch(matrix, chosen[inverse], total_sq, d, seed)
 

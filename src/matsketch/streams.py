@@ -24,7 +24,6 @@ from .linalg import as_matrix
 
 BLOCK_ROWS = 4096  # rows per block handed out by every stream
 
-Row = tuple[int, np.ndarray]
 Block = tuple[np.ndarray, np.ndarray]
 
 
@@ -115,38 +114,3 @@ class BlockStream(RowStream):
             raise NotReplayableError("single-shot stream was already consumed")
         items, self._once = self._once, None
         return items
-
-
-class IterableRowStream(BlockStream):
-    """Stream over ``(index, row)`` pairs from a factory or a one-shot iterable.
-
-    Rows are copied into a fresh ``BLOCK_ROWS x n_cols`` buffer, which is
-    handed out as a block once it is full or the source ends.
-    """
-
-    def _blocks(self) -> Iterator[Block]:
-        return _pack_rows(super()._blocks(), self.n_cols)
-
-
-def _pack_rows(rows: Iterable[Row], n_cols: int) -> Iterator[Block]:
-    """Group ``(index, row)`` pairs into blocks of at most ``BLOCK_ROWS`` rows."""
-    step = BLOCK_ROWS
-    indices = np.empty(step, dtype=np.int64)
-    buf = np.empty((step, n_cols))
-    filled = 0
-    for index, row in rows:
-        arr = np.asarray(row, dtype=np.float64)
-        if arr.shape != (n_cols,):
-            raise ShapeMismatchError(
-                f"row {index} has {arr.size} entries, expected {n_cols}"
-            )
-        indices[filled] = index
-        buf[filled] = arr
-        filled += 1
-        if filled == step:
-            yield indices, buf
-            indices = np.empty(step, dtype=np.int64)
-            buf = np.empty((step, n_cols))
-            filled = 0
-    if filled:
-        yield indices[:filled], buf[:filled]

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from matsketch import (
+    BlockStream,
     InvariantError,
     MatrixRowStream,
-    IterableRowStream,
     OutOfRangeError,
     ShapeMismatchError,
     Sketch,
@@ -194,10 +194,9 @@ class TestLowRankApproximate:
         p_str, r_str = low_rank_approximate(
             MatrixRowStream(a), k=3, epsilon=0.5, delta=0.5, seed=4
         )
-        assert r_str.d == r_mem.d
-        assert r_str.numerical_rank == r_mem.numerical_rank
+        assert r_str == r_mem
+        assert r_mem.satisfied is not None
         assert np.array_equal(p_str.basis, p_mem.basis)
-        assert r_str.error_spectral is None and r_str.satisfied is None
 
     @pytest.mark.parametrize("d", [None, 37], ids=["formula", "explicit"])
     @pytest.mark.parametrize("kind", ["matrix", "matrix-stream", "binary-stream"])
@@ -258,6 +257,33 @@ class TestLowRankApproximate:
             assert report.sigma_kplus1 <= 1e-8 * 30.0
             assert report.satisfied
 
+    @pytest.mark.parametrize("k", [3, 12], ids=["rank", "n"])
+    def test_two_pass_fallback_matches_in_memory(self, rng, tmp_path, k):
+        # exact rank 3: Gram values would give an error near 1e-6, so an error
+        # at rounding level shows the exact fallback was taken
+        a = matrix_with_singular_values(rng, 80, 12, [30.0, 20.0, 10.0])
+        write_binary(tmp_path / "a.bin", a)
+        p_mem, r_mem = low_rank_approximate(a, k=k, epsilon=0.5, delta=0.5, seed=3)
+        assert r_mem.error_spectral <= 1e-8 and r_mem.satisfied
+        for source in (MatrixRowStream(a), open_stream(tmp_path / "a.bin")):
+            p_str, r_str = low_rank_approximate(source, k=k, epsilon=0.5, delta=0.5, seed=3)
+            assert r_str == r_mem
+            assert np.array_equal(p_str.basis, p_mem.basis)
+
+    def test_fallback_traversal_that_differs_raises(self, rng):
+        # rank 3 at k = 3 takes the fallback: its (third) traversal is checked too
+        a = matrix_with_singular_values(rng, 80, 12, [30.0, 20.0, 10.0])
+        traversals = []
+
+        def factory():
+            traversals.append(None)
+            rows = a if len(traversals) < 3 else a[:-1]
+            return iter([(np.arange(rows.shape[0]), rows)])
+
+        with pytest.raises(ShapeMismatchError, match="79 rows"):
+            low_rank_approximate(BlockStream(factory, 12), k=3, epsilon=0.5, delta=0.5, seed=3)
+        assert len(traversals) == 3
+
     def test_broken_gram_invariant_raises(self, rng, monkeypatch, tmp_path):
         # an error above the bound despite a zero Gram deviation is impossible
         broken = lambda arr, gram, lam, sketch, projector, k: (0.0, 1e6, 0.0)  # noqa: E731
@@ -277,13 +303,13 @@ class TestLowRankApproximate:
 
     def test_one_pass_requires_d(self, rng):
         a = rng.normal(size=(20, 5))
-        stream = IterableRowStream(iter([(i, a[i]) for i in range(20)]), 5)
+        stream = BlockStream(iter([(np.arange(20), a)]), 5)
         with pytest.raises(OutOfRangeError):
             low_rank_approximate(stream, k=2, epsilon=0.5, delta=0.5, seed=0)
 
     def test_one_pass_with_d(self, rng):
         a = matrix_with_singular_values(rng, 200, 40, [10.0, 9.0, 8.0])
-        stream = IterableRowStream(iter([(i, a[i]) for i in range(200)]), 40)
+        stream = BlockStream(iter([(np.arange(200), a)]), 40)
         projector, report = low_rank_approximate(
             stream, k=3, epsilon=0.5, delta=0.5, seed=0, d=100
         )

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import matsketch
-from matsketch import IterableRowStream, approx, block_identity_matrix, matio, parallel, write_binary, write_csv
+from matsketch import BlockStream, approx, block_identity_matrix, matio, parallel, write_binary, write_csv
 from matsketch.cli import main
 from conftest import matrix_with_singular_values, write_binary_with_nan
 
@@ -136,9 +136,9 @@ class TestApproxSvd:
 
         def factory():
             traversals.append(None)
-            return enumerate(base if len(traversals) == 1 else base[::-1])
+            return iter([(np.arange(30), base if len(traversals) == 1 else base[::-1])])
 
-        monkeypatch.setattr(matio, "open_stream", lambda *args: IterableRowStream(factory, 4))
+        monkeypatch.setattr(matio, "open_stream", lambda *args: BlockStream(factory, 4))
         path = tmp_path / "a.bin"
         write_binary(path, base)
         code = main(["approx-svd", "--input", str(path), "--k", "1", "--d", "5",
@@ -152,12 +152,47 @@ class TestApproxSvd:
         argv = ["approx-svd", "--input", str(rank3_file), "--k", "3", "--seed", "5"]
         assert main(argv + ["--out", str(out_mem)]) == 0
         assert main(argv + ["--stream", "two-pass", "--out", str(out_str)]) == 0
-        mem = read_report(out_mem)["per_trial"][0]
-        streamed = read_report(out_str)["per_trial"][0]
-        assert streamed["error_spectral"] is None
-        assert streamed["satisfied"] is None
-        assert streamed["d"] == mem["d"]
-        assert streamed["numerical_rank"] == mem["numerical_rank"]
+        mem = read_report(out_mem)
+        streamed = read_report(out_str)
+        assert streamed["per_trial"][0] == mem["per_trial"][0]
+        assert streamed["results"] == mem["results"]
+        assert mem["per_trial"][0]["satisfied"] is True
+
+    def test_fallback_replay_mismatch_is_data_error(self, tmp_path, monkeypatch, capsys, rng):
+        # exact rank 3 at k = 3 takes the exact fallback, whose traversal is checked
+        base = matrix_with_singular_values(rng, 80, 12, [30.0, 20.0, 10.0])
+        traversals = []
+
+        def factory():
+            traversals.append(None)
+            rows = base if len(traversals) < 3 else base[:-1]
+            return iter([(np.arange(rows.shape[0]), rows)])
+
+        monkeypatch.setattr(matio, "open_stream", lambda *args: BlockStream(factory, 12))
+        path = tmp_path / "a.bin"
+        write_binary(path, base)
+        code = main(["approx-svd", "--input", str(path), "--k", "3", "--stream", "two-pass",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 65
+        assert "replay has 79 rows" in capsys.readouterr().err
+        assert len(traversals) == 3
+
+    @pytest.mark.parametrize("case", ["violated", "satisfied"])
+    def test_strict_two_pass_exits_as_in_memory(self, tmp_path, rng, case):
+        path = tmp_path / "a.bin"
+        if case == "violated":
+            write_binary(path, block_identity_matrix(64, 256))
+            argv, expected = ["--k", "64", "--d", "1"], 2
+        else:
+            write_binary(path, matrix_with_singular_values(rng, 150, 30, [10.0, 9.0, 8.0]))
+            argv, expected = ["--k", "3"], 0
+        argv = ["approx-svd", "--input", str(path), "--strict", "--seed", "0"] + argv
+        reports = []
+        for stream in [[], ["--stream", "two-pass"]]:
+            out = tmp_path / "r.json"
+            assert main(argv + stream + ["--out", str(out)]) == expected
+            reports.append(read_report(out)["per_trial"])
+        assert reports[0] == reports[1]
 
     def test_one_pass_requires_d(self, tmp_path, rank3_file):
         code = main(

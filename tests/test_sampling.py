@@ -7,13 +7,12 @@ from scipy import stats
 
 from matsketch import streams
 from matsketch.lln import matrix_rows_ensemble
-from matsketch.sampling import materialize_chosen, row_weights, stream_weights
-from matsketch.matio import open_stream, write_binary
+from matsketch.sampling import draw_weighted_indices, materialize_chosen, row_weights, stream_weights
+from matsketch.matio import open_stream, write_binary, write_csv
 
 from matsketch import (
     BlockStream,
     InvalidMatrixError,
-    IterableRowStream,
     MatrixRowStream,
     NotReplayableError,
     OutOfRangeError,
@@ -169,7 +168,7 @@ class TestTwoPass:
 
     def test_single_shot_rejected(self, rng):
         a = rng.normal(size=(5, 3))
-        stream = IterableRowStream(iter([(i, a[i]) for i in range(5)]), 3)
+        stream = BlockStream(iter([(np.arange(5), a)]), 3)
         with pytest.raises(NotReplayableError):
             sample_sketch_two_pass(stream, 3, seed=0)
 
@@ -185,9 +184,9 @@ class TestTwoPass:
                 refs.append(weakref.ref(row))
                 stored = sum(r() is not None for r in refs[:-2])
                 peak[0] = max(peak[0], stored + 1)
-                yield i, row
+                yield np.array([i]), row[None]
 
-        stream = IterableRowStream(factory, base.shape[1])
+        stream = BlockStream(factory, base.shape[1])
         sketch = sample_sketch_two_pass(stream, d, seed=7)
         assert sketch.matrix.shape == (d, 200)
         assert peak[0] <= d + 1
@@ -200,9 +199,9 @@ class TestTwoPass:
         def factory():
             traversals.append(None)
             rows = second(base.copy()) if len(traversals) == 2 else base
-            return enumerate(rows)
+            return iter([(np.arange(rows.shape[0]), rows)])
 
-        return IterableRowStream(factory, base.shape[1])
+        return BlockStream(factory, base.shape[1])
 
     def test_replay_with_changed_row_rejected(self, rng):
         base = rng.normal(size=(40, 7))
@@ -285,6 +284,7 @@ class TestBlockSize:
         a = rng.normal(size=(m, 5)) * rng.lognormal(size=(m, 1))
         path = tmp_path / "a.bin"
         write_binary(path, a)
+        write_csv(tmp_path / "a.csv", a)
         results = []
         for block_rows in (1, 7, 4096):
             monkeypatch.setattr(streams, "BLOCK_ROWS", block_rows)
@@ -292,7 +292,7 @@ class TestBlockSize:
             sources = [
                 sample_sketch(a, 300, seed=8),
                 sample_sketch_two_pass(MatrixRowStream(a), 300, seed=8),
-                sample_sketch_two_pass(IterableRowStream(lambda: enumerate(a), 5), 300, seed=8),
+                sample_sketch_two_pass(open_stream(tmp_path / "a.csv"), 300, seed=8),
                 sample_sketch_two_pass(open_stream(path), 300, seed=8),
             ]
             results.extend((s.chosen_indices.tobytes(), s.matrix.tobytes()) for s in sources)
@@ -311,13 +311,13 @@ class TestBlockSize:
 
 class TestOnePass:
     def test_point_mass(self):
-        rows = [(0, np.zeros(2)), (1, np.array([3.0, 4.0])), (2, np.zeros(2))]
-        stream = IterableRowStream(iter(rows), 2)
+        rows = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 0.0]])
+        stream = BlockStream(iter([(np.arange(3), rows)]), 2)
         sketch = sample_sketch_one_pass(stream, 6, seed=0)
         assert np.array_equal(sketch.chosen_indices, np.full(6, 1))
 
     def test_zero_stream(self):
-        stream = IterableRowStream(iter([(0, np.zeros(3)), (1, np.zeros(3))]), 3)
+        stream = BlockStream(iter([(np.arange(2), np.zeros((2, 3)))]), 3)
         with pytest.raises(ZeroMatrixError):
             sample_sketch_one_pass(stream, 2, seed=0)
 
@@ -349,14 +349,22 @@ class TestOnePass:
         assert result.pvalue > 0.001
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_draw_rejects_non_finite_weights(bad):
+    # an infinite total used to draw index len(weights), a NaN one to claim all-zero weights
+    with pytest.raises(OutOfRangeError, match="finite"):
+        draw_weighted_indices([1.0, bad], 4, np.random.default_rng(0))
+
+
 def test_stream_validation_wrong_width():
-    stream = IterableRowStream(iter([(0, np.ones(3)), (1, np.ones(4))]), 3)
+    blocks = [(np.array([0]), np.ones((1, 3))), (np.array([1]), np.ones((1, 4)))]
+    stream = BlockStream(iter(blocks), 3)
     with pytest.raises(ShapeMismatchError):
         list(stream)
 
 
 def test_stream_validation_decreasing_indices():
-    stream = IterableRowStream(iter([(1, np.ones(2)), (0, np.ones(2))]), 2)
+    stream = BlockStream(iter([(np.array([1, 0]), np.ones((2, 2)))]), 2)
     with pytest.raises(ShapeMismatchError):
         list(stream)
 
@@ -374,17 +382,19 @@ def test_stream_validation_names_non_finite_row():
         list(BlockStream(iter([(np.array([10, 11, 12]), block)]), 2))
 
 
-def test_rows_are_packed_into_blocks(monkeypatch):
+def test_rows_are_packed_into_blocks(monkeypatch, tmp_path):
+    # a CSV stream parses line by line into blocks of at most BLOCK_ROWS rows
     monkeypatch.setattr(streams, "BLOCK_ROWS", 4)
     rows = np.arange(20.0).reshape(10, 2)
-    blocks = list(IterableRowStream(iter(enumerate(rows)), 2))
+    write_csv(tmp_path / "a.csv", rows)
+    blocks = list(open_stream(tmp_path / "a.csv"))
     assert [b.shape[0] for _, b in blocks] == [4, 4, 2]
     assert np.array_equal(np.concatenate([b for _, b in blocks]), rows)
     assert np.array_equal(np.concatenate([i for i, _ in blocks]), np.arange(10))
 
 
 def test_single_shot_refuses_second_traversal():
-    stream = IterableRowStream(iter([(0, np.ones(2))]), 2)
+    stream = BlockStream(iter([(np.array([0]), np.ones((1, 2)))]), 2)
     list(stream)
     with pytest.raises(NotReplayableError):
         list(stream)
