@@ -76,6 +76,6 @@ from .sampling import (
     sample_sketch_one_pass,
     sample_sketch_two_pass,
 )
-from .streams import BlockStream, MatrixRowStream, RowStream
+from .streams import MatrixRowStream, RowStream
 
 __version__ = "0.1.0"

@@ -216,7 +216,7 @@ def low_rank_approximate(
 def _certify(blocks, gram, lam, sketch, projector, k) -> tuple[float, float, float]:
     """sigma_{k+1}, |A - AP|_2 and |A^T A - S^T S|_2 from the Gram matrix G.
 
-    ``blocks`` yields the ``(indices, block)`` pairs of A, ``lam`` holds the
+    ``blocks`` yields the row blocks of A, ``lam`` holds the
     eigenvalues of G = ``gram`` in ascending order, S is ``sketch`` and P is
     ``projector``.  Squared values read off G carry an absolute error of
     order n * eps * |G|_2 (the condition number is squared).  So sigma_{k+1}
@@ -240,7 +240,7 @@ def _certify(blocks, gram, lam, sketch, projector, k) -> tuple[float, float, flo
     coarse = error_sq < floor or (k < n and lam_next < floor)
     if coarse or error_sq > lam_next + 2.0 * gram_deviation:
         r = np.empty((0, n))
-        for _, block in blocks:
+        for block in blocks:
             r = np.linalg.qr(np.vstack((r, block)), mode="r")
         values = _singular_values(r)
         sigma_next = float(values[k]) if k < values.size else 0.0

@@ -12,7 +12,8 @@ Subcommands::
 Every command is deterministic given its flags and seed and writes a JSON
 report (see report_schema.json) whose ``config`` records every flag of the
 subcommand except ``--out``.  Exit codes: 0 success, 2 guarantee
-violation under --strict, 64 usage error, 65 data error.
+violation under --strict, 64 usage error, 65 data error (including an
+input, or a witness, too large to allocate).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import approx, cutnorm, lln, matio, parallel, reports
 from .errors import Error
-from .streams import BlockStream
+from .streams import RowStream
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -113,7 +114,7 @@ def _cmd_approx_svd(args, digest):
             if args.d is None:
                 raise UsageError("--stream one-pass requires an explicit --d")
             # one traversal of the file's blocks, refused a second time
-            source = BlockStream(iter(source), source.n_cols)
+            source = RowStream(iter(source), source.n_cols)
     projector, report = approx.low_rank_approximate(
         source,
         k=args.k,
@@ -246,7 +247,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"matsketch: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (Error, OSError) as exc:
+    except (Error, OSError, MemoryError) as exc:
         print(f"matsketch: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -8,14 +8,20 @@
   rows*cols float64 values in row-major order.  Round-trips bit-exactly.
 
 ``read_matrix`` reads a file as a dense matrix; ``open_stream`` opens it
-as a replayable stream of row blocks (see ``streams``).  CSV and binary
-streams re-read the file lazily on each traversal: binary files with one
-``np.fromfile`` per block, CSV with the per-line parser (so errors name the
-line) grouped into blocks, which ``read_matrix`` joins.  MatrixMarket
-sources are parsed fully and then streamed in row order.  A binary file's size must match its header exactly,
-which is checked before any data is read.  Text formats are read as bytes
-and decoded line by line, so a non-ASCII byte is a ParseError naming its
-line.
+as a replayable stream of plain row blocks (see ``streams``), in file
+order.  CSV and binary streams re-read the file lazily on each traversal:
+binary files with one ``np.fromfile`` per block, CSV with the per-line
+parser (so errors name the line) grouped into blocks, which
+``read_matrix`` joins.  MatrixMarket sources are parsed fully and then
+streamed in row order.  A binary file's size must match its header
+exactly, which is checked before any data is read.  Text formats are read
+as bytes and decoded line by line, so a non-ASCII byte is a ParseError
+naming its line.
+
+Every reader rejects a non-finite value with a ParseError: the text
+parsers as they parse, binary files per chunk (``read_matrix``) or per
+block (``open_stream``), naming the first bad row.  Streams do no scan of
+their own.
 
 Both readers take an optional ``InputDigest``, which hashes the bytes they
 read (on a stream's first traversal only) as they are read, so the input's
@@ -37,7 +43,7 @@ import numpy as np
 from .errors import ParseError
 from .linalg import as_matrix
 from . import streams
-from .streams import BlockStream, MatrixRowStream, RowStream
+from .streams import MatrixRowStream, RowStream
 
 _BINARY_HEADER = struct.Struct("<QQ")
 _MM_MAGIC = "%%MatrixMarket"
@@ -160,10 +166,10 @@ def open_stream(path, fmt: str = "auto", digest: InputDigest | None = None) -> R
     feeds = iter([digest])  # next(feeds, None): the digest, then None on later traversals
     if fmt == "csv":
         n_cols = _csv_width(path)
-        return BlockStream(lambda: _iter_csv_blocks(path, n_cols, next(feeds, None)), n_cols)
+        return RowStream(lambda: _iter_csv_blocks(path, n_cols, next(feeds, None)), n_cols)
     with open(path, "rb") as fh:
         m, n = _binary_shape(fh, path)
-    return BlockStream(lambda: _iter_binary_blocks(path, m, n, next(feeds, None)), n)
+    return RowStream(lambda: _iter_binary_blocks(path, m, n, next(feeds, None)), n)
 
 
 def _text_lines(path, digest: InputDigest | None = None):
@@ -217,12 +223,10 @@ def _iter_csv_rows(path, n_cols: int, digest: InputDigest | None = None):
 
 
 def _iter_csv_blocks(path, n_cols: int, digest: InputDigest | None = None):
-    """Yield ``(indices, block)`` pairs of at most ``BLOCK_ROWS`` CSV rows."""
+    """Yield blocks of at most ``BLOCK_ROWS`` CSV rows."""
     rows = _iter_csv_rows(path, n_cols, digest)
-    start = 0
     while block := list(islice(rows, streams.BLOCK_ROWS)):
-        yield np.arange(start, start + len(block), dtype=np.int64), np.array(block)
-        start += len(block)
+        yield np.array(block)
 
 
 def _csv_width(path) -> int:
@@ -235,7 +239,7 @@ def _csv_width(path) -> int:
 
 def _read_csv(path, digest: InputDigest | None = None) -> np.ndarray:
     blocks = _iter_csv_blocks(path, _csv_width(path), digest)
-    return np.concatenate([block for _, block in blocks])
+    return np.concatenate(list(blocks))
 
 
 def write_csv(path, a) -> None:
@@ -357,6 +361,18 @@ def _binary_shape(fh, path) -> tuple[int, int]:
     return int(m), int(n)
 
 
+def _check_finite(values, first: int, n: int, path) -> None:
+    """ParseError naming the row of the first non-finite entry, if any.
+
+    ``values`` are the row-major entries of an ``n``-column matrix from
+    flat position ``first`` on.
+    """
+    finite = np.isfinite(values)
+    if not finite.all():
+        row = (first + int(np.argmin(finite))) // n
+        raise ParseError(f"non-finite value in row {row}", path=path)
+
+
 def _read_binary(path, digest: InputDigest | None = None) -> np.ndarray:
     """Read the data into one array, ``_CHUNK_BYTES`` at a time.
 
@@ -380,12 +396,12 @@ def _read_binary(path, digest: InputDigest | None = None) -> np.ndarray:
                 )
             if digest is not None:
                 digest.update(chunk, wait=False)  # a view of arr, which outlives the digest
-            if not np.isfinite(flat[start : start + step]).all():
-                raise ParseError("non-finite value", path=path)
+            _check_finite(flat[start : start + step], start, n, path)
     return arr.astype(np.float64, copy=False)
 
 
 def _iter_binary_blocks(path, m: int, n: int, digest: InputDigest | None = None):
+    """Yield blocks of at most ``BLOCK_ROWS`` rows, each scanned by ``_check_finite``."""
     step = streams.BLOCK_ROWS
     with open(path, "rb") as fh:
         head = fh.read(_BINARY_HEADER.size)
@@ -398,8 +414,8 @@ def _iter_binary_blocks(path, m: int, n: int, digest: InputDigest | None = None)
                 raise ParseError(f"truncated at row {start + data.size // n}", path=path)
             if digest is not None:
                 digest.update(data)
-            block = data.astype(np.float64, copy=False).reshape((rows, n))
-            yield np.arange(start, start + rows, dtype=np.int64), block
+            _check_finite(data, start * n, n, path)
+            yield data.astype(np.float64, copy=False).reshape((rows, n))
 
 
 def write_binary(path, a) -> None:

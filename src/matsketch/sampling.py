@@ -8,7 +8,11 @@ row has length F/sqrt(d).
 
 Three modes share this law and one block-based core: every mode reads the
 source as row blocks (see ``streams``), computes weights per block with
-``row_weights``' reduction, and gathers chosen rows out of the blocks.
+``row_weights``' reduction, and gathers chosen rows out of the blocks.  A
+row's index, as in ``Sketch.chosen_indices``, is its position in the
+traversal.  Non-finite entries give non-finite weights, which every pass
+rejects: the weight total is checked by ``total_weight`` and a replay's
+weights are compared bit for bit with the first pass's finite ones.
 
 * ``sample_sketch``          -- in-memory matrix: two-pass sampling over the
   matrix's blocks, so it is bit-identical to the two-pass mode by
@@ -42,7 +46,7 @@ from .errors import (
 )
 from .linalg import as_matrix
 from .rng import as_generator
-from .streams import Block, MatrixRowStream, RowStream
+from .streams import MatrixRowStream, RowStream
 
 _CEIL_GUARD = 1e-9  # absorbs float noise so exact-integer products do not round up
 
@@ -98,7 +102,11 @@ def _block_weights(block: np.ndarray) -> np.ndarray:
 def total_weight(weights) -> float:
     """Sum of row weights; InvalidMatrixError if it overflows float64 (or is NaN)."""
     with np.errstate(over="ignore"):
-        total = float(np.sum(weights))
+        return _finite(float(np.sum(weights)))
+
+
+def _finite(total: float) -> float:
+    """``total``, or InvalidMatrixError if it is not finite."""
     if not math.isfinite(total):
         raise InvalidMatrixError(f"squared row lengths sum to {total}, not a finite float64")
     return total
@@ -185,7 +193,7 @@ def stream_weights(stream: RowStream, accumulate_gram: bool = False):
     """
     weight_parts = [np.empty(0)]  # an empty stream has no weights
     gram = np.zeros((stream.n_cols, stream.n_cols)) if accumulate_gram else None
-    for _, block in stream:
+    for block in stream:
         weight_parts.append(_block_weights(block))
         if gram is not None:
             # a Gram entry overflows only if the weight total does
@@ -197,17 +205,17 @@ def stream_weights(stream: RowStream, accumulate_gram: bool = False):
     return w, total, gram
 
 
-def replay(stream: RowStream, weights) -> Iterator[Block]:
+def replay(stream: RowStream, weights) -> Iterator[np.ndarray]:
     """Traverse ``stream`` again, checking it replays the first pass's rows.
 
     ``weights`` are the row weights of the first pass.  Each block's weights
     are recomputed and compared bit for bit with them, and the row count
     must match, so a traversal that differs from the first raises
-    ShapeMismatchError.  Yields the stream's ``(indices, block)`` pairs.
+    ShapeMismatchError.  Yields the stream's blocks.
     """
     weights = np.asarray(weights)
     seen = 0
-    for indices, block in stream:
+    for block in stream:
         stop = seen + block.shape[0]
         # weights are sums of squares of finite entries: == is a bitwise test
         if stop > weights.size or not np.array_equal(
@@ -216,7 +224,7 @@ def replay(stream: RowStream, weights) -> Iterator[Block]:
             raise ShapeMismatchError(
                 f"stream replay differs from the first pass in rows {seen}..{stop - 1}"
             )
-        yield indices, block
+        yield block
         seen = stop
     if seen != weights.size:
         raise ShapeMismatchError(
@@ -227,27 +235,25 @@ def replay(stream: RowStream, weights) -> Iterator[Block]:
 def materialize_chosen(stream: RowStream, positions, weights, total_sq: float, d: int, seed) -> Sketch:
     """Second pass: collect only the chosen rows and assemble the sketch.
 
-    ``positions`` are positions in traversal order and ``weights`` the row
-    weights of the first pass.  Holds the distinct chosen rows plus the
-    block being read.  The pass runs through ``replay``, so a replay that
-    differs from the first traversal raises ShapeMismatchError.
+    ``positions`` are traversal positions, which become the sketch's
+    ``chosen_indices``, and ``weights`` the row weights of the first pass.
+    Holds the distinct chosen rows plus the block being read.  The pass
+    runs through ``replay``, so a replay that differs from the first
+    traversal raises ShapeMismatchError.
     """
-    positions = np.asarray(positions, dtype=np.int64)
+    positions = np.array(positions, dtype=np.int64)
     weights = np.asarray(weights)
     wanted, inverse = np.unique(positions, return_inverse=True)
     rows = np.empty((wanted.size, stream.n_cols))
-    chosen = np.empty(wanted.size, dtype=np.int64)
     seen = 0
-    for indices, block in replay(stream, weights):
+    for block in replay(stream, weights):
         stop = seen + block.shape[0]
         lo, hi = np.searchsorted(wanted, (seen, stop))
         if hi > lo:
-            local = wanted[lo:hi] - seen
-            rows[lo:hi] = block[local]
-            chosen[lo:hi] = indices[local]
+            rows[lo:hi] = block[wanted[lo:hi] - seen]
         seen = stop
     matrix = _scaled_rows(rows[inverse], weights[positions], total_sq, d)
-    return _sketch(matrix, chosen[inverse], total_sq, d, seed)
+    return _sketch(matrix, positions, total_sq, d, seed)
 
 
 def draw_sketch(stream: RowStream, weights, total_sq: float, d: int, seed) -> Sketch:
@@ -284,18 +290,20 @@ def sample_sketch_one_pass(stream: RowStream, d: int, seed=0) -> Sketch:
     rows = np.zeros((d, stream.n_cols))
     occupant_index = np.full(d, -1, dtype=np.int64)
     occupant_weight = np.zeros(d)
-    for indices, block in stream:
+    start = 0  # traversal position of the block's first row
+    for block in stream:
         w = _block_weights(block)
         block_total = total_weight(w)
-        if block_total <= 0.0:
-            continue
-        running = total_weight((running, block_total))
-        slots = np.flatnonzero(rng.random(d) < block_total / running)
-        if slots.size:
-            picks = draw_weighted_indices(w, slots.size, rng)
-            rows[slots] = block[picks]
-            occupant_index[slots] = indices[picks]
-            occupant_weight[slots] = w[picks]
+        if block_total > 0.0:
+            # a float sum overflows to inf, as np.sum of the pair does
+            running = _finite(running + block_total)
+            slots = np.flatnonzero(rng.random(d) < block_total / running)
+            if slots.size:
+                picks = draw_weighted_indices(w, slots.size, rng)
+                rows[slots] = block[picks]
+                occupant_index[slots] = start + picks
+                occupant_weight[slots] = w[picks]
+        start += block.shape[0]
     _check_nonzero(running)
     matrix = _scaled_rows(rows, occupant_weight, running, d)
     return _sketch(matrix, occupant_index, running, d, seed)

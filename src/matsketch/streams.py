@@ -1,16 +1,17 @@
-"""Row streams: ordered row-block sources for out-of-core sampling.
+"""Row streams: sources of float64 row blocks for out-of-core sampling.
 
-Iterating a stream yields ``(indices, block)`` pairs: ``indices`` is an
-int64 array of source row indices, strictly increasing across the whole
-traversal, and ``block`` is a ``len(indices) x n_cols`` float64 array of at
-most ``BLOCK_ROWS`` rows.  Blocks are checked for width, index order and
-finite entries, except a ``MatrixRowStream``'s: it checks only its matrix's
-shape, because a non-finite entry makes the row weights non-finite, which
-every sampling pass rejects (``sampling.total_weight``).  Consumers must
+Iterating a stream yields 2-d float64 blocks of ``n_cols`` columns; the
+readers and ``MatrixRowStream`` hand out at most ``BLOCK_ROWS`` rows per
+block.  A row's index is its position in the traversal, counted across
+blocks from 0.  A traversal checks only each block's dtype and width.
+Entries are scanned for finiteness where they are read: the file readers
+reject non-finite values, and every sampling pass rejects non-finite row
+weights (``sampling.total_weight``, ``sampling.replay``).  Consumers must
 not modify a block; ``MatrixRowStream`` blocks are views.
 
-Replayable streams can be traversed any number of times (each traversal
-re-reads the source); single-shot streams refuse a second traversal.
+A stream made from a zero-argument callable is replayable: each traversal
+calls it for a fresh iterable of blocks.  One made from an iterable is
+single-shot and refuses a second traversal.
 """
 
 from __future__ import annotations
@@ -19,98 +20,49 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import InvalidMatrixError, NotReplayableError, ShapeMismatchError
+from .errors import NotReplayableError, ShapeMismatchError
 from .linalg import as_matrix
 
-BLOCK_ROWS = 4096  # rows per block handed out by every stream
-
-Block = tuple[np.ndarray, np.ndarray]
+BLOCK_ROWS = 4096  # rows per block handed out by every reader
 
 
 class RowStream:
-    """Base class; subclasses implement ``_blocks()``."""
+    """Stream over a block factory (replayable) or a block iterable (single-shot)."""
 
-    def __init__(self, n_cols: int, replayable: bool):
+    def __init__(self, source: Callable[[], Iterable] | Iterable, n_cols: int):
         if n_cols < 1:
             raise ShapeMismatchError(f"row width must be >= 1, got {n_cols}")
         self.n_cols = int(n_cols)
-        self.replayable = bool(replayable)
+        self.replayable = callable(source)
+        self._source = source if self.replayable else iter(source)
 
-    def _blocks(self) -> Iterator[Block]:
-        raise NotImplementedError
-
-    def __iter__(self) -> Iterator[Block]:
-        return self._checked(self._blocks())
-
-    def _checked(self, blocks: Iterator[Block]) -> Iterator[Block]:
-        last = -1
-        for indices, block in blocks:
-            indices = np.asarray(indices, dtype=np.int64)
+    def __iter__(self) -> Iterator[np.ndarray]:
+        if self.replayable:
+            blocks = self._source()
+        else:
+            blocks, self._source = self._source, None
+            if blocks is None:
+                raise NotReplayableError("single-shot stream was already consumed")
+        for block in blocks:
             block = np.asarray(block, dtype=np.float64)
             if block.ndim != 2 or block.shape[1] != self.n_cols:
                 raise ShapeMismatchError(
-                    f"block of shape {block.shape} after row {last}, "
-                    f"expected rows of {self.n_cols} entries"
+                    f"block of shape {block.shape}, expected rows of {self.n_cols} entries"
                 )
-            if indices.shape != (block.shape[0],):
-                raise ShapeMismatchError(
-                    f"{indices.size} indices for a block of {block.shape[0]} rows"
-                )
-            if not indices.size:
-                continue
-            if indices[0] <= last or (indices[1:] <= indices[:-1]).any():
-                raise ShapeMismatchError(
-                    f"row indices must be strictly increasing after row {last}"
-                )
-            finite = np.isfinite(block)
-            if not finite.all():
-                bad = int(indices[np.argmin(finite.all(axis=1))])
-                raise InvalidMatrixError(f"row {bad} contains non-finite entries")
-            last = int(indices[-1])
-            yield indices, block
+            yield block
 
 
 class MatrixRowStream(RowStream):
     """Replayable stream over an in-memory matrix; blocks are views of it.
 
-    Only the shape is checked here, so wrapping a matrix scans none of it.
+    Wrapping a matrix scans none of its entries.
     """
 
     def __init__(self, matrix):
         self.matrix = as_matrix(matrix, check_finite=False)
-        super().__init__(self.matrix.shape[1], replayable=True)
+        super().__init__(self._views, self.matrix.shape[1])
 
-    def __iter__(self) -> Iterator[Block]:
-        m = self.matrix.shape[0]
+    def _views(self) -> Iterator[np.ndarray]:
         step = BLOCK_ROWS
-        for start in range(0, m, step):
-            stop = min(start + step, m)
-            yield np.arange(start, stop, dtype=np.int64), self.matrix[start:stop]
-
-
-class BlockStream(RowStream):
-    """Stream over a block factory (replayable) or a one-shot block iterable.
-
-    Pass a zero-argument callable returning a fresh iterator of
-    ``(indices, block)`` pairs to get a replayable stream; pass an
-    iterator/iterable of such pairs to get a single-shot one.
-    """
-
-    def __init__(self, source: Callable[[], Iterable] | Iterable, n_cols: int):
-        if callable(source):
-            self._factory = source
-            self._once = None
-            replayable = True
-        else:
-            self._factory = None
-            self._once = iter(source)
-            replayable = False
-        super().__init__(n_cols, replayable=replayable)
-
-    def _blocks(self) -> Iterator:
-        if self._factory is not None:
-            return iter(self._factory())
-        if self._once is None:
-            raise NotReplayableError("single-shot stream was already consumed")
-        items, self._once = self._once, None
-        return items
+        m = self.matrix.shape[0]
+        return (self.matrix[start : start + step] for start in range(0, m, step))

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from matsketch import (
-    BlockStream,
     InvariantError,
     MatrixRowStream,
     OutOfRangeError,
+    RowStream,
     ShapeMismatchError,
     Sketch,
     ZeroMatrixError,
@@ -278,10 +278,10 @@ class TestLowRankApproximate:
         def factory():
             traversals.append(None)
             rows = a if len(traversals) < 3 else a[:-1]
-            return iter([(np.arange(rows.shape[0]), rows)])
+            return iter([rows])
 
         with pytest.raises(ShapeMismatchError, match="79 rows"):
-            low_rank_approximate(BlockStream(factory, 12), k=3, epsilon=0.5, delta=0.5, seed=3)
+            low_rank_approximate(RowStream(factory, 12), k=3, epsilon=0.5, delta=0.5, seed=3)
         assert len(traversals) == 3
 
     def test_broken_gram_invariant_raises(self, rng, monkeypatch, tmp_path):
@@ -303,13 +303,13 @@ class TestLowRankApproximate:
 
     def test_one_pass_requires_d(self, rng):
         a = rng.normal(size=(20, 5))
-        stream = BlockStream(iter([(np.arange(20), a)]), 5)
+        stream = RowStream(iter([a]), 5)
         with pytest.raises(OutOfRangeError):
             low_rank_approximate(stream, k=2, epsilon=0.5, delta=0.5, seed=0)
 
     def test_one_pass_with_d(self, rng):
         a = matrix_with_singular_values(rng, 200, 40, [10.0, 9.0, 8.0])
-        stream = BlockStream(iter([(np.arange(200), a)]), 40)
+        stream = RowStream(iter([a]), 40)
         projector, report = low_rank_approximate(
             stream, k=3, epsilon=0.5, delta=0.5, seed=0, d=100
         )

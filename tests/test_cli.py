@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import matsketch
-from matsketch import BlockStream, approx, block_identity_matrix, matio, parallel, write_binary, write_csv
+from matsketch import RowStream, approx, block_identity_matrix, matio, parallel, write_binary, write_csv
 from matsketch.cli import main
 from conftest import matrix_with_singular_values, write_binary_with_nan
 
@@ -136,9 +136,9 @@ class TestApproxSvd:
 
         def factory():
             traversals.append(None)
-            return iter([(np.arange(30), base if len(traversals) == 1 else base[::-1])])
+            return iter([base if len(traversals) == 1 else base[::-1]])
 
-        monkeypatch.setattr(matio, "open_stream", lambda *args: BlockStream(factory, 4))
+        monkeypatch.setattr(matio, "open_stream", lambda *args: RowStream(factory, 4))
         path = tmp_path / "a.bin"
         write_binary(path, base)
         code = main(["approx-svd", "--input", str(path), "--k", "1", "--d", "5",
@@ -166,9 +166,9 @@ class TestApproxSvd:
         def factory():
             traversals.append(None)
             rows = base if len(traversals) < 3 else base[:-1]
-            return iter([(np.arange(rows.shape[0]), rows)])
+            return iter([rows])
 
-        monkeypatch.setattr(matio, "open_stream", lambda *args: BlockStream(factory, 12))
+        monkeypatch.setattr(matio, "open_stream", lambda *args: RowStream(factory, 12))
         path = tmp_path / "a.bin"
         write_binary(path, base)
         code = main(["approx-svd", "--input", str(path), "--k", "3", "--stream", "two-pass",
@@ -248,6 +248,16 @@ class TestProvenance:
             assert main([str(path) if a == "INPUT" else a for a in argv] + ["--out", str(out)]) == 0
             provenance = read_report(out)["provenance"]
             assert provenance == {"input": str(path), "sha256": expected[path]}
+
+    @pytest.mark.parametrize("argv", INPUT_COMMANDS)
+    def test_failed_allocation_is_data_error(self, tmp_path, capsys, argv):
+        # a 74-byte header declares a 1e8 x 1e8 matrix, which no machine can allocate
+        path = tmp_path / "huge.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n100000000 100000000 1\n1 1 1\n"
+        )
+        assert main([str(path) if a == "INPUT" else a for a in argv] + ["--out", "-"]) == 65
+        assert capsys.readouterr().err.startswith("matsketch: Unable to allocate")
 
     def test_input_not_read_has_no_provenance(self, tmp_path, rank3_file):
         out = tmp_path / "r.json"

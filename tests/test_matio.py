@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import os
 import struct
@@ -6,8 +7,10 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from matsketch import ParseError, matio, read_matrix, sample_sketch, sample_sketch_two_pass
+from matsketch import Error, ParseError, matio, read_matrix, sample_sketch, sample_sketch_two_pass, streams
 from matsketch.matio import (
     InputDigest,
     detect_format,
@@ -202,8 +205,20 @@ class TestBinary:
         data = bytearray(path.read_bytes())
         data[-16:-8] = struct.pack("<d", float("inf"))  # entry (9, 2)
         path.write_bytes(bytes(data))
-        with pytest.raises(ParseError, match="non-finite"):
+        with pytest.raises(ParseError, match="non-finite value in row 9"):
             read_matrix(path, "binary")
+
+    def test_stream_names_non_finite_row_in_a_later_block(self, tmp_path, monkeypatch):
+        # a binary stream scans each block it reads: entry (9, 2) is in the third block
+        monkeypatch.setattr(streams, "BLOCK_ROWS", 4)
+        path = tmp_path / "a.bin"
+        write_binary(path, np.arange(40.0).reshape(10, 4))
+        data = bytearray(path.read_bytes())
+        data[-16:-8] = struct.pack("<d", float("inf"))
+        path.write_bytes(bytes(data))
+        stream = open_stream(path)
+        with pytest.raises(ParseError, match=r"a\.bin: non-finite value in row 9"):
+            list(stream)
 
     def test_nan_entry(self, tmp_path):
         path = write_binary_with_nan(tmp_path / "a.bin")
@@ -245,10 +260,7 @@ class TestDetectAndIngest:
         write_binary(path, random_matrix)
         stream = open_stream(path)
         for _ in range(2):  # replayable: the second traversal gives the same blocks
-            blocks = list(stream)
-            indices = np.concatenate([i for i, _ in blocks])
-            assert np.array_equal(indices, np.arange(100))
-            assert np.array_equal(np.concatenate([b for _, b in blocks]), random_matrix)
+            assert np.array_equal(np.concatenate(list(stream)), random_matrix)
 
 
 class TestInputDigest:
@@ -278,7 +290,7 @@ class TestInputDigest:
             with InputDigest() as digest:
                 stream = open_stream(path, digest=digest)
                 for _ in range(2):
-                    assert np.array_equal(np.concatenate([b for _, b in stream]), a)
+                    assert np.array_equal(np.concatenate(list(stream)), a)
                 assert digest.hexdigest() == sha256_file(path)
 
     def test_hashes_in_order_under_frequent_thread_switches(self):
@@ -305,3 +317,68 @@ class TestInputDigest:
                 read_matrix(path, digest=digest)
                 raise RuntimeError
         assert threading.active_count() == baseline
+
+
+# one small seed file per reader; FUZZ_SEED has entries of several magnitudes
+FUZZ_SEED = np.array([[1.5, -2.0, 0.0], [3.0, 4.25, -1e-3], [0.0, 7.0, 8.0], [-9.0, 0.5, 2.0]])
+FUZZ_FORMATS = {"a.csv": "csv", "array.mtx": "matrixmarket", "coord.mtx": "matrixmarket",
+                "a.bin": "binary"}
+
+
+@functools.cache
+def _fuzz_seeds(directory):
+    """The seed files' bytes, written once into ``directory``."""
+    write_csv(directory / "a.csv", FUZZ_SEED)
+    write_matrixmarket(directory / "array.mtx", FUZZ_SEED)
+    entries = [f"{i + 1} {j + 1} {FUZZ_SEED[i, j]!r}" for i, j in zip(*np.nonzero(FUZZ_SEED))]
+    (directory / "coord.mtx").write_text(
+        "%%MatrixMarket matrix coordinate real general\n"
+        f"% comment\n4 3 {len(entries)}\n" + "\n".join(entries) + "\n"
+    )
+    write_binary(directory / "a.bin", FUZZ_SEED)
+    return {name: (directory / name).read_bytes() for name in FUZZ_FORMATS}
+
+
+def _mutate(data: bytes, kind: str, at: int, payload: bytes) -> bytes:
+    at %= len(data) + 1
+    if kind == "truncate":
+        return data[:at]
+    if kind == "delete":
+        return data[:at] + data[at + len(payload) :]
+    if kind == "overwrite":
+        return data[:at] + payload + data[at + len(payload) :]
+    return data[:at] + payload + data[at:]
+
+
+def _outcome(read):
+    """The matrix ``read`` returns, or None if it raises a matsketch error."""
+    try:
+        return read()
+    except Error:
+        return None
+
+
+class TestFuzz:
+    """A mutated file reads as a matrix exactly when it streams as the same matrix."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(FUZZ_FORMATS)),
+        kind=st.sampled_from(["truncate", "delete", "overwrite", "insert"]),
+        at=st.integers(0, 1 << 10),
+        # one mutation of at most 4 bytes: a MatrixMarket size line then
+        # declares at most ~1e6 entries, so no example allocates much
+        payload=st.binary(min_size=1, max_size=4),
+    )
+    def test_read_matrix_agrees_with_open_stream(self, tmp_path_factory, name, kind, at, payload):
+        directory = tmp_path_factory.getbasetemp() / "fuzz"
+        directory.mkdir(exist_ok=True)
+        seeds = _fuzz_seeds(directory)
+        path = directory / f"mutated-{name}"
+        path.write_bytes(_mutate(seeds[name], kind, at, payload))
+        fmt = FUZZ_FORMATS[name]
+        dense = _outcome(lambda: read_matrix(path, fmt))
+        streamed = _outcome(lambda: np.concatenate(list(open_stream(path, fmt))))
+        assert (dense is None) == (streamed is None)
+        if dense is not None:
+            assert np.array_equal(dense, streamed)

@@ -11,11 +11,11 @@ from matsketch.sampling import draw_weighted_indices, materialize_chosen, row_we
 from matsketch.matio import open_stream, write_binary, write_csv
 
 from matsketch import (
-    BlockStream,
     InvalidMatrixError,
     MatrixRowStream,
     NotReplayableError,
     OutOfRangeError,
+    RowStream,
     ShapeMismatchError,
     ZeroMatrixError,
     required_sample_size,
@@ -168,7 +168,7 @@ class TestTwoPass:
 
     def test_single_shot_rejected(self, rng):
         a = rng.normal(size=(5, 3))
-        stream = BlockStream(iter([(np.arange(5), a)]), 3)
+        stream = RowStream(iter([a]), 3)
         with pytest.raises(NotReplayableError):
             sample_sketch_two_pass(stream, 3, seed=0)
 
@@ -184,9 +184,9 @@ class TestTwoPass:
                 refs.append(weakref.ref(row))
                 stored = sum(r() is not None for r in refs[:-2])
                 peak[0] = max(peak[0], stored + 1)
-                yield np.array([i]), row[None]
+                yield row[None]
 
-        stream = BlockStream(factory, base.shape[1])
+        stream = RowStream(factory, base.shape[1])
         sketch = sample_sketch_two_pass(stream, d, seed=7)
         assert sketch.matrix.shape == (d, 200)
         assert peak[0] <= d + 1
@@ -199,9 +199,9 @@ class TestTwoPass:
         def factory():
             traversals.append(None)
             rows = second(base.copy()) if len(traversals) == 2 else base
-            return iter([(np.arange(rows.shape[0]), rows)])
+            return iter([rows])
 
-        return BlockStream(factory, base.shape[1])
+        return RowStream(factory, base.shape[1])
 
     def test_replay_with_changed_row_rejected(self, rng):
         base = rng.normal(size=(40, 7))
@@ -312,12 +312,12 @@ class TestBlockSize:
 class TestOnePass:
     def test_point_mass(self):
         rows = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 0.0]])
-        stream = BlockStream(iter([(np.arange(3), rows)]), 2)
+        stream = RowStream(iter([rows]), 2)
         sketch = sample_sketch_one_pass(stream, 6, seed=0)
         assert np.array_equal(sketch.chosen_indices, np.full(6, 1))
 
     def test_zero_stream(self):
-        stream = BlockStream(iter([(np.arange(2), np.zeros((2, 3)))]), 3)
+        stream = RowStream(iter([np.zeros((2, 3))]), 3)
         with pytest.raises(ZeroMatrixError):
             sample_sketch_one_pass(stream, 2, seed=0)
 
@@ -357,29 +357,40 @@ def test_draw_rejects_non_finite_weights(bad):
 
 
 def test_stream_validation_wrong_width():
-    blocks = [(np.array([0]), np.ones((1, 3))), (np.array([1]), np.ones((1, 4)))]
-    stream = BlockStream(iter(blocks), 3)
+    stream = RowStream(iter([np.ones((1, 3)), np.ones((1, 4))]), 3)
     with pytest.raises(ShapeMismatchError):
         list(stream)
 
 
-def test_stream_validation_decreasing_indices():
-    stream = BlockStream(iter([(np.array([1, 0]), np.ones((2, 2)))]), 2)
-    with pytest.raises(ShapeMismatchError):
-        list(stream)
-
-
-def test_stream_validation_decreasing_across_blocks():
-    blocks = [(np.array([0, 5]), np.ones((2, 2))), (np.array([5, 6]), np.ones((2, 2)))]
-    with pytest.raises(ShapeMismatchError):
-        list(BlockStream(iter(blocks), 2))
-
-
-def test_stream_validation_names_non_finite_row():
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_stream_fails_both_passes(bad):
+    # a stream does not scan its entries: the sampling passes reject the weights
     block = np.ones((3, 2))
-    block[1, 0] = np.inf
-    with pytest.raises(InvalidMatrixError, match="row 11"):
-        list(BlockStream(iter([(np.array([10, 11, 12]), block)]), 2))
+    block[1, 0] = bad
+    with pytest.raises(InvalidMatrixError, match="not a finite"):
+        sample_sketch_two_pass(RowStream(lambda: iter([np.ones((2, 2)), block]), 2), 4)
+    with pytest.raises(InvalidMatrixError, match="not a finite"):
+        sample_sketch_one_pass(RowStream(iter([np.ones((2, 2)), block]), 2), 4)
+
+
+def test_chosen_indices_are_traversal_positions():
+    # uneven blocks of 3, 1 and 5 rows: a row's index counts rows across blocks
+    a = np.arange(1.0, 19.0).reshape(9, 2)
+
+    def blocks():
+        return iter(np.split(a, [3, 4]))
+
+    for sketch in (
+        sample_sketch_two_pass(RowStream(blocks, 2), 50, seed=3),
+        sample_sketch_one_pass(RowStream(blocks(), 2), 50, seed=3),
+    ):
+        rows = sketch.matrix / np.linalg.norm(sketch.matrix, axis=1)[:, None]
+        drawn = a[sketch.chosen_indices]
+        assert np.allclose(rows, drawn / np.linalg.norm(drawn, axis=1)[:, None])
+    assert np.array_equal(
+        sample_sketch_two_pass(RowStream(blocks, 2), 50, seed=3).chosen_indices,
+        sample_sketch(a, 50, seed=3).chosen_indices,
+    )
 
 
 def test_rows_are_packed_into_blocks(monkeypatch, tmp_path):
@@ -388,13 +399,12 @@ def test_rows_are_packed_into_blocks(monkeypatch, tmp_path):
     rows = np.arange(20.0).reshape(10, 2)
     write_csv(tmp_path / "a.csv", rows)
     blocks = list(open_stream(tmp_path / "a.csv"))
-    assert [b.shape[0] for _, b in blocks] == [4, 4, 2]
-    assert np.array_equal(np.concatenate([b for _, b in blocks]), rows)
-    assert np.array_equal(np.concatenate([i for i, _ in blocks]), np.arange(10))
+    assert [b.shape[0] for b in blocks] == [4, 4, 2]
+    assert np.array_equal(np.concatenate(blocks), rows)
 
 
 def test_single_shot_refuses_second_traversal():
-    stream = BlockStream(iter([(np.array([0]), np.ones((1, 2)))]), 2)
+    stream = RowStream(iter([np.ones((1, 2))]), 2)
     list(stream)
     with pytest.raises(NotReplayableError):
         list(stream)

@@ -2,7 +2,13 @@
 
 import ast
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy as np
 
 import matsketch
 import matsketch.cli  # noqa: F401  (loads every module the benchmark tracer reaches)
@@ -47,3 +53,32 @@ def test_names_the_benchmark_tracer_binds_exist():
         if value is None:
             missing.append(f"{module}.{dotted}")
     assert len(names) > 10 and not missing, missing
+
+
+def test_traced_two_pass_run_counts_both_passes(tmp_path):
+    # the benchmark's traced mode subclasses the stream open_stream returns;
+    # ``install`` rebinds module globals, so the traced run gets its own process
+    path = tmp_path / "a.bin"
+    matsketch.write_binary(path, np.random.default_rng(0).normal(size=(300, 6)))
+    script = f"""
+import json, sys
+sys.path.insert(0, {str(TRACER.parent)!r})
+import tracer
+import matsketch.cli as cli
+rec = tracer.Tracer()
+tracer.install(rec)
+argv = ["approx-svd", "--input", {str(path)!r}, "--k", "2", "--d", "20",
+        "--stream", "two-pass", "--out", {str(tmp_path / "r.json")!r}]
+code = rec.call("cli.main", cli.main, argv)
+print(json.dumps({{"exit": code, "layers": tracer.layer_metrics(rec)}}))
+"""
+    package_root = str(Path(matsketch.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert result.returncode == 0, result.stderr
+    outcome = json.loads(result.stdout.splitlines()[-1])
+    assert outcome["exit"] == 0
+    assert outcome["layers"]["streams.passes"] == 2
+    assert outcome["layers"]["streams.rows"] > 0
