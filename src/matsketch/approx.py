@@ -1,9 +1,10 @@
 """Rank-k projectors from sketches and the approximation-error machinery.
 
 The projector acts on input space: it is assembled from the sketch's right
-singular vectors, i.e. the top eigenvectors of the sketch Gram matrix.  (A
-d x n sketch's left singular vectors live in R^d and cannot project R^n;
-see README "Design notes".)  Singular directions whose values vanish at
+singular vectors, i.e. the top eigenvectors of the sketch Gram matrix,
+taken from the SVD of the sketch's n x n R factor.  (A d x n sketch's left
+singular vectors live in R^d and cannot project R^n; none is formed.  See
+README "Design notes".)  Singular directions whose values vanish at
 working precision are dropped, so the projector rank never exceeds the
 numerical rank of the sketch: a sketch that misses part of the row space
 yields a genuinely smaller projector instead of an arbitrary completion.
@@ -73,16 +74,20 @@ def projector_top_k(sketch: Sketch, k: int) -> Projector:
     """Projection onto the top-k right singular vectors of the sketch.
 
     k = 0 is the zero map.  Directions with numerically zero singular value
-    are excluded, so the returned rank is min(k, rank of the sketch).
+    are excluded, so the returned rank is min(k, rank of the sketch).  A
+    tall d x n sketch S = QR has the singular values and right singular
+    vectors of its n x n R, so only R is decomposed; no d x n factor is
+    formed.  The cutoff stays relative to S's shape.
     """
     mat = sketch.matrix
-    n = mat.shape[1]
+    d, n = mat.shape
     if k < 0 or k > n:
         raise ShapeMismatchError(f"k must lie in [0, {n}], got {k}")
     if k == 0:
         return Projector(basis=np.zeros((n, 0)))
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    cutoff = s[0] * max(mat.shape) * np.finfo(np.float64).eps if s.size else 0.0
+    factor = np.linalg.qr(mat, mode="r") if d > n else mat
+    _, s, vh = np.linalg.svd(factor, full_matrices=False)
+    cutoff = s[0] * max(d, n) * np.finfo(np.float64).eps if s.size else 0.0
     effective = min(k, int(np.count_nonzero(s > cutoff)))
     return Projector(basis=vh[:effective].T.copy())
 

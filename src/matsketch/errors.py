@@ -31,7 +31,12 @@ class OutOfRangeError(Error, ValueError):
 
 
 class TooLargeError(Error):
-    """Input exceeds the size limit of an exact (enumeration-based) oracle."""
+    """Input exceeds a size limit.
+
+    Either the limit of an exact (enumeration-based) oracle, or physical
+    memory: an array of the declared or requested shape is refused before
+    it is allocated.
+    """
 
 
 class NotSortedError(Error, ValueError):

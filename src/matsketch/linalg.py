@@ -8,6 +8,7 @@ orthogonality/symmetry checks, 1e-6 * scale for reconstructions.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ from .errors import (
     InvalidMatrixError,
     NotSquareError,
     OutOfRangeError,
+    TooLargeError,
     ZeroMatrixError,
 )
 
@@ -40,6 +42,25 @@ def as_matrix(a, allow_empty: bool = False, check_finite: bool = True) -> np.nda
     if check_finite and not np.isfinite(arr).all():
         raise InvalidMatrixError("matrix entries must be finite")
     return arr
+
+
+def require_allocatable(rows: int, cols: int) -> None:
+    """TooLargeError if a rows x cols float64 array exceeds physical memory.
+
+    Called before the array is allocated, so a declared shape that no
+    allocation could hold is refused as data.  Skipped where the system
+    does not report its page size and page count.
+    """
+    try:
+        page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    needed, memory = 8 * rows * cols, page * pages
+    if page > 0 and pages > 0 and needed > memory:
+        raise TooLargeError(
+            f"a {rows}x{cols} float64 array needs {needed} bytes, "
+            f"more than the {memory} bytes of physical memory"
+        )
 
 
 def require_square(a, allow_empty: bool = False) -> np.ndarray:

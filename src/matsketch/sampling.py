@@ -44,7 +44,7 @@ from .errors import (
     ShapeMismatchError,
     ZeroMatrixError,
 )
-from .linalg import as_matrix
+from .linalg import as_matrix, require_allocatable
 from .rng import as_generator
 from .streams import MatrixRowStream, RowStream
 
@@ -282,9 +282,11 @@ def sample_sketch_one_pass(stream: RowStream, d: int, seed=0) -> Sketch:
     probability proportional to its weight within the block.  A row of
     weight w in block s thus ends as the occupant with probability
     (w/W_s) * prod_{u>s}(W_{u-1}/W_u) = w/W, the row distribution; the
-    reservoirs are mutually independent.
+    reservoirs are mutually independent.  TooLargeError if the d x n
+    reservoir rows exceed physical memory, before they are allocated.
     """
     _check_size(d)
+    require_allocatable(d, stream.n_cols)
     rng = as_generator(seed)
     running = 0.0
     rows = np.zeros((d, stream.n_cols))

@@ -5,9 +5,11 @@ readers and ``MatrixRowStream`` hand out at most ``BLOCK_ROWS`` rows per
 block.  A row's index is its position in the traversal, counted across
 blocks from 0.  A traversal checks only each block's dtype and width.
 Entries are scanned for finiteness where they are read: the file readers
-reject non-finite values, and every sampling pass rejects non-finite row
-weights (``sampling.total_weight``, ``sampling.replay``).  Consumers must
-not modify a block; ``MatrixRowStream`` blocks are views.
+reject non-finite values (a binary stream on its first traversal only),
+and every sampling pass rejects non-finite row weights
+(``sampling.total_weight``; ``sampling.replay``, through which the library
+runs every later traversal).  Consumers must not modify a block;
+``MatrixRowStream`` blocks are views.
 
 A stream made from a zero-argument callable is replayable: each traversal
 calls it for a fresh iterable of blocks.  One made from an iterable is

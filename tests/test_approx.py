@@ -29,6 +29,20 @@ from matsketch.cli import main
 from conftest import matrix_with_singular_values, random_orthonormal
 
 
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """Shapes of the matrices passed to ``np.linalg.svd`` while the test runs."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return svd(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return shapes
+
+
 def identity_sketch(n: int) -> Sketch:
     # a sketch of the identity that reproduces its Gram matrix exactly
     return Sketch(
@@ -98,6 +112,29 @@ class TestProjector:
         )
         p = projector_top_k(deficient, 3)
         assert p.k == 2
+
+    @pytest.mark.parametrize(
+        "d, rank",
+        [
+            (50, 20),  # d >= 2n
+            (30, 20),  # n < d < 11n/6
+            (12, 12),  # d < n: the sketch itself is decomposed
+            (60, 7),  # rank-deficient sketch
+        ],
+    )
+    @pytest.mark.parametrize("k", [5, 20])  # 20 = n
+    def test_matches_thin_svd_projector(self, rng, d, rank, k):
+        n = 20
+        matrix = matrix_with_singular_values(rng, d, n, 0.8 ** np.arange(rank))
+        sketch = Sketch(
+            matrix=matrix, chosen_indices=np.arange(d), frobenius_of_source=1.0, d=d, seed=0
+        )
+        _, s, vh = np.linalg.svd(matrix, full_matrices=False)
+        effective = min(k, int(np.count_nonzero(s > s[0] * max(d, n) * np.finfo(float).eps)))
+        reference = vh[:effective].T @ vh[:effective]
+        p = projector_top_k(sketch, k)
+        assert p.k == effective == min(k, rank)
+        assert spectral_norm(p.matrix() - reference) <= 1e-12
 
     def test_dimension_mismatch(self, rng):
         p = projector_top_k(sample_sketch(rng.normal(size=(6, 4)), 5, seed=0), 2)
@@ -294,6 +331,21 @@ class TestLowRankApproximate:
         path = tmp_path / "a.csv"
         np.savetxt(path, a, delimiter=",")
         assert main(["approx-svd", "--input", str(path), "--k", "2", "--out", "-"]) == 65
+
+    @pytest.mark.parametrize("single_shot", [False, True])
+    def test_no_svd_of_more_than_n_rows(self, rng, svd_shapes, single_shot):
+        # the 400 x 12 sketch is reduced to its 12 x 12 R before any SVD
+        a = rng.normal(size=(3000, 12))
+        source = RowStream(iter([a]), 12) if single_shot else a
+        low_rank_approximate(source, 3, 0.5, 0.5, seed=0, d=400)
+        assert svd_shapes
+        assert max(rows for rows, _ in svd_shapes) <= 12
+
+    def test_no_svd_of_more_than_n_rows_in_the_fallback(self, rng, svd_shapes):
+        a = matrix_with_singular_values(rng, 600, 10, [1.0, 1e-9])
+        low_rank_approximate(a, 1, 0.5, 0.5, seed=0, d=300)
+        assert len(svd_shapes) >= 2  # the projector, then the exact fallback
+        assert max(rows for rows, _ in svd_shapes) <= 10
 
     @pytest.mark.parametrize("d", [0, -1])
     def test_two_pass_rejects_d_below_one(self, rng, d):

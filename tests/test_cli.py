@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -92,6 +93,24 @@ class TestApproxSvd:
         code = main(["approx-svd", "--input", str(path), "--k", "1", "--out", "-"] + stream)
         assert code == 65
         assert "non-finite" in capsys.readouterr().err
+
+    def test_binary_file_turning_non_finite_between_passes(self, tmp_path, capsys, monkeypatch):
+        # only the first traversal scans the file; the replay's weight test catches the NaN
+        path = tmp_path / "a.bin"
+        write_binary(path, np.random.default_rng(0).standard_normal((50, 5)))
+        first_pass = approx.stream_weights
+
+        def then_nan(*args, **kwargs):
+            result = first_pass(*args, **kwargs)
+            with open(path, "r+b") as fh:
+                fh.seek(matio._BINARY_HEADER.size + 8 * (17 * 5 + 3))
+                fh.write(struct.pack("<d", float("nan")))
+            return result
+
+        monkeypatch.setattr(approx, "stream_weights", then_nan)
+        argv = ["approx-svd", "--input", str(path), "--k", "2", "--d", "5", "--stream", "two-pass"]
+        assert main(argv + ["--out", "-"]) == 65
+        assert "stream replay differs from the first pass in rows 0..49" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "stream", [[], ["--stream", "two-pass"], ["--stream", "one-pass", "--d", "20"]]
@@ -257,7 +276,8 @@ class TestProvenance:
             "%%MatrixMarket matrix coordinate real general\n100000000 100000000 1\n1 1 1\n"
         )
         assert main([str(path) if a == "INPUT" else a for a in argv] + ["--out", "-"]) == 65
-        assert capsys.readouterr().err.startswith("matsketch: Unable to allocate")
+        err = capsys.readouterr().err
+        assert err.startswith("matsketch: a 100000000x100000000 float64 array needs")
 
     def test_input_not_read_has_no_provenance(self, tmp_path, rank3_file):
         out = tmp_path / "r.json"

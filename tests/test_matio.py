@@ -10,7 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matsketch import Error, ParseError, matio, read_matrix, sample_sketch, sample_sketch_two_pass, streams
+from matsketch import (
+    Error,
+    ParseError,
+    TooLargeError,
+    matio,
+    read_matrix,
+    sample_sketch,
+    sample_sketch_two_pass,
+    streams,
+)
 from matsketch.matio import (
     InputDigest,
     detect_format,
@@ -108,6 +117,22 @@ class TestMatrixMarket:
         expected[0, 0] = 5.0
         expected[2, 1] = -1.5
         assert np.array_equal(read_matrix(path, "matrixmarket"), expected)
+
+    @pytest.mark.parametrize(
+        "layout, size", [("coordinate", "100000000 100000000 1"), ("array", "100000000 100000000")]
+    )
+    def test_size_beyond_memory_refused_before_allocating(self, tmp_path, monkeypatch, layout, size):
+        path = tmp_path / "huge.mtx"
+        path.write_text(f"%%MatrixMarket matrix {layout} real general\n{size}\n1 1 1\n")
+
+        def no_allocation(*args, **kwargs):
+            pytest.fail("the declared matrix was allocated")
+
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        monkeypatch.setattr(np, "array", no_allocation)
+        for read in (read_matrix, open_stream):
+            with pytest.raises(TooLargeError, match="100000000x100000000"):
+                read(path)
 
     def test_coordinate_duplicate_entry(self, tmp_path):
         path = tmp_path / "dup.mtx"
@@ -220,6 +245,29 @@ class TestBinary:
         with pytest.raises(ParseError, match=r"a\.bin: non-finite value in row 9"):
             list(stream)
 
+    @pytest.mark.parametrize("big", [1e200, 1e308])
+    def test_huge_finite_entries_are_read(self, tmp_path, big):
+        # 1e308: the scan's sum overflows, so the entries are tested one by one
+        a = np.full((5, 3), big)
+        a[1, 2] = -big
+        path = tmp_path / "a.bin"
+        write_binary(path, a)
+        assert np.array_equal(read_matrix(path), a)
+        assert np.array_equal(np.concatenate(list(open_stream(path))), a)
+
+    def test_stream_scans_first_traversal_only(self, tmp_path, monkeypatch, random_matrix):
+        # later traversals are checked by sampling.replay's weight test
+        monkeypatch.setattr(streams, "BLOCK_ROWS", 16)
+        scans = []
+        check = matio._check_finite
+        monkeypatch.setattr(matio, "_check_finite", lambda *args: scans.append(args) or check(*args))
+        path = tmp_path / "a.bin"
+        write_binary(path, random_matrix)
+        stream = open_stream(path)
+        for _ in range(3):
+            assert np.array_equal(np.concatenate(list(stream)), random_matrix)
+        assert [first for _, first, _, _ in scans] == list(range(0, 100 * 50, 16 * 50))
+
     def test_nan_entry(self, tmp_path):
         path = write_binary_with_nan(tmp_path / "a.bin")
         with pytest.raises(ParseError, match="non-finite"):
@@ -231,6 +279,43 @@ class TestBinary:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ParseError, match="bytes"):
             open_stream(path, "binary")
+
+
+class TestTruncatedText:
+    """A text file cut short is refused, never read as a smaller matrix."""
+
+    @staticmethod
+    def _refused(path, fmt):
+        with pytest.raises(ParseError):
+            read_matrix(path, fmt)
+        with pytest.raises(ParseError):
+            list(open_stream(path, fmt))
+
+    @pytest.mark.parametrize("layout", ["array", "coordinate"])
+    def test_matrixmarket_cut_at_a_line_boundary(self, tmp_path, layout):
+        a = np.arange(1.0, 7.0).reshape(2, 3)
+        path = tmp_path / "a.mtx"
+        if layout == "array":
+            write_matrixmarket(path, a)
+        else:
+            entries = "".join(f"{i + 1} {j + 1} {a[i, j]!r}\n" for i in range(2) for j in range(3))
+            path.write_text(f"%%MatrixMarket matrix coordinate real general\n2 3 6\n{entries}")
+        data = path.read_bytes()
+        cuts = [i + 1 for i, byte in enumerate(data[:-1]) if byte == ord("\n")]
+        assert len(cuts) == 7  # after the header, the size line and five of six entries
+        for cut in cuts:
+            path.write_bytes(data[:cut])
+            self._refused(path, "matrixmarket")
+
+    def test_csv_cut_mid_line(self, tmp_path):
+        path = tmp_path / "a.csv"
+        write_csv(path, np.arange(1.0, 13.0).reshape(4, 3))
+        data = path.read_bytes()
+        last = data.rindex(b"\n", 0, -1) + 1  # start of the last line, "10.0,11.0,12.0"
+        # a cut before the last comma leaves the line short of fields
+        for cut in range(last + 1, data.rindex(b",") + 1):
+            path.write_bytes(data[:cut])
+            self._refused(path, "csv")
 
 
 class TestDetectAndIngest:

@@ -17,6 +17,7 @@ from matsketch import (
     OutOfRangeError,
     RowStream,
     ShapeMismatchError,
+    TooLargeError,
     ZeroMatrixError,
     required_sample_size,
     row_distribution,
@@ -320,6 +321,17 @@ class TestOnePass:
         stream = RowStream(iter([np.zeros((2, 3))]), 3)
         with pytest.raises(ZeroMatrixError):
             sample_sketch_one_pass(stream, 2, seed=0)
+
+    def test_reservoirs_beyond_memory_refused_before_allocating(self, monkeypatch):
+        stream = MatrixRowStream(FIXED_8ROW)
+
+        def no_allocation(*args, **kwargs):
+            pytest.fail("the reservoirs were allocated")
+
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        monkeypatch.setattr(np, "full", no_allocation)
+        with pytest.raises(TooLargeError, match="1000000000000x8"):
+            sample_sketch_one_pass(stream, 10**12, seed=0)
 
     def test_deterministic(self):
         s1 = sample_sketch_one_pass(MatrixRowStream(FIXED_8ROW), 3, seed=5)
