@@ -49,7 +49,6 @@ from .linalg import (
     SvdResult,
     column_norm_sum,
     diagonal_part,
-    frobenius_norm,
     numerical_rank,
     spectral_norm,
     svd,

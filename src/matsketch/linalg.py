@@ -70,11 +70,6 @@ def require_square(a, allow_empty: bool = False) -> np.ndarray:
     return arr
 
 
-def frobenius_norm(a) -> float:
-    """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(as_matrix(a, allow_empty=True)))
-
-
 def spectral_norm(a) -> float:
     """Largest singular value (operator norm between Euclidean spaces)."""
     arr = as_matrix(a, allow_empty=True)
@@ -144,15 +139,9 @@ def _singular_values(arr: np.ndarray) -> np.ndarray:
         raise ConvergenceError(f"SVD backend failed to converge: {exc}") from exc
 
 
-def column_lengths(a) -> np.ndarray:
-    """Euclidean length of each column."""
-    arr = as_matrix(a, allow_empty=True)
-    return np.linalg.norm(arr, axis=0)
-
-
 def column_norm_sum(a) -> float:
     """Sum of the Euclidean lengths of the columns."""
-    return float(column_lengths(a).sum())
+    return float(np.linalg.norm(as_matrix(a, allow_empty=True), axis=0).sum())
 
 
 def top_k_column_average(a, k) -> float:
@@ -160,7 +149,7 @@ def top_k_column_average(a, k) -> float:
 
     Fractional ``k`` is rounded up; the result is then clamped to [1, n].
     """
-    lengths = column_lengths(a)
+    lengths = np.linalg.norm(as_matrix(a, allow_empty=True), axis=0)
     n = lengths.size
     if n == 0:
         return 0.0

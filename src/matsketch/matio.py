@@ -10,18 +10,21 @@
 ``read_matrix`` reads a file as a dense matrix; ``open_stream`` opens it
 as a replayable stream of plain row blocks (see ``streams``), in file
 order.  CSV and binary streams re-read the file lazily on each traversal:
-binary files with one ``np.fromfile`` per block, CSV with the per-line
-parser (so errors name the line) grouped into blocks, which
-``read_matrix`` joins.  MatrixMarket sources are parsed fully and then
-streamed in row order.  A binary file's size must match its header
-exactly, which is checked before any data is read.  Text formats are read
-as bytes and decoded line by line, so a non-ASCII byte is a ParseError
-naming its line.
+CSV with the per-line parser (so errors name the line) grouped into
+blocks, which ``read_matrix`` joins.  One block loop reads binary data for
+both: a stream gets a fresh array per block, ``read_matrix`` has each
+block read into its place in the result, so a truncated file fails with
+the same "truncated at row R" either way.  MatrixMarket sources are parsed
+fully and then streamed in row order.  A binary file's size must match its
+header exactly, which is checked before any data is read.  Text formats
+are read as bytes and decoded line by line, so a non-ASCII byte is a
+ParseError naming its line, and so is a last line without a line end
+(a file cut inside its last number).
 
 Every reader rejects a non-finite value with a ParseError: the text
-parsers as they parse, binary files per chunk (``read_matrix``) or per
-block on a stream's first traversal (``open_stream``), naming the first
-bad row.  A binary stream's later traversals are not scanned again: the
+parsers as they parse, the binary block loop per block (every block of
+``read_matrix``, a stream's first traversal only), naming the first bad
+row.  A binary stream's later traversals are not scanned again: the
 library replays a stream only through ``sampling.replay``, whose bitwise
 weight test rejects any entry that is no longer finite.  Streams do no
 scan of their own.
@@ -54,7 +57,6 @@ from .streams import MatrixRowStream, RowStream
 
 _BINARY_HEADER = struct.Struct("<QQ")
 _MM_MAGIC = "%%MatrixMarket"
-_CHUNK_BYTES = 1 << 22  # bytes per read of a dense binary file
 _BATCH_BYTES = 1 << 20  # smaller chunks are copied into batches of this size for hashing
 
 FORMATS = ("matrixmarket", "csv", "binary")
@@ -66,8 +68,10 @@ class InputDigest:
     ``update`` queues a chunk and returns, so hashing overlaps the reader's
     caller; ``hexdigest`` waits for the queue.  A chunk must stay unchanged
     until it is hashed.  Small chunks (text lines) are batched into
-    ``_BATCH_BYTES`` pieces.  Use as a context manager: leaving the block
-    drops what is still queued and joins the worker.
+    ``_BATCH_BYTES`` pieces; chunks passed with ``wait=False`` are views the
+    caller keeps and are queued as they are, never copied.  Use as a
+    context manager: leaving the block drops what is still queued and joins
+    the worker.
     """
 
     def __init__(self):
@@ -92,7 +96,7 @@ class InputDigest:
         """
         data = memoryview(data).cast("B")
         self.size += data.nbytes
-        if data.nbytes < _BATCH_BYTES:
+        if wait and data.nbytes < _BATCH_BYTES:
             self._batch += data
             if len(self._batch) >= _BATCH_BYTES:
                 self._flush(wait)
@@ -186,7 +190,9 @@ def open_stream(path, fmt: str = "auto", digest: InputDigest | None = None) -> R
 def _text_lines(path, digest: InputDigest | None = None):
     """Yield ``(line number, line)`` of an ASCII file, split as text mode splits it.
 
-    Each raw line is fed to ``digest`` before it is decoded.
+    Each raw line is fed to ``digest`` before it is decoded.  A last line
+    without a line end is a ParseError: a file cut inside its last number
+    would otherwise read as a different value.
     """
     lineno = 0
     with open(path, "rb") as fh:
@@ -202,6 +208,8 @@ def _text_lines(path, digest: InputDigest | None = None):
             # text mode also ends a line at a lone "\r"
             for line in io.StringIO(text, newline=None) if "\r" in text else (text,):
                 lineno += 1
+                if not line.endswith("\n"):  # "\r\n" and "\r" are read as "\n"
+                    raise ParseError("last line has no line end", path=path, line=lineno)
                 yield lineno, line
 
 
@@ -394,34 +402,21 @@ def _check_finite(values, first: int, n: int, path) -> None:
 
 
 def _read_binary(path, digest: InputDigest | None = None) -> np.ndarray:
-    """Read the data into one array, ``_CHUNK_BYTES`` at a time.
-
-    Each chunk is handed to ``digest`` as it lands and scanned for
-    non-finite values; this is the matrix's only finiteness scan.
-    """
+    """Read the data into one array, block by block through ``_iter_binary_blocks``."""
     with open(path, "rb") as fh:
         m, n = _binary_shape(fh, path)
-        if digest is not None:
-            digest.update(_BINARY_HEADER.pack(m, n))
-        arr = np.empty((m, n), dtype="<f8")
-        flat = arr.reshape(-1)
-        data = memoryview(flat).cast("B")
-        step = _CHUNK_BYTES // 8
-        for start in range(0, m * n, step):
-            chunk = data[8 * start : 8 * (start + step)]
-            got = fh.readinto(chunk)
-            if got != chunk.nbytes:
-                raise ParseError(
-                    f"expected {m * n} float64 values, got {start + got // 8}", path=path
-                )
-            if digest is not None:
-                digest.update(chunk, wait=False)  # a view of arr, which outlives the digest
-            _check_finite(flat[start : start + step], start, n, path)
+    arr = np.empty((m, n), dtype="<f8")
+    for _ in _iter_binary_blocks(path, m, n, digest, _check_finite, out=arr):
+        pass
     return arr.astype(np.float64, copy=False)
 
 
-def _iter_binary_blocks(path, m: int, n: int, digest: InputDigest | None = None, check=None):
-    """Yield blocks of at most ``BLOCK_ROWS`` rows, each passed to ``check`` if given."""
+def _iter_binary_blocks(path, m: int, n: int, digest: InputDigest | None = None, check=None, out=None):
+    """Yield blocks of at most ``BLOCK_ROWS`` rows, each passed to ``check`` if given.
+
+    Each block is read into the rows of ``out`` it covers, if given, else
+    into a fresh array.  ``digest`` is fed the header and every block.
+    """
     step = streams.BLOCK_ROWS
     with open(path, "rb") as fh:
         head = fh.read(_BINARY_HEADER.size)
@@ -429,14 +424,16 @@ def _iter_binary_blocks(path, m: int, n: int, digest: InputDigest | None = None,
             digest.update(head)
         for start in range(0, m, step):
             rows = min(step, m - start)
-            data = np.fromfile(fh, dtype="<f8", count=rows * n)
-            if data.size != rows * n:
-                raise ParseError(f"truncated at row {start + data.size // n}", path=path)
+            block = np.empty((rows, n), dtype="<f8") if out is None else out[start : start + rows]
+            got = fh.readinto(block)
+            if got != block.nbytes:
+                raise ParseError(f"truncated at row {start + got // (8 * n)}", path=path)
             if digest is not None:
-                digest.update(data)
+                # a view of ``out``, which outlives the digest, need not wait
+                digest.update(block, wait=out is None)
             if check is not None:
-                check(data, start * n, n, path)
-            yield data.astype(np.float64, copy=False).reshape((rows, n))
+                check(block, start * n, n, path)
+            yield block.astype(np.float64, copy=False)
 
 
 def write_binary(path, a) -> None:

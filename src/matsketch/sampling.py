@@ -59,7 +59,6 @@ class Sketch:
     chosen_indices: np.ndarray
     frobenius_of_source: float
     d: int
-    seed: int | None
 
     def gram(self) -> np.ndarray:
         return self.matrix.T @ self.matrix
@@ -157,13 +156,12 @@ def _check_size(d: int) -> None:
         raise OutOfRangeError(f"sketch size d must be >= 1, got {d}")
 
 
-def _sketch(matrix, chosen, total_sq: float, d: int, seed) -> Sketch:
+def _sketch(matrix, chosen, total_sq: float, d: int) -> Sketch:
     return Sketch(
         matrix=matrix,
         chosen_indices=chosen,
         frobenius_of_source=math.sqrt(total_sq),
         d=int(d),
-        seed=seed if isinstance(seed, int) else None,
     )
 
 
@@ -232,7 +230,7 @@ def replay(stream: RowStream, weights) -> Iterator[np.ndarray]:
         )
 
 
-def materialize_chosen(stream: RowStream, positions, weights, total_sq: float, d: int, seed) -> Sketch:
+def materialize_chosen(stream: RowStream, positions, weights, total_sq: float, d: int) -> Sketch:
     """Second pass: collect only the chosen rows and assemble the sketch.
 
     ``positions`` are traversal positions, which become the sketch's
@@ -253,14 +251,14 @@ def materialize_chosen(stream: RowStream, positions, weights, total_sq: float, d
             rows[lo:hi] = block[wanted[lo:hi] - seen]
         seen = stop
     matrix = _scaled_rows(rows[inverse], weights[positions], total_sq, d)
-    return _sketch(matrix, positions, total_sq, d, seed)
+    return _sketch(matrix, positions, total_sq, d)
 
 
 def draw_sketch(stream: RowStream, weights, total_sq: float, d: int, seed) -> Sketch:
     """Draw ``d`` positions by ``weights``, then gather them in ``materialize_chosen``'s pass."""
     _check_size(d)
     positions = draw_weighted_indices(weights, d, as_generator(seed))
-    return materialize_chosen(stream, positions, weights, total_sq, d, seed)
+    return materialize_chosen(stream, positions, weights, total_sq, d)
 
 
 def sample_sketch_two_pass(stream: RowStream, d: int, seed=0) -> Sketch:
@@ -308,4 +306,4 @@ def sample_sketch_one_pass(stream: RowStream, d: int, seed=0) -> Sketch:
         start += block.shape[0]
     _check_nonzero(running)
     matrix = _scaled_rows(rows, occupant_weight, running, d)
-    return _sketch(matrix, occupant_index, running, d, seed)
+    return _sketch(matrix, occupant_index, running, d)

@@ -50,7 +50,6 @@ def identity_sketch(n: int) -> Sketch:
         chosen_indices=np.arange(n),
         frobenius_of_source=math.sqrt(n),
         d=n,
-        seed=0,
     )
 
 
@@ -61,7 +60,6 @@ class TestProjector:
             chosen_indices=np.zeros(4, dtype=np.int64),
             frobenius_of_source=4.0,
             d=4,
-            seed=0,
         )
         p = projector_top_k(sketch, 1)
         assert np.allclose(p.matrix(), np.diag([1.0, 0.0, 0.0]), atol=1e-12)
@@ -108,7 +106,6 @@ class TestProjector:
             chosen_indices=np.arange(2),
             frobenius_of_source=sketch.frobenius_of_source,
             d=2,
-            seed=0,
         )
         p = projector_top_k(deficient, 3)
         assert p.k == 2
@@ -127,7 +124,7 @@ class TestProjector:
         n = 20
         matrix = matrix_with_singular_values(rng, d, n, 0.8 ** np.arange(rank))
         sketch = Sketch(
-            matrix=matrix, chosen_indices=np.arange(d), frobenius_of_source=1.0, d=d, seed=0
+            matrix=matrix, chosen_indices=np.arange(d), frobenius_of_source=1.0, d=d
         )
         _, s, vh = np.linalg.svd(matrix, full_matrices=False)
         effective = min(k, int(np.count_nonzero(s > s[0] * max(d, n) * np.finfo(float).eps)))

@@ -21,7 +21,6 @@ from matsketch import (
     cut_decay_estimate,
     cut_norm_exact,
     cutnorm,
-    frobenius_norm,
     full_mask,
     inf_to_one_norm_exact,
     order_statistics_check,
@@ -354,7 +353,7 @@ class TestRestrict:
         none = SubsetMask(n=4, included=np.zeros(4, dtype=bool), q_expected=0.0)
         sub = restrict(a, none, none)
         assert sub.shape == (0, 0)
-        assert frobenius_norm(sub) == 0.0
+        assert np.linalg.norm(sub) == 0.0
         assert spectral_norm(sub) == 0.0
         assert cut_norm_exact(sub).value == 0.0
         assert inf_to_one_norm_exact(sub) == 0.0

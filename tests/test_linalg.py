@@ -15,7 +15,6 @@ from matsketch import (
     block_identity_matrix,
     column_norm_sum,
     diagonal_part,
-    frobenius_norm,
     numerical_rank,
     spectral_norm,
     svd,
@@ -30,25 +29,6 @@ small_matrices = st.integers(1, 6).flatmap(
         lambda n: arrays(np.float64, (m, n), elements=finite_entries)
     )
 )
-
-
-class TestFrobeniusNorm:
-    def test_identity(self):
-        assert frobenius_norm(np.eye(4)) == pytest.approx(2.0)
-
-    def test_all_ones(self):
-        assert frobenius_norm(np.ones((8, 8))) == pytest.approx(8.0)
-
-    def test_block_identity_witness(self):
-        assert frobenius_norm(block_identity_matrix(16, 64)) == pytest.approx(4.0)
-
-    def test_rejects_nan(self):
-        with pytest.raises(InvalidMatrixError):
-            frobenius_norm([[1.0, np.nan]])
-
-    def test_rejects_1d(self):
-        with pytest.raises(InvalidMatrixError):
-            frobenius_norm([1.0, 2.0])
 
 
 class TestSpectralNorm:
@@ -66,6 +46,14 @@ class TestSpectralNorm:
     def test_agrees_with_symmetric_route(self, rng):
         a = rng.normal(size=(9, 5))
         assert sym_spectral_norm(a.T @ a) == pytest.approx(spectral_norm(a) ** 2, rel=1e-8)
+
+    def test_rejects_nan(self):
+        with pytest.raises(InvalidMatrixError):
+            spectral_norm([[1.0, np.nan]])
+
+    def test_rejects_1d(self):
+        with pytest.raises(InvalidMatrixError):
+            spectral_norm([1.0, 2.0])
 
 
 class TestNumericalRank:
@@ -193,7 +181,7 @@ class TestDiagonalPart:
 @given(small_matrices)
 def test_norm_chain(a):
     spec = spectral_norm(a)
-    fro = frobenius_norm(a)
+    fro = np.linalg.norm(a)
     bound = math.sqrt(min(a.shape)) * spec
     assert spec <= fro + 1e-9 * max(1.0, fro)
     assert fro <= bound + 1e-9 * max(1.0, bound)

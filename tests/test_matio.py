@@ -4,6 +4,7 @@ import os
 import struct
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,11 +221,11 @@ class TestBinary:
             return shape
 
         monkeypatch.setattr(matio, "_binary_shape", check_then_shrink)
-        with pytest.raises(ParseError, match="expected 5000 float64 values, got 4999"):
+        with pytest.raises(ParseError, match="truncated at row 99"):
             read_matrix(path, "binary")
 
     def test_nan_entry_in_a_later_chunk(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(matio, "_CHUNK_BYTES", 16)
+        monkeypatch.setattr(streams, "BLOCK_ROWS", 3)  # the last block is short
         path = tmp_path / "a.bin"
         write_binary(path, np.arange(40.0).reshape(10, 4))
         data = bytearray(path.read_bytes())
@@ -268,6 +269,23 @@ class TestBinary:
             assert np.array_equal(np.concatenate(list(stream)), random_matrix)
         assert [first for _, first, _, _ in scans] == list(range(0, 100 * 50, 16 * 50))
 
+    @pytest.mark.parametrize("hashed", [False, True])
+    def test_read_matrix_peak_is_the_matrix(self, tmp_path, monkeypatch, rng, hashed):
+        # blocks are read into the result, never joined, and the digest
+        # queues views of them, never copies
+        monkeypatch.setattr(streams, "BLOCK_ROWS", 64)  # 51 KB blocks
+        path = tmp_path / "a.bin"
+        write_binary(path, rng.normal(size=(10_000, 100)))  # 8 MB
+        with InputDigest() as digest:
+            tracemalloc.start()
+            try:
+                a = read_matrix(path, digest=digest if hashed else None)
+                digest.hexdigest()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= a.nbytes + (1 << 20)
+
     def test_nan_entry(self, tmp_path):
         path = write_binary_with_nan(tmp_path / "a.bin")
         with pytest.raises(ParseError, match="non-finite"):
@@ -285,11 +303,31 @@ class TestTruncatedText:
     """A text file cut short is refused, never read as a smaller matrix."""
 
     @staticmethod
-    def _refused(path, fmt):
-        with pytest.raises(ParseError):
+    def _refused(path, fmt, match=None):
+        with pytest.raises(ParseError, match=match):
             read_matrix(path, fmt)
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=match):
             list(open_stream(path, fmt))
+
+    @pytest.mark.parametrize(
+        "fmt, a, line", [("csv", [[1.5, 2.25], [3.0, 4.75]], 2), ("matrixmarket", [[1.5], [4.75]], 4)]
+    )
+    def test_cut_inside_the_last_number(self, tmp_path, fmt, a, line):
+        # "4.75\n" cut to "4.7" still parses: only the missing line end shows the cut
+        path = tmp_path / "a.txt"
+        (write_csv if fmt == "csv" else write_matrixmarket)(path, np.array(a))
+        path.write_bytes(path.read_bytes()[:-2])
+        assert path.read_bytes().endswith(b"4.7")
+        self._refused(path, fmt, match=rf"a\.txt:{line}: last line has no line end")
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    @pytest.mark.parametrize("fmt", ["csv", "matrixmarket"])
+    def test_every_line_end_ends_the_last_line(self, tmp_path, random_matrix, fmt, newline):
+        path = tmp_path / "a.txt"
+        (write_csv if fmt == "csv" else write_matrixmarket)(path, random_matrix)
+        path.write_bytes(path.read_bytes().replace(b"\n", newline))
+        assert np.array_equal(read_matrix(path, fmt), random_matrix)
+        assert np.array_equal(np.concatenate(list(open_stream(path, fmt))), random_matrix)
 
     @pytest.mark.parametrize("layout", ["array", "coordinate"])
     def test_matrixmarket_cut_at_a_line_boundary(self, tmp_path, layout):
@@ -359,10 +397,10 @@ class TestInputDigest:
         crlf.write_bytes((tmp_path / "a.csv").read_bytes().replace(b"\n", b"\r\n"))
         return [tmp_path / "a.bin", tmp_path / "a.csv", tmp_path / "a.mtx", crlf]
 
-    @pytest.mark.parametrize("chunk_bytes", [24, 1 << 22])
-    def test_read_matrix(self, tmp_path, random_matrix, monkeypatch, chunk_bytes):
-        # 24-byte chunks: many chunks, the last one short
-        monkeypatch.setattr(matio, "_CHUNK_BYTES", chunk_bytes)
+    @pytest.mark.parametrize("block_rows", [1, 3, 4096])
+    def test_read_matrix(self, tmp_path, random_matrix, monkeypatch, block_rows):
+        # 3 rows: many blocks, the last one short
+        monkeypatch.setattr(streams, "BLOCK_ROWS", block_rows)
         for path in self._files(tmp_path, random_matrix):
             with InputDigest() as digest:
                 assert np.array_equal(read_matrix(path, digest=digest), random_matrix)

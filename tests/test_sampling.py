@@ -239,7 +239,7 @@ class TestTwoPass:
         weights, total_sq, _ = stream_weights(stream)
         stream.matrix[17, 3] = np.nan
         with pytest.raises(ShapeMismatchError, match="differs"):
-            materialize_chosen(stream, np.arange(5), weights, total_sq, 5, seed=0)
+            materialize_chosen(stream, np.arange(5), weights, total_sq, 5)
 
 
 # every squared row length overflows / finite squared lengths whose sum overflows
