@@ -33,9 +33,9 @@ class OutOfRangeError(Error, ValueError):
 class TooLargeError(Error):
     """Input exceeds a size limit.
 
-    Either the limit of an exact (enumeration-based) oracle, or physical
-    memory: an array of the declared or requested shape is refused before
-    it is allocated.
+    Either the limit of an exact (enumeration-based) oracle, a sample size
+    beyond float64, or physical memory: an array of the declared or
+    requested shape is refused before it is allocated.
     """
 
 

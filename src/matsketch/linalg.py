@@ -1,8 +1,7 @@
 """Deterministic dense-matrix norms and decompositions.
 
 All functions take anything ``np.asarray`` accepts and validate it as a
-finite real matrix.  Tolerances used across the package: 1e-8 for
-orthogonality/symmetry checks, 1e-6 * scale for reconstructions.
+finite real matrix.
 """
 
 from __future__ import annotations
@@ -21,10 +20,6 @@ from .errors import (
     TooLargeError,
     ZeroMatrixError,
 )
-
-ORTHONORMALITY_TOL = 1e-8
-RECONSTRUCTION_TOL = 1e-6
-
 
 def as_matrix(a, allow_empty: bool = False, check_finite: bool = True) -> np.ndarray:
     """Validate and return ``a`` as a 2-d float64 array with finite entries.

@@ -17,8 +17,9 @@ block read into its place in the result, so a truncated file fails with
 the same "truncated at row R" either way.  MatrixMarket sources are parsed
 fully and then streamed in row order.  A binary file's size must match its
 header exactly, which is checked before any data is read.  Text formats
-are read as bytes and decoded line by line, so a non-ASCII byte is a
-ParseError naming its line, and so is a last line without a line end
+are read in 64 KiB byte chunks and split at ``\\n``, ``\\r\\n`` and ``\\r``
+alike, so line numbers are exact for every line end: a non-ASCII byte is
+a ParseError naming its line, and so is a last line without a line end
 (a file cut inside its last number).
 
 Every reader rejects a non-finite value with a ParseError: the text
@@ -40,7 +41,6 @@ sha256 needs no second read of the file.
 from __future__ import annotations
 
 import hashlib
-import io
 import math
 import os
 import struct
@@ -58,6 +58,7 @@ from .streams import MatrixRowStream, RowStream
 _BINARY_HEADER = struct.Struct("<QQ")
 _MM_MAGIC = "%%MatrixMarket"
 _BATCH_BYTES = 1 << 20  # smaller chunks are copied into batches of this size for hashing
+_TEXT_CHUNK_BYTES = 1 << 16  # text files are read in chunks of this size
 
 FORMATS = ("matrixmarket", "csv", "binary")
 
@@ -67,11 +68,11 @@ class InputDigest:
 
     ``update`` queues a chunk and returns, so hashing overlaps the reader's
     caller; ``hexdigest`` waits for the queue.  A chunk must stay unchanged
-    until it is hashed.  Small chunks (text lines) are batched into
-    ``_BATCH_BYTES`` pieces; chunks passed with ``wait=False`` are views the
-    caller keeps and are queued as they are, never copied.  Use as a
-    context manager: leaving the block drops what is still queued and joins
-    the worker.
+    until it is hashed.  Small chunks (a text reader's 64 KiB chunks) are
+    batched into ``_BATCH_BYTES`` pieces; chunks passed with ``wait=False``
+    are views the caller keeps and are queued as they are, never copied.
+    Use as a context manager: leaving the block drops what is still queued
+    and joins the worker.
     """
 
     def __init__(self):
@@ -188,29 +189,41 @@ def open_stream(path, fmt: str = "auto", digest: InputDigest | None = None) -> R
 
 
 def _text_lines(path, digest: InputDigest | None = None):
-    """Yield ``(line number, line)`` of an ASCII file, split as text mode splits it.
+    """Yield ``(line number, line)`` for each non-blank line of an ASCII file.
 
-    Each raw line is fed to ``digest`` before it is decoded.  A last line
-    without a line end is a ParseError: a file cut inside its last number
+    Reads ``_TEXT_CHUNK_BYTES`` chunks, each fed to ``digest``.  A line is
+    yielded without its line end and trailing whitespace; line numbers count
+    blank lines too.  A non-ASCII byte is a ParseError naming its line, and
+    so is a last line without a line end: a file cut inside its last number
     would otherwise read as a different value.
     """
-    lineno = 0
+    lineno, carry = 0, bytearray()
     with open(path, "rb") as fh:
-        for raw in fh:
+        while True:
+            chunk = fh.read(_TEXT_CHUNK_BYTES)
             if digest is not None:
-                digest.update(raw)
-            try:
-                text = raw.decode("ascii")
-            except UnicodeDecodeError as exc:
-                raise ParseError(
-                    f"non-ASCII byte {raw[exc.start]:#04x}", path=path, line=lineno + 1
-                ) from None
-            # text mode also ends a line at a lone "\r"
-            for line in io.StringIO(text, newline=None) if "\r" in text else (text,):
+                digest.update(chunk)
+            carry += chunk
+            if chunk and b"\n" not in chunk and b"\r" not in chunk:
+                continue  # a long line is split once it ends, not once per chunk
+            lines = carry.splitlines(keepends=True)
+            # the last piece may go on in the next chunk, or be a "\r" whose "\n" starts it
+            carry = lines.pop() if chunk else b""
+            for raw in lines:
                 lineno += 1
-                if not line.endswith("\n"):  # "\r\n" and "\r" are read as "\n"
+                try:
+                    line = raw.decode("ascii")
+                except UnicodeDecodeError as exc:
+                    raise ParseError(
+                        f"non-ASCII byte {raw[exc.start]:#04x}", path=path, line=lineno
+                    ) from None
+                if not line.endswith(("\n", "\r")):
                     raise ParseError("last line has no line end", path=path, line=lineno)
-                yield lineno, line
+                line = line.rstrip()
+                if line:
+                    yield lineno, line
+            if not chunk:
+                return
 
 
 # --- CSV ---------------------------------------------------------------
@@ -230,9 +243,6 @@ def _parse_csv_line(line: str, path, lineno: int) -> np.ndarray:
 
 def _iter_csv_rows(path, n_cols: int, digest: InputDigest | None = None):
     for lineno, line in _text_lines(path, digest):
-        line = line.strip()
-        if not line:
-            continue
         row = _parse_csv_line(line, path, lineno)
         if row.size != n_cols:
             raise ParseError(
@@ -250,9 +260,7 @@ def _iter_csv_blocks(path, n_cols: int, digest: InputDigest | None = None):
 
 def _csv_width(path) -> int:
     for lineno, line in _text_lines(path):
-        line = line.strip()
-        if line:
-            return _parse_csv_line(line, path, lineno).size
+        return _parse_csv_line(line, path, lineno).size
     raise ParseError("empty CSV file", path=path)
 
 
@@ -272,13 +280,14 @@ def write_csv(path, a) -> None:
 
 
 def _read_matrixmarket(path, digest: InputDigest | None = None) -> np.ndarray:
-    lines = [line for _, line in _text_lines(path, digest)]
-    if not lines or not lines[0].startswith(_MM_MAGIC):
+    lines = _text_lines(path, digest)
+    lineno, header = next(lines, (None, ""))
+    if lineno != 1 or not header.startswith(_MM_MAGIC):
         raise ParseError("missing MatrixMarket header", path=path, line=1)
-    header = lines[0].split()
-    if len(header) != 5 or header[1].lower() != "matrix":
-        raise ParseError(f"malformed header {lines[0]!r}", path=path, line=1)
-    layout, field, symmetry = (tok.lower() for tok in header[2:5])
+    tokens = header.split()
+    if len(tokens) != 5 or tokens[1].lower() != "matrix":
+        raise ParseError(f"malformed header {header!r}", path=path, line=1)
+    layout, field, symmetry = (tok.lower() for tok in tokens[2:5])
     if layout not in ("array", "coordinate"):
         raise ParseError(f"unsupported layout {layout!r}", path=path, line=1)
     if field not in ("real", "integer"):
@@ -286,15 +295,10 @@ def _read_matrixmarket(path, digest: InputDigest | None = None) -> np.ndarray:
     if symmetry != "general":
         raise ParseError(f"unsupported symmetry {symmetry!r}", path=path, line=1)
 
-    body = [
-        (lineno, line.strip())
-        for lineno, line in enumerate(lines[1:], start=2)
-        if line.strip() and not line.lstrip().startswith("%")
-    ]
-    if not body:
+    entries = ((lineno, line) for lineno, line in lines if not line.lstrip().startswith("%"))
+    size_lineno, size_line = next(entries, (None, None))
+    if size_line is None:
         raise ParseError("missing size line", path=path)
-    size_lineno, size_line = body[0]
-    entries = body[1:]
 
     def ints(tokens, lineno):
         try:
@@ -302,12 +306,13 @@ def _read_matrixmarket(path, digest: InputDigest | None = None) -> np.ndarray:
         except ValueError:
             raise ParseError(f"invalid integer in {tokens!r}", path=path, line=lineno)
 
+    # array: "m n"; coordinate: "m n nnz"
+    dims = ints(size_line.split(), size_lineno)
+    if len(dims) != (2 if layout == "array" else 3) or dims[0] < 1 or dims[1] < 1 or dims[-1] < 0:
+        raise ParseError(f"bad size line {size_line!r}", path=path, line=size_lineno)
+    m, n = dims[:2]
+    require_allocatable(m, n)
     if layout == "array":
-        dims = ints(size_line.split(), size_lineno)
-        if len(dims) != 2 or dims[0] < 1 or dims[1] < 1:
-            raise ParseError(f"bad size line {size_line!r}", path=path, line=size_lineno)
-        m, n = dims
-        require_allocatable(m, n)
         values: list[float] = []
         for lineno, line in entries:
             for tok in line.split():
@@ -316,19 +321,10 @@ def _read_matrixmarket(path, digest: InputDigest | None = None) -> np.ndarray:
                 except ValueError:
                     raise ParseError(f"invalid value {tok!r}", path=path, line=lineno)
         if len(values) != m * n:
-            raise ParseError(
-                f"expected {m * n} values, got {len(values)}", path=path
-            )
+            raise ParseError(f"expected {m * n} values, got {len(values)}", path=path)
         # array layout stores values column by column
         arr = np.array(values).reshape((n, m)).T
     else:
-        dims = ints(size_line.split(), size_lineno)
-        if len(dims) != 3 or dims[0] < 1 or dims[1] < 1 or dims[2] < 0:
-            raise ParseError(f"bad size line {size_line!r}", path=path, line=size_lineno)
-        m, n, nnz = dims
-        require_allocatable(m, n)
-        if len(entries) != nnz:
-            raise ParseError(f"expected {nnz} entries, got {len(entries)}", path=path)
         arr = np.zeros((m, n))
         seen: set[tuple[int, int]] = set()
         for lineno, line in entries:
@@ -346,6 +342,8 @@ def _read_matrixmarket(path, digest: InputDigest | None = None) -> np.ndarray:
                 raise ParseError(f"duplicate entry ({i}, {j})", path=path, line=lineno)
             seen.add((i, j))
             arr[i - 1, j - 1] = v
+        if len(seen) != dims[2]:
+            raise ParseError(f"expected {dims[2]} entries, got {len(seen)}", path=path)
     if not np.isfinite(arr).all():
         raise ParseError("non-finite value", path=path)
     return arr

@@ -42,6 +42,7 @@ from .errors import (
     NotReplayableError,
     OutOfRangeError,
     ShapeMismatchError,
+    TooLargeError,
     ZeroMatrixError,
 )
 from .linalg import as_matrix, require_allocatable
@@ -68,6 +69,7 @@ def required_sample_size(r, epsilon, delta, c_constant=1.0) -> int:
     """Smallest admissible sketch size ceil(c * t * log t), t = r/(eps^4 delta).
 
     Natural log, clamped below at 1 so the result is never under c * t.
+    TooLargeError if the size is not a finite float64.
     """
     if not r >= 1:
         raise OutOfRangeError(f"numerical rank must be >= 1, got {r}")
@@ -77,8 +79,11 @@ def required_sample_size(r, epsilon, delta, c_constant=1.0) -> int:
         raise OutOfRangeError(f"delta must lie in (0, 1), got {delta}")
     if not c_constant > 0:
         raise OutOfRangeError(f"c_constant must be positive, got {c_constant}")
-    t = float(r) / (epsilon**4 * delta)
+    scale = epsilon**4 * delta  # underflows to 0 for a tiny epsilon
+    t = float(r) / scale if scale > 0 else math.inf
     value = c_constant * t * math.log(max(t, math.e))
+    if not math.isfinite(value):
+        raise TooLargeError(f"sample size for r={r}, epsilon={epsilon}, delta={delta} exceeds float64")
     return max(1, math.ceil(value - _CEIL_GUARD * max(1.0, value)))
 
 
@@ -151,9 +156,11 @@ def _scaled_rows(rows: np.ndarray, weights: np.ndarray, total_sq: float, d: int)
     return rows * scale[:, None]
 
 
-def _check_size(d: int) -> None:
+def _check_size(d: int, n_cols: int) -> None:
+    """OutOfRangeError if d < 1; TooLargeError if a d x n_cols array exceeds physical memory."""
     if d < 1:
         raise OutOfRangeError(f"sketch size d must be >= 1, got {d}")
+    require_allocatable(d, n_cols)
 
 
 def _sketch(matrix, chosen, total_sq: float, d: int) -> Sketch:
@@ -256,7 +263,7 @@ def materialize_chosen(stream: RowStream, positions, weights, total_sq: float, d
 
 def draw_sketch(stream: RowStream, weights, total_sq: float, d: int, seed) -> Sketch:
     """Draw ``d`` positions by ``weights``, then gather them in ``materialize_chosen``'s pass."""
-    _check_size(d)
+    _check_size(d, stream.n_cols)
     positions = draw_weighted_indices(weights, d, as_generator(seed))
     return materialize_chosen(stream, positions, weights, total_sq, d)
 
@@ -265,7 +272,7 @@ def sample_sketch_two_pass(stream: RowStream, d: int, seed=0) -> Sketch:
     """Sketch a replayable stream: weight pass, then ``draw_sketch``."""
     if not stream.replayable:
         raise NotReplayableError("two-pass sampling requires a replayable stream")
-    _check_size(d)
+    _check_size(d, stream.n_cols)
     weights, total_sq, _ = stream_weights(stream)
     return draw_sketch(stream, weights, total_sq, d, seed)
 
@@ -283,8 +290,7 @@ def sample_sketch_one_pass(stream: RowStream, d: int, seed=0) -> Sketch:
     reservoirs are mutually independent.  TooLargeError if the d x n
     reservoir rows exceed physical memory, before they are allocated.
     """
-    _check_size(d)
-    require_allocatable(d, stream.n_cols)
+    _check_size(d, stream.n_cols)
     rng = as_generator(seed)
     running = 0.0
     rows = np.zeros((d, stream.n_cols))

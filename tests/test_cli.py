@@ -139,6 +139,15 @@ class TestApproxSvd:
         assert code == 65
         assert "bad.mtx:4: non-ASCII byte 0xff" in capsys.readouterr().err
 
+    def test_sample_size_beyond_float64_is_data_error(self, tmp_path, capsys, rng):
+        path = tmp_path / "small.bin"
+        write_binary(path, rng.normal(size=(20, 4)))
+        code = main(
+            ["approx-svd", "--input", str(path), "--k", "2", "--epsilon", "1e-90", "--out", "-"]
+        )
+        assert code == 65
+        assert "epsilon=1e-90, delta=0.5 exceeds float64" in capsys.readouterr().err
+
     def test_zero_matrix_is_one_data_error_in_every_mode(self, tmp_path, capsys):
         path = tmp_path / "zero.bin"
         write_binary(path, np.zeros((20, 4)))

@@ -356,6 +356,65 @@ class TestTruncatedText:
             self._refused(path, "csv")
 
 
+class TestLineSource:
+    """Both text formats read lines from one chunked source, whatever the line ends."""
+
+    @staticmethod
+    def _peak(path):
+        tracemalloc.start()
+        try:
+            read_matrix(path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    @pytest.mark.parametrize(
+        "fmt, data",
+        [
+            ("csv", b"1,2\n\n3,4\n5,\xe96\n"),
+            ("matrixmarket", b"%%MatrixMarket matrix array real general\n2 1\n1\n\xff\n"),
+        ],
+        ids=["csv", "matrixmarket"],
+    )
+    def test_non_ascii_byte_names_its_line(self, tmp_path, fmt, data, newline):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data.replace(b"\n", newline))
+        for read in (lambda: read_matrix(path, fmt), lambda: list(open_stream(path, fmt))):
+            with pytest.raises(ParseError, match=r"bad\.txt:4: non-ASCII byte"):
+                read()
+
+    def test_cr_line_ends_cost_no_memory(self, tmp_path, rng):
+        lf, cr = tmp_path / "lf.csv", tmp_path / "cr.csv"
+        write_csv(lf, rng.normal(size=(5000, 10)))  # ~0.9 MiB
+        cr.write_bytes(lf.read_bytes().replace(b"\n", b"\r"))
+        assert self._peak(cr) <= self._peak(lf) + (1 << 19)
+
+    def test_matrixmarket_array_peak(self, tmp_path, rng):
+        # no list of the file's lines: Python floats and the matrix only
+        path = tmp_path / "a.mtx"
+        write_matrixmarket(path, rng.normal(size=(5000, 10)))  # ~0.9 MiB
+        assert self._peak(path) < 4 * path.stat().st_size
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    @pytest.mark.parametrize("fmt", ["csv", "matrixmarket"])
+    def test_lines_split_across_chunks(self, tmp_path, monkeypatch, rng, chunk, newline, fmt):
+        # blank lines (and a MatrixMarket comment); every line end meets a chunk boundary somewhere
+        monkeypatch.setattr(matio, "_TEXT_CHUNK_BYTES", chunk)
+        a = rng.normal(size=(5, 3))
+        path = tmp_path / "a.txt"
+        (write_csv if fmt == "csv" else write_matrixmarket)(path, a)
+        lines = path.read_bytes().split(b"\n")
+        lines.insert(1, b"% comment" if fmt == "matrixmarket" else b"")
+        lines.insert(3, b"  ")
+        path.write_bytes(newline.join(lines))
+        with InputDigest() as digest:
+            assert np.array_equal(read_matrix(path, fmt, digest=digest), a)
+            assert digest.hexdigest() == sha256_file(path)
+        assert np.array_equal(np.concatenate(list(open_stream(path, fmt))), a)
+
+
 class TestDetectAndIngest:
     def test_detection(self, tmp_path, random_matrix):
         mm = tmp_path / "noext_mm"

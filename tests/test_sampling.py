@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from matsketch import streams
+from matsketch import sampling, streams
+from matsketch.approx import low_rank_approximate
 from matsketch.lln import matrix_rows_ensemble
 from matsketch.sampling import draw_weighted_indices, materialize_chosen, row_weights, stream_weights
 from matsketch.matio import open_stream, write_binary, write_csv
@@ -90,6 +91,12 @@ class TestRequiredSampleSize:
         assert required_sample_size(100, 0.5, 0.5) == required_sample_size(100, 0.5, 0.5, 1.0)
         assert required_sample_size(100, 0.5, 0.5) == 25827
 
+    @pytest.mark.parametrize("eps", [1e-90, 1e-80])
+    def test_size_beyond_float64_is_too_large(self, eps):
+        # eps**4 underflows to 0 at 1e-90; at 1e-80 it is subnormal and t overflows to inf
+        with pytest.raises(TooLargeError, match=rf"r=2, epsilon={eps}, delta=0.5"):
+            required_sample_size(2, eps, 0.5)
+
 
 class TestSampleSketch:
     def test_point_mass(self):
@@ -166,6 +173,23 @@ class TestTwoPass:
     def test_identity_contract(self):
         sketch = sample_sketch_two_pass(MatrixRowStream(np.eye(5)), 12, seed=0)
         assert np.allclose(np.linalg.norm(sketch.matrix, axis=1), math.sqrt(5) / math.sqrt(12))
+
+    @pytest.mark.parametrize(
+        "sketch",
+        [
+            lambda d: sample_sketch(FIXED_8ROW, d),
+            lambda d: sample_sketch_two_pass(MatrixRowStream(FIXED_8ROW), d),
+            lambda d: low_rank_approximate(FIXED_8ROW, 2, 0.5, 0.5, d=d),
+        ],
+        ids=["in-memory", "two-pass", "low-rank"],
+    )
+    def test_sketch_beyond_memory_refused_before_drawing(self, monkeypatch, sketch):
+        def no_draw(*args, **kwargs):
+            pytest.fail("the sketch rows were drawn")
+
+        monkeypatch.setattr(sampling, "draw_weighted_indices", no_draw)
+        with pytest.raises(TooLargeError, match="1000000000000x8"):
+            sketch(10**12)
 
     def test_single_shot_rejected(self, rng):
         a = rng.normal(size=(5, 3))

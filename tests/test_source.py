@@ -37,6 +37,34 @@ def test_library_has_no_assert_statements():
     assert SOURCES and not found, found
 
 
+def test_module_constants_are_read():
+    # a module-level name that no code in the package reads is dead
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    assigned = [
+        (path.name, target.id)
+        for path, tree in zip(SOURCES, trees)
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    ]
+    unread = [
+        f"{module}:{name}"
+        for module, name in assigned
+        if not (name.startswith("__") and name.endswith("__")) and name not in read
+    ]
+    assert len(assigned) > 10 and not unread, unread
+
+
 def test_names_the_benchmark_tracer_binds_exist():
     # the tracer looks each name up with a bare getattr, so a renamed function
     # breaks only the benchmark's traced mode; ``install`` is not called, since
