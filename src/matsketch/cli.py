@@ -106,13 +106,13 @@ def _provenance(path, digest: matio.InputDigest) -> dict:
 
 
 def _cmd_approx_svd(args, digest):
+    if args.stream == "one-pass" and args.d is None:
+        raise UsageError("--stream one-pass requires an explicit --d")
     if args.stream == "none":
         source = matio.read_matrix(args.input, args.format, digest)
     else:
         source = matio.open_stream(args.input, args.format, digest)
         if args.stream == "one-pass":
-            if args.d is None:
-                raise UsageError("--stream one-pass requires an explicit --d")
             # one traversal of the file's blocks, refused a second time
             source = RowStream(iter(source), source.n_cols)
     projector, report = approx.low_rank_approximate(

@@ -48,7 +48,6 @@ class SubsetMask:
 
     n: int
     included: np.ndarray
-    q_expected: float
 
     @property
     def size(self) -> int:
@@ -56,7 +55,7 @@ class SubsetMask:
 
 
 def full_mask(n: int) -> SubsetMask:
-    return SubsetMask(n=n, included=np.ones(n, dtype=bool), q_expected=float(n))
+    return SubsetMask(n=n, included=np.ones(n, dtype=bool))
 
 
 def bernoulli_subset(n: int, q: float, seed=0) -> SubsetMask:
@@ -66,7 +65,7 @@ def bernoulli_subset(n: int, q: float, seed=0) -> SubsetMask:
     if not 0 <= q <= n:
         raise OutOfRangeError(f"q must lie in [0, {n}], got {q}")
     rng = as_generator(seed)
-    return SubsetMask(n=n, included=rng.random(n) < q / n, q_expected=float(q))
+    return SubsetMask(n=n, included=rng.random(n) < q / n)
 
 
 def restrict(a, row_mask: SubsetMask, col_mask: SubsetMask | None = None) -> np.ndarray:

@@ -30,8 +30,6 @@ class VectorEnsemble:
     E y (x) y, normalized to spectral norm at most 1.
     """
 
-    kind: str
-    dimension: int
     bound: float
     second_moment: np.ndarray
     atoms: np.ndarray
@@ -49,8 +47,6 @@ def scaled_basis_ensemble(n: int) -> VectorEnsemble:
     if n < 1:
         raise OutOfRangeError(f"dimension must be >= 1, got {n}")
     return VectorEnsemble(
-        kind="scaled_basis",
-        dimension=n,
         bound=math.sqrt(n),
         second_moment=np.eye(n),
         atoms=math.sqrt(n) * np.eye(n),
@@ -74,8 +70,6 @@ def matrix_rows_ensemble(a) -> VectorEnsemble:
     # each atom is its row rescaled to length fro; the spectral norm cancels
     atoms = stream.matrix[keep] * (fro / np.sqrt(weights[keep]))[:, None]
     return VectorEnsemble(
-        kind="matrix_rows",
-        dimension=stream.n_cols,
         bound=fro,
         second_moment=gram / top_sq,
         atoms=atoms,

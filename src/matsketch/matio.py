@@ -26,12 +26,16 @@ Every reader rejects a non-finite value with a ParseError: the text
 parsers as they parse, the binary block loop per block (every block of
 ``read_matrix``, a stream's first traversal only), naming the first bad
 row.  A binary stream's later traversals are not scanned again: the
-library replays a stream only through ``sampling.replay``, whose bitwise
+library replays a stream only through ``sampling._traverse`` given the
+first pass's weights (which ``sampling.replay`` wraps), whose bitwise
 weight test rejects any entry that is no longer finite.  Streams do no
 scan of their own.
 
 A MatrixMarket size line is checked against physical memory
-(``linalg.require_allocatable``) before the matrix is allocated.
+(``linalg.require_allocatable``) before the matrix is allocated, and the
+parser holds no more than that check covered: ``array`` values fill a
+float64 vector of m*n entries, ``coordinate`` duplicates are tracked in an
+m x n bool mask.
 
 Both readers take an optional ``InputDigest``, which hashes the bytes they
 read (on a stream's first traversal only) as they are read, so the input's
@@ -140,13 +144,10 @@ def detect_format(path) -> str:
         return "csv"
     if suffix == ".bin":
         return "binary"
-    try:
-        text = head.decode("ascii")
-    except UnicodeDecodeError:
+    # a binary header's u64 row count has a zero top byte; text holds no NUL
+    if b"\0" in head:
         return "binary"
-    if "," in text:
-        return "csv"
-    return "binary"
+    return "csv" if head.isascii() else "binary"
 
 
 def _resolve(path, fmt: str) -> str:
@@ -183,7 +184,7 @@ def open_stream(path, fmt: str = "auto", digest: InputDigest | None = None) -> R
     with open(path, "rb") as fh:
         m, n = _binary_shape(fh, path)
     # the digest and the finiteness scan, then neither: a replay's non-finite
-    # entry fails sampling.replay's bitwise weight test
+    # entry fails the bitwise weight test of sampling._traverse
     feeds = iter([(digest, _check_finite)])
     return RowStream(lambda: _iter_binary_blocks(path, m, n, *next(feeds, (None, None))), n)
 
@@ -313,20 +314,25 @@ def _read_matrixmarket(path, digest: InputDigest | None = None) -> np.ndarray:
     m, n = dims[:2]
     require_allocatable(m, n)
     if layout == "array":
-        values: list[float] = []
+        values = np.empty(m * n)  # 8 bytes a value, as the allocation check assumed
+        count = 0
         for lineno, line in entries:
             for tok in line.split():
+                if count == values.size:
+                    raise ParseError(f"more than the {m * n} values declared", path=path, line=lineno)
                 try:
-                    values.append(float(tok))
+                    values[count] = float(tok)
                 except ValueError:
                     raise ParseError(f"invalid value {tok!r}", path=path, line=lineno)
-        if len(values) != m * n:
-            raise ParseError(f"expected {m * n} values, got {len(values)}", path=path)
+                count += 1
+        if count != m * n:
+            raise ParseError(f"expected {m * n} values, got {count}", path=path)
         # array layout stores values column by column
-        arr = np.array(values).reshape((n, m)).T
+        arr = values.reshape((n, m)).T
     else:
         arr = np.zeros((m, n))
-        seen: set[tuple[int, int]] = set()
+        seen = np.zeros((m, n), dtype=bool)
+        count = 0
         for lineno, line in entries:
             tokens = line.split()
             if len(tokens) != 3:
@@ -338,12 +344,13 @@ def _read_matrixmarket(path, digest: InputDigest | None = None) -> np.ndarray:
                 raise ParseError(f"invalid value {tokens[2]!r}", path=path, line=lineno)
             if not (1 <= i <= m and 1 <= j <= n):
                 raise ParseError(f"entry ({i}, {j}) out of range", path=path, line=lineno)
-            if (i, j) in seen:
+            if seen[i - 1, j - 1]:
                 raise ParseError(f"duplicate entry ({i}, {j})", path=path, line=lineno)
-            seen.add((i, j))
+            seen[i - 1, j - 1] = True
+            count += 1
             arr[i - 1, j - 1] = v
-        if len(seen) != dims[2]:
-            raise ParseError(f"expected {dims[2]} entries, got {len(seen)}", path=path)
+        if count != dims[2]:
+            raise ParseError(f"expected {dims[2]} entries, got {count}", path=path)
     if not np.isfinite(arr).all():
         raise ParseError("non-finite value", path=path)
     return arr

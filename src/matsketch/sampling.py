@@ -6,13 +6,14 @@ where F is the Frobenius norm of the source, so that the expected Gram
 matrix of the sketch equals the Gram matrix of the source and every sketch
 row has length F/sqrt(d).
 
-Three modes share this law and one block-based core: every mode reads the
-source as row blocks (see ``streams``), computes weights per block with
-``row_weights``' reduction, and gathers chosen rows out of the blocks.  A
-row's index, as in ``Sketch.chosen_indices``, is its position in the
-traversal.  Non-finite entries give non-finite weights, which every pass
-rejects: the weight total is checked by ``total_weight`` and a replay's
-weights are compared bit for bit with the first pass's finite ones.
+Three modes share this law and one block-based core.  Every pass of every
+mode runs through ``_traverse``, the one traversal: it reads row blocks
+(see ``streams``), weighs each block with ``row_weights``' reduction and
+counts positions; a row's index, as in ``Sketch.chosen_indices``, is its
+position in the traversal.  ``_sketch`` alone rescales the chosen rows.
+Non-finite entries give non-finite weights, which every pass rejects: the
+weight total is checked by ``total_weight``, and ``_traverse`` compares a
+replay's weights bit for bit with the first pass's finite ones.
 
 * ``sample_sketch``          -- in-memory matrix: two-pass sampling over the
   matrix's blocks, so it is bit-identical to the two-pass mode by
@@ -149,13 +150,6 @@ def draw_weighted_indices(weights, size: int, rng) -> np.ndarray:
     return np.searchsorted(cum, u, side="right").astype(np.int64)
 
 
-def _scaled_rows(rows: np.ndarray, weights: np.ndarray, total_sq: float, d: int) -> np.ndarray:
-    # (1/sqrt(d)) * (F/|x|) * x for each chosen row x
-    f = math.sqrt(total_sq)
-    scale = f / (math.sqrt(d) * np.sqrt(weights))
-    return rows * scale[:, None]
-
-
 def _check_size(d: int, n_cols: int) -> None:
     """OutOfRangeError if d < 1; TooLargeError if a d x n_cols array exceeds physical memory."""
     if d < 1:
@@ -163,13 +157,12 @@ def _check_size(d: int, n_cols: int) -> None:
     require_allocatable(d, n_cols)
 
 
-def _sketch(matrix, chosen, total_sq: float, d: int) -> Sketch:
-    return Sketch(
-        matrix=matrix,
-        chosen_indices=chosen,
-        frobenius_of_source=math.sqrt(total_sq),
-        d=int(d),
-    )
+def _sketch(rows: np.ndarray, positions: np.ndarray, weights: np.ndarray, total_sq: float) -> Sketch:
+    """Each chosen row x becomes (1/sqrt(d)) * (F/|x|) * x, with d = ``positions.size``."""
+    d = positions.size
+    f = math.sqrt(total_sq)
+    scale = f / (math.sqrt(d) * np.sqrt(weights))
+    return Sketch(matrix=rows * scale[:, None], chosen_indices=positions, frobenius_of_source=f, d=d)
 
 
 def sample_sketch(a, d: int, seed=0) -> Sketch:
@@ -190,6 +183,28 @@ def sample_sketch(a, d: int, seed=0) -> Sketch:
     return sample_sketch_two_pass(MatrixRowStream(a), d, seed)
 
 
+def _traverse(stream: RowStream, expected=None) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """One traversal of ``stream``, yielding (start, block, weights) per block.
+
+    ``start`` is the position of the block's first row.  Given ``expected``,
+    the first pass's row weights, a traversal whose weights differ from them
+    bit for bit, or whose row count differs, raises ShapeMismatchError.
+    """
+    start = 0
+    for block in stream:
+        weights = _block_weights(block)
+        stop = start + block.shape[0]
+        # == on finite sums of squares is a bitwise test; a slice cut short never matches
+        if expected is not None and not np.array_equal(weights, expected[start:stop]):
+            raise ShapeMismatchError(
+                f"stream replay differs from the first pass in rows {start}..{stop - 1}"
+            )
+        yield start, block, weights
+        start = stop
+    if expected is not None and start != expected.size:
+        raise ShapeMismatchError(f"stream replay has {start} rows, the first pass had {expected.size}")
+
+
 def stream_weights(stream: RowStream, accumulate_gram: bool = False):
     """One traversal collecting per-row weights (and optionally the Gram matrix).
 
@@ -198,12 +213,13 @@ def stream_weights(stream: RowStream, accumulate_gram: bool = False):
     """
     weight_parts = [np.empty(0)]  # an empty stream has no weights
     gram = np.zeros((stream.n_cols, stream.n_cols)) if accumulate_gram else None
-    for block in stream:
-        weight_parts.append(_block_weights(block))
+    for _, block, w in _traverse(stream):
+        weight_parts.append(w)
         if gram is not None:
             # a Gram entry overflows only if the weight total does
             with np.errstate(over="ignore", invalid="ignore"):
                 gram += block.T @ block
+        del block  # freed before the next block is weighed, or it fragments the heap
     w = np.concatenate(weight_parts)
     total = total_weight(w)
     _check_nonzero(total)
@@ -211,61 +227,34 @@ def stream_weights(stream: RowStream, accumulate_gram: bool = False):
 
 
 def replay(stream: RowStream, weights) -> Iterator[np.ndarray]:
-    """Traverse ``stream`` again, checking it replays the first pass's rows.
-
-    ``weights`` are the row weights of the first pass.  Each block's weights
-    are recomputed and compared bit for bit with them, and the row count
-    must match, so a traversal that differs from the first raises
-    ShapeMismatchError.  Yields the stream's blocks.
-    """
-    weights = np.asarray(weights)
-    seen = 0
-    for block in stream:
-        stop = seen + block.shape[0]
-        # weights are sums of squares of finite entries: == is a bitwise test
-        if stop > weights.size or not np.array_equal(
-            _block_weights(block), weights[seen:stop]
-        ):
-            raise ShapeMismatchError(
-                f"stream replay differs from the first pass in rows {seen}..{stop - 1}"
-            )
-        yield block
-        seen = stop
-    if seen != weights.size:
-        raise ShapeMismatchError(
-            f"stream replay has {seen} rows, the first pass had {weights.size}"
-        )
+    """Blocks of a later traversal, checked against the first pass's ``weights`` by ``_traverse``."""
+    return (block for _, block, _ in _traverse(stream, np.asarray(weights)))
 
 
-def materialize_chosen(stream: RowStream, positions, weights, total_sq: float, d: int) -> Sketch:
+def materialize_chosen(stream: RowStream, positions, weights, total_sq: float) -> Sketch:
     """Second pass: collect only the chosen rows and assemble the sketch.
 
     ``positions`` are traversal positions, which become the sketch's
     ``chosen_indices``, and ``weights`` the row weights of the first pass.
     Holds the distinct chosen rows plus the block being read.  The pass
-    runs through ``replay``, so a replay that differs from the first
-    traversal raises ShapeMismatchError.
+    checks its weights against ``weights``, so a replay that differs from
+    the first traversal raises ShapeMismatchError.
     """
     positions = np.array(positions, dtype=np.int64)
     weights = np.asarray(weights)
     wanted, inverse = np.unique(positions, return_inverse=True)
     rows = np.empty((wanted.size, stream.n_cols))
-    seen = 0
-    for block in replay(stream, weights):
-        stop = seen + block.shape[0]
-        lo, hi = np.searchsorted(wanted, (seen, stop))
-        if hi > lo:
-            rows[lo:hi] = block[wanted[lo:hi] - seen]
-        seen = stop
-    matrix = _scaled_rows(rows[inverse], weights[positions], total_sq, d)
-    return _sketch(matrix, positions, total_sq, d)
+    for start, block, _ in _traverse(stream, weights):
+        lo, hi = np.searchsorted(wanted, (start, start + block.shape[0]))
+        rows[lo:hi] = block[wanted[lo:hi] - start]
+    return _sketch(rows[inverse], positions, weights[positions], total_sq)
 
 
 def draw_sketch(stream: RowStream, weights, total_sq: float, d: int, seed) -> Sketch:
     """Draw ``d`` positions by ``weights``, then gather them in ``materialize_chosen``'s pass."""
     _check_size(d, stream.n_cols)
     positions = draw_weighted_indices(weights, d, as_generator(seed))
-    return materialize_chosen(stream, positions, weights, total_sq, d)
+    return materialize_chosen(stream, positions, weights, total_sq)
 
 
 def sample_sketch_two_pass(stream: RowStream, d: int, seed=0) -> Sketch:
@@ -296,9 +285,7 @@ def sample_sketch_one_pass(stream: RowStream, d: int, seed=0) -> Sketch:
     rows = np.zeros((d, stream.n_cols))
     occupant_index = np.full(d, -1, dtype=np.int64)
     occupant_weight = np.zeros(d)
-    start = 0  # traversal position of the block's first row
-    for block in stream:
-        w = _block_weights(block)
+    for start, block, w in _traverse(stream):
         block_total = total_weight(w)
         if block_total > 0.0:
             # a float sum overflows to inf, as np.sum of the pair does
@@ -309,7 +296,5 @@ def sample_sketch_one_pass(stream: RowStream, d: int, seed=0) -> Sketch:
                 rows[slots] = block[picks]
                 occupant_index[slots] = start + picks
                 occupant_weight[slots] = w[picks]
-        start += block.shape[0]
     _check_nonzero(running)
-    matrix = _scaled_rows(rows, occupant_weight, running, d)
-    return _sketch(matrix, occupant_index, running, d)
+    return _sketch(rows, occupant_index, occupant_weight, running)

@@ -7,8 +7,9 @@ blocks from 0.  A traversal checks only each block's dtype and width.
 Entries are scanned for finiteness where they are read: the file readers
 reject non-finite values (a binary stream on its first traversal only),
 and every sampling pass rejects non-finite row weights
-(``sampling.total_weight``; ``sampling.replay``, through which the library
-runs every later traversal).  Consumers must not modify a block;
+(``sampling.total_weight``; later traversals run through
+``sampling._traverse`` with the first pass's weights, which
+``sampling.replay`` wraps).  Consumers must not modify a block;
 ``MatrixRowStream`` blocks are views.
 
 A stream made from a zero-argument callable is replayable: each traversal

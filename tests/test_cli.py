@@ -228,6 +228,23 @@ class TestApproxSvd:
         )
         assert code == 64
 
+    def test_one_pass_without_d_is_refused_before_the_input_is_opened(
+        self, tmp_path, monkeypatch, capsys, rng
+    ):
+        argv = ["approx-svd", "--k", "2", "--stream", "one-pass", "--out", "-"]
+        assert main(argv + ["--input", str(tmp_path / "missing.bin")]) == 64
+        assert capsys.readouterr().err == (
+            "matsketch: usage error: --stream one-pass requires an explicit --d\n"
+        )
+        path = tmp_path / "a.mtx"
+        matsketch.write_matrixmarket(path, rng.normal(size=(10, 3)))
+
+        def no_open(*args, **kwargs):
+            pytest.fail("the input was opened")
+
+        monkeypatch.setattr(matio, "open_stream", no_open)
+        assert main(argv + ["--input", str(path)]) == 64
+
     def test_one_pass_with_d(self, tmp_path, rank3_file):
         out = tmp_path / "one.json"
         code = main(

@@ -350,7 +350,7 @@ class TestRestrict:
 
     def test_empty_selection_has_zero_norms(self, rng):
         a = rng.normal(size=(4, 4))
-        none = SubsetMask(n=4, included=np.zeros(4, dtype=bool), q_expected=0.0)
+        none = SubsetMask(n=4, included=np.zeros(4, dtype=bool))
         sub = restrict(a, none, none)
         assert sub.shape == (0, 0)
         assert np.linalg.norm(sub) == 0.0

@@ -21,6 +21,7 @@ from matsketch import (
     sample_sketch_two_pass,
     streams,
 )
+from matsketch.cli import main
 from matsketch.matio import (
     InputDigest,
     detect_format,
@@ -144,6 +145,12 @@ class TestMatrixMarket:
             "1 1 2.0\n"
         )
         with pytest.raises(ParseError, match="duplicate"):
+            read_matrix(path, "matrixmarket")
+
+    def test_array_with_too_many_values_names_the_line(self, tmp_path):
+        path = tmp_path / "long.mtx"
+        path.write_text("%%MatrixMarket matrix array real general\n2 1\n1\n2\n3\n4\n")
+        with pytest.raises(ParseError, match=r"long\.mtx:5: more than the 2 values declared"):
             read_matrix(path, "matrixmarket")
 
     def test_coordinate_out_of_range(self, tmp_path):
@@ -396,6 +403,21 @@ class TestLineSource:
         write_matrixmarket(path, rng.normal(size=(5000, 10)))  # ~0.9 MiB
         assert self._peak(path) < 4 * path.stat().st_size
 
+    @pytest.mark.parametrize("layout", ["array", "coordinate"])
+    def test_matrixmarket_holds_only_what_was_checked(self, tmp_path, rng, layout):
+        # the allocation check covers 8 bytes a value: no Python float, no set of indices
+        a = rng.normal(size=(2000, 50))  # 0.76 MiB
+        path = tmp_path / "a.mtx"
+        if layout == "array":
+            write_matrixmarket(path, a)
+        else:
+            with open(path, "w") as fh:
+                fh.write(f"%%MatrixMarket matrix coordinate real general\n2000 50 {a.size}\n")
+                for i, row in enumerate(a.tolist()):
+                    fh.writelines(f"{i + 1} {j + 1} {v!r}\n" for j, v in enumerate(row))
+        assert self._peak(path) <= 1.5 * a.nbytes + (1 << 19)
+        assert np.array_equal(read_matrix(path), a)
+
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
     @pytest.mark.parametrize("fmt", ["csv", "matrixmarket"])
@@ -426,6 +448,22 @@ class TestDetectAndIngest:
         assert detect_format(mm) == "matrixmarket"
         assert detect_format(csv) == "csv"
         assert detect_format(binary) == "binary"
+
+    def test_one_column_csv_without_suffix(self, tmp_path):
+        path = tmp_path / "column"
+        path.write_text("1.5\n2.5\n3.5\n")
+        assert detect_format(path) == "csv"
+        assert np.array_equal(read_matrix(path), [[1.5], [2.5], [3.5]])
+        out = tmp_path / "r.json"
+        assert main(["approx-svd", "--input", str(path), "--k", "1", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 1), (100, 200)])
+    def test_all_zero_binary_without_suffix(self, tmp_path, shape):
+        # the header's NUL bytes mark it binary, also where every byte is ASCII
+        path = tmp_path / "zeros"
+        path.write_bytes(struct.pack("<QQ", *shape) + bytes(8 * shape[0] * shape[1]))
+        assert detect_format(path) == "binary"
+        assert np.array_equal(read_matrix(path), np.zeros(shape))
 
     def test_read_matrix_matches_open_stream(self, tmp_path, random_matrix):
         path = tmp_path / "a.csv"

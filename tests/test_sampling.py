@@ -1,3 +1,4 @@
+import hashlib
 import math
 import weakref
 
@@ -263,7 +264,7 @@ class TestTwoPass:
         weights, total_sq, _ = stream_weights(stream)
         stream.matrix[17, 3] = np.nan
         with pytest.raises(ShapeMismatchError, match="differs"):
-            materialize_chosen(stream, np.arange(5), weights, total_sq, 5)
+            materialize_chosen(stream, np.arange(5), weights, total_sq)
 
 
 # every squared row length overflows / finite squared lengths whose sum overflows
@@ -332,6 +333,58 @@ class TestBlockSize:
         counts = np.bincount(sketch.chosen_indices, minlength=8)
         result = stats.chisquare(counts, row_distribution(FIXED_8ROW) * d)
         assert result.pvalue > 0.001
+
+
+def _pinned_matrix():
+    # 23 rows: row 5 is zero, rows 9 and 16 repeat row 2
+    rng = np.random.default_rng(2024)
+    a = rng.normal(size=(23, 4)) * rng.lognormal(size=(23, 1))
+    a[5] = 0.0
+    a[[9, 16]] = a[2]
+    return a
+
+
+def _sha256(x) -> str:
+    return hashlib.sha256(np.asarray(x).tobytes()).hexdigest()
+
+
+class TestSeedPinsBytes:
+    """A seed fixes every mode's output bytes; 5-row blocks split the source into five."""
+
+    SKETCH = {
+        "in-memory": (
+            "f0d744ea1e8f876d610e9db15388d9d28ee3cded638b2b0d3b22874f2c693c67",
+            "1d65bcaa859aed5a31482958e7612b6f5a9ee4f226813cb54691aff07b1ac416",
+        ),
+        "two-pass": (
+            "f0d744ea1e8f876d610e9db15388d9d28ee3cded638b2b0d3b22874f2c693c67",
+            "1d65bcaa859aed5a31482958e7612b6f5a9ee4f226813cb54691aff07b1ac416",
+        ),
+        "one-pass": (
+            "df4f0660b422b4e4a1b222740fc87eb17a999930285e89219a5799e809766584",
+            "e8695f312622b28d7010270a89c17e0ce84a2202ec8f3d021191826133e21727",
+        ),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(SKETCH))
+    def test_sketch(self, monkeypatch, mode):
+        monkeypatch.setattr(streams, "BLOCK_ROWS", 5)
+        a = _pinned_matrix()
+        sample = {
+            "in-memory": lambda: sample_sketch(a, 40, seed=7),
+            "two-pass": lambda: sample_sketch_two_pass(MatrixRowStream(a), 40, seed=7),
+            "one-pass": lambda: sample_sketch_one_pass(MatrixRowStream(a), 40, seed=7),
+        }[mode]
+        sketch = sample()
+        assert (_sha256(sketch.chosen_indices), _sha256(sketch.matrix)) == self.SKETCH[mode]
+
+    def test_weights_and_gram(self, monkeypatch):
+        monkeypatch.setattr(streams, "BLOCK_ROWS", 5)
+        weights, _, gram = stream_weights(MatrixRowStream(_pinned_matrix()), accumulate_gram=True)
+        assert (_sha256(weights), _sha256(gram)) == (
+            "6c9eae660808385bb9996f50179f75cae117b652a9e1a021d413985ae9823f01",
+            "807a708b5619cf2ade54b580e9c951c0bd4363b04e060d1429eb2d672ae91906",
+        )
 
 
 class TestOnePass:

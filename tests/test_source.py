@@ -65,6 +65,29 @@ def test_module_constants_are_read():
     assert len(assigned) > 10 and not unread, unread
 
 
+def test_class_fields_are_read():
+    # an annotated class field that no code reads as ``x.field`` is dead
+    root = Path(__file__).resolve().parents[1]
+    trees = ("src", "tests", "scripts", "perfbench")
+    readers = [path for tree in trees for path in (root / tree).rglob("*.py")]
+    read = {
+        node.attr
+        for path in readers
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = [
+        (path.name, cls.name, node.target.id)
+        for path in SOURCES
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    ]
+    unread = [f"{module}:{cls}.{name}" for module, cls, name in fields if name not in read]
+    assert len(fields) > 10 and not unread, unread
+
+
 def test_names_the_benchmark_tracer_binds_exist():
     # the tracer looks each name up with a bare getattr, so a renamed function
     # breaks only the benchmark's traced mode; ``install`` is not called, since
