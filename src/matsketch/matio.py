@@ -31,6 +31,16 @@ first pass's weights (which ``sampling.replay`` wraps), whose bitwise
 weight test rejects any entry that is no longer finite.  Streams do no
 scan of their own.
 
+A binary stream also gathers rows (``RowStream.select``): sampling's pass
+two reads only the distinct chosen rows, one ``os.preadv`` each, and
+``_traverse`` checks their weights bit for bit.  The rows it does not read
+are guarded by a stamp of the file (device, inode, size, mtime and ctime
+in ns) taken when the stream checks the header: if the stamp differs after
+the reads, pass two replays the whole file instead.  A rewrite that keeps
+the stamp (on a filesystem with coarse timestamps) and touches no chosen
+row goes unseen, and cannot change the sketch.  Where ``os`` has no
+``preadv`` (Windows) every pass reads the whole file.
+
 A MatrixMarket size line is checked against physical memory
 (``linalg.require_allocatable``) before the matrix is allocated, and the
 parser holds no more than that check covered: ``array`` values fill a
@@ -173,6 +183,8 @@ def open_stream(path, fmt: str = "auto", digest: InputDigest | None = None) -> R
 
     ``digest`` is fed every byte of the file during the first traversal.
     A binary file is scanned for non-finite entries on that traversal only.
+    A binary stream also gathers given rows by positioned reads
+    (``_gather_binary_rows``), where ``os.preadv`` exists.
     """
     fmt = _resolve(path, fmt)
     if fmt == "matrixmarket":
@@ -183,10 +195,13 @@ def open_stream(path, fmt: str = "auto", digest: InputDigest | None = None) -> R
         return RowStream(lambda: _iter_csv_blocks(path, n_cols, next(feeds, None)), n_cols)
     with open(path, "rb") as fh:
         m, n = _binary_shape(fh, path)
+        stamp = _file_stamp(fh)
     # the digest and the finiteness scan, then neither: a replay's non-finite
     # entry fails the bitwise weight test of sampling._traverse
     feeds = iter([(digest, _check_finite)])
-    return RowStream(lambda: _iter_binary_blocks(path, m, n, *next(feeds, (None, None))), n)
+    # where os has no preadv (Windows), pass two reads the file in full
+    gather = (lambda rows: _gather_binary_rows(path, n, rows, stamp)) if hasattr(os, "preadv") else None
+    return RowStream(lambda: _iter_binary_blocks(path, m, n, *next(feeds, (None, None))), n, gather)
 
 
 def _text_lines(path, digest: InputDigest | None = None):
@@ -385,6 +400,33 @@ def _binary_shape(fh, path) -> tuple[int, int]:
             f"file has {size} bytes, a {m}x{n} matrix needs {expected}", path=path
         )
     return int(m), int(n)
+
+
+def _file_stamp(fh) -> tuple[int, ...]:
+    """Device, inode, size, and mtime and ctime in ns of the open file ``fh``."""
+    st = os.fstat(fh.fileno())
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+
+
+def _gather_binary_rows(path, n: int, rows: np.ndarray, stamp) -> np.ndarray | None:
+    """Rows ``rows`` (sorted, distinct) of an n-column binary file, one ``os.preadv`` each.
+
+    None if, after the reads, the file's ``_file_stamp`` is no longer
+    ``stamp``, the one taken when the stream checked the header: the file
+    may have changed since, and only a full traversal can check it.  A read
+    cut short is a ParseError, "truncated at row R".  The rows are not
+    scanned for non-finite values; their weights are checked instead.
+    """
+    out = np.empty((rows.size, n), dtype="<f8")
+    width = 8 * n
+    with open(path, "rb") as fh:
+        fd = fh.fileno()
+        for row, buf in zip(rows.tolist(), out):
+            if os.preadv(fd, [buf], _BINARY_HEADER.size + width * row) != width:
+                raise ParseError(f"truncated at row {row}", path=path)
+        if _file_stamp(fh) != stamp:
+            return None
+    return out.astype(np.float64, copy=False)
 
 
 def _check_finite(values, first: int, n: int, path) -> None:

@@ -20,8 +20,10 @@ replay's weights bit for bit with the first pass's finite ones.
   construction;
 * ``sample_sketch_two_pass`` -- replayable stream: pass 1
   (``stream_weights``) accumulates row weights and rejects a zero total,
-  then ``draw_sketch`` draws the positions and runs pass 2, which checks
-  that it replays the same weights and materializes only the chosen rows;
+  then ``draw_sketch`` draws the positions and runs pass 2
+  (``materialize_chosen``), which keeps only the chosen rows and checks
+  their weights against pass 1's: a binary file's stream reads just those
+  rows, any other stream is replayed in full and every row is checked;
 * ``sample_sketch_one_pass`` -- single traversal keeping d independent
   single-item weighted reservoirs, updated once per block.  Same occupant
   law, its own index stream.
@@ -183,12 +185,18 @@ def sample_sketch(a, d: int, seed=0) -> Sketch:
     return sample_sketch_two_pass(MatrixRowStream(a), d, seed)
 
 
-def _traverse(stream: RowStream, expected=None) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+def _traverse(
+    stream: RowStream, expected=None, source_rows=None
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """One traversal of ``stream``, yielding (start, block, weights) per block.
 
     ``start`` is the position of the block's first row.  Given ``expected``,
-    the first pass's row weights, a traversal whose weights differ from them
-    bit for bit, or whose row count differs, raises ShapeMismatchError.
+    the first pass's weights of the rows traversed, a traversal whose
+    weights differ from them bit for bit, or whose row count differs,
+    raises ShapeMismatchError.  ``source_rows``, for a traversal of
+    gathered rows (``RowStream.select``), are the source rows its
+    positions hold; the errors then name the first differing source row
+    and the number of chosen rows expected.
     """
     start = 0
     for block in stream:
@@ -196,13 +204,25 @@ def _traverse(stream: RowStream, expected=None) -> Iterator[tuple[int, np.ndarra
         stop = start + block.shape[0]
         # == on finite sums of squares is a bitwise test; a slice cut short never matches
         if expected is not None and not np.array_equal(weights, expected[start:stop]):
-            raise ShapeMismatchError(
-                f"stream replay differs from the first pass in rows {start}..{stop - 1}"
-            )
+            where = _differing(weights, expected, start, source_rows)
+            raise ShapeMismatchError(f"stream replay differs from the first pass in {where}")
         yield start, block, weights
         start = stop
     if expected is not None and start != expected.size:
+        if source_rows is not None:
+            raise ShapeMismatchError(f"gathered {start} rows, expected the {expected.size} chosen rows")
         raise ShapeMismatchError(f"stream replay has {start} rows, the first pass had {expected.size}")
+
+
+def _differing(weights, expected, start: int, source_rows) -> str:
+    """Where a block's ``weights`` differ from ``expected``: its positions, or the first source row."""
+    if source_rows is None:
+        return f"rows {start}..{start + weights.size - 1}"
+    ref = expected[start : start + weights.size]
+    same = weights[: ref.size] == ref
+    if same.all():  # every expected row matched; the block holds more
+        return f"a row past the {expected.size} chosen rows"
+    return f"row {source_rows[start + int(np.argmin(same))]}"
 
 
 def stream_weights(stream: RowStream, accumulate_gram: bool = False):
@@ -236,17 +256,25 @@ def materialize_chosen(stream: RowStream, positions, weights, total_sq: float) -
 
     ``positions`` are traversal positions, which become the sketch's
     ``chosen_indices``, and ``weights`` the row weights of the first pass.
-    Holds the distinct chosen rows plus the block being read.  The pass
-    checks its weights against ``weights``, so a replay that differs from
-    the first traversal raises ShapeMismatchError.
+    A stream that can gather (``RowStream.select``; a binary file's) reads
+    only the distinct chosen rows, and their weights are checked bit for
+    bit against ``weights``.  Any other stream is replayed in full,
+    holding the distinct chosen rows plus the block being read, and every
+    row's weight is checked.  A pass that differs from the first traversal
+    raises ShapeMismatchError.
     """
     positions = np.array(positions, dtype=np.int64)
     weights = np.asarray(weights)
     wanted, inverse = np.unique(positions, return_inverse=True)
     rows = np.empty((wanted.size, stream.n_cols))
-    for start, block, _ in _traverse(stream, weights):
-        lo, hi = np.searchsorted(wanted, (start, start + block.shape[0]))
-        rows[lo:hi] = block[wanted[lo:hi] - start]
+    selected = stream.select(wanted)
+    if selected is not None:
+        for start, block, _ in _traverse(selected, weights[wanted], wanted):
+            rows[start : start + block.shape[0]] = block
+    else:
+        for start, block, _ in _traverse(stream, weights):
+            lo, hi = np.searchsorted(wanted, (start, start + block.shape[0]))
+            rows[lo:hi] = block[wanted[lo:hi] - start]
     return _sketch(rows[inverse], positions, weights[positions], total_sq)
 
 

@@ -15,10 +15,16 @@ and every sampling pass rejects non-finite row weights
 A stream made from a zero-argument callable is replayable: each traversal
 calls it for a fresh iterable of blocks.  One made from an iterable is
 single-shot and refuses a second traversal.
+
+A stream may also carry a gather, which reads given rows of its source
+directly (a binary file's stream has one, see ``matio.open_stream``);
+``select`` hands them out as a one-block single-shot stream, which
+``sampling.materialize_chosen`` checks like any later traversal.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -30,14 +36,37 @@ BLOCK_ROWS = 4096  # rows per block handed out by every reader
 
 
 class RowStream:
-    """Stream over a block factory (replayable) or a block iterable (single-shot)."""
+    """Stream over a block factory (replayable) or a block iterable (single-shot).
 
-    def __init__(self, source: Callable[[], Iterable] | Iterable, n_cols: int):
+    ``gather``, if given, takes sorted distinct row positions and returns
+    those rows as one array, or None when it cannot vouch for them.
+    """
+
+    def __init__(
+        self,
+        source: Callable[[], Iterable] | Iterable,
+        n_cols: int,
+        gather: Callable[[np.ndarray], np.ndarray | None] | None = None,
+    ):
         if n_cols < 1:
             raise ShapeMismatchError(f"row width must be >= 1, got {n_cols}")
         self.n_cols = int(n_cols)
         self.replayable = callable(source)
         self._source = source if self.replayable else iter(source)
+        self._gather = gather
+
+    def select(self, rows: np.ndarray) -> RowStream | None:
+        """Single-shot copy of this stream over the rows ``rows`` (sorted, distinct) as one block.
+
+        None when the stream has no gather or its gather returns None.  The
+        copy keeps the stream's class.
+        """
+        block = None if self._gather is None else self._gather(rows)
+        if block is None:
+            return None
+        selected = copy.copy(self)
+        selected.replayable, selected._source = False, iter([block])
+        return selected
 
     def __iter__(self) -> Iterator[np.ndarray]:
         if self.replayable:

@@ -255,6 +255,69 @@ class TestApproxSvd:
         assert read_report(out)["per_trial"][0]["error_spectral"] is None
 
 
+class TestGatheredPassTwo:
+    """Pass two of a binary file gathers the chosen rows while its stamp holds."""
+
+    ARGV = ["approx-svd", "--k", "2", "--d", "20", "--stream", "two-pass", "--seed", "3"]
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "a.bin"
+        write_binary(path, np.random.default_rng(0).standard_normal((300, 6)))
+        return path
+
+    @staticmethod
+    def _between_passes(monkeypatch, change):
+        first_pass = approx.stream_weights
+
+        def then_change(*args, **kwargs):
+            result = first_pass(*args, **kwargs)
+            change()
+            return result
+
+        monkeypatch.setattr(approx, "stream_weights", then_change)
+
+    @staticmethod
+    def _traversals(monkeypatch):
+        traversals = []
+        iter_blocks = matio._iter_binary_blocks
+
+        def counted(*args, **kwargs):
+            traversals.append(None)
+            return iter_blocks(*args, **kwargs)
+
+        monkeypatch.setattr(matio, "_iter_binary_blocks", counted)
+        return traversals
+
+    def _report(self, path, out):
+        assert main(self.ARGV + ["--input", str(path), "--out", str(out)]) == 0
+        report = read_report(out)
+        del report["started_at"], report["finished_at"]
+        return report
+
+    def test_truncated_between_passes_is_data_error(self, path, monkeypatch, capsys):
+        ten_rows = matio._BINARY_HEADER.size + 8 * 6 * 10
+        self._between_passes(monkeypatch, lambda: os.truncate(path, ten_rows))
+        assert main(self.ARGV + ["--input", str(path), "--out", "-"]) == 65
+        assert "truncated at row" in capsys.readouterr().err
+
+    def test_replaced_by_a_copy_falls_back_to_a_full_pass(self, path, tmp_path, monkeypatch):
+        expected = self._report(path, tmp_path / "r0.json")
+        copy = tmp_path / "copy.bin"
+        copy.write_bytes(path.read_bytes())
+        self._between_passes(monkeypatch, lambda: os.replace(copy, path))
+        traversals = self._traversals(monkeypatch)
+        assert self._report(path, tmp_path / "r1.json") == expected
+        assert len(traversals) == 2
+
+    def test_without_preadv_pass_two_reads_in_full(self, path, tmp_path, monkeypatch):
+        expected = self._report(path, tmp_path / "r0.json")
+        monkeypatch.delattr(os, "preadv")
+        traversals = self._traversals(monkeypatch)
+        assert self._report(path, tmp_path / "r1.json") == expected
+        assert len(traversals) == 2
+
+
 def _matrix_files(tmp_path):
     a = np.random.default_rng(4).standard_normal((12, 12))  # square for decay
     write_binary(tmp_path / "a.bin", a)

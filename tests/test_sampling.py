@@ -1,16 +1,18 @@
 import hashlib
 import math
+import os
+import struct
 import weakref
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from matsketch import sampling, streams
+from matsketch import matio, sampling, streams
 from matsketch.approx import low_rank_approximate
 from matsketch.lln import matrix_rows_ensemble
 from matsketch.sampling import draw_weighted_indices, materialize_chosen, row_weights, stream_weights
-from matsketch.matio import open_stream, write_binary, write_csv
+from matsketch.matio import open_stream, write_binary, write_csv, write_matrixmarket
 
 from matsketch import (
     InvalidMatrixError,
@@ -385,6 +387,93 @@ class TestSeedPinsBytes:
             "6c9eae660808385bb9996f50179f75cae117b652a9e1a021d413985ae9823f01",
             "807a708b5619cf2ade54b580e9c951c0bd4363b04e060d1429eb2d672ae91906",
         )
+
+    def test_two_pass_file(self, monkeypatch, tmp_path):
+        # pass two gathers the chosen rows of the file: the in-memory bytes still
+        monkeypatch.setattr(streams, "BLOCK_ROWS", 5)
+        write_binary(tmp_path / "a.bin", _pinned_matrix())
+        sketch = sample_sketch_two_pass(open_stream(tmp_path / "a.bin"), 40, seed=7)
+        assert (_sha256(sketch.chosen_indices), _sha256(sketch.matrix)) == self.SKETCH["in-memory"]
+
+
+class TestGather:
+    """Pass two of a binary file reads only the distinct chosen rows, each checked bitwise."""
+
+    @staticmethod
+    def _file(tmp_path, rng):
+        a = rng.normal(size=(500, 6)) * rng.lognormal(size=(500, 1))
+        write_binary(tmp_path / "a.bin", a)
+        return a, tmp_path / "a.bin"
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 4096])
+    def test_reads_each_chosen_row_once(self, tmp_path, rng, monkeypatch, block_rows):
+        a, path = self._file(tmp_path, rng)
+        reference = sample_sketch(a, 60, seed=4)
+        traversals, reads = [], []
+        iter_blocks, preadv = matio._iter_binary_blocks, os.preadv
+
+        def counted_blocks(*args, **kwargs):
+            traversals.append(None)
+            return iter_blocks(*args, **kwargs)
+
+        def counted_preadv(*args):
+            reads.append(args[2])
+            return preadv(*args)
+
+        monkeypatch.setattr(matio, "_iter_binary_blocks", counted_blocks)
+        monkeypatch.setattr(os, "preadv", counted_preadv)
+        monkeypatch.setattr(streams, "BLOCK_ROWS", block_rows)
+        sketch = sample_sketch_two_pass(open_stream(path), 60, seed=4)
+        assert len(traversals) == 1
+        assert len(reads) == np.unique(sketch.chosen_indices).size < 60
+        assert sketch.chosen_indices.tobytes() == reference.chosen_indices.tobytes()
+        assert sketch.matrix.tobytes() == reference.matrix.tobytes()
+
+    @pytest.mark.parametrize("chosen", [True, False])
+    def test_rewrite_under_an_unchanged_stamp(self, tmp_path, rng, monkeypatch, chosen):
+        # a coarse-timestamp filesystem: only the chosen rows are checked, and only they count
+        a, path = self._file(tmp_path, rng)
+        monkeypatch.setattr(matio, "_file_stamp", lambda fh: None)
+        stream = open_stream(path)
+        weights, total_sq, _ = stream_weights(stream)
+        positions = draw_weighted_indices(weights, 60, np.random.default_rng(4))
+        unchosen = np.setdiff1d(np.arange(500), positions)
+        row = int((np.unique(positions) if chosen else unchosen)[7])
+        with open(path, "r+b") as fh:
+            fh.seek(matio._BINARY_HEADER.size + 8 * 6 * row)
+            fh.write(struct.pack("<d", a[row, 0] + 1.0))
+        if chosen:
+            with pytest.raises(ShapeMismatchError, match=rf"first pass in row {row}$"):
+                materialize_chosen(stream, positions, weights, total_sq)
+        else:
+            sketch = materialize_chosen(stream, positions, weights, total_sq)
+            reference = materialize_chosen(MatrixRowStream(a), positions, weights, total_sq)
+            assert sketch.matrix.tobytes() == reference.matrix.tobytes()
+
+    @pytest.mark.parametrize(
+        "gathered, message",
+        [
+            (lambda rows: rows[:-1], "gathered 2 rows, expected the 3 chosen rows"),
+            (lambda rows: np.vstack([rows, rows[:1]]), "in a row past the 3 chosen rows"),
+        ],
+    )
+    def test_gathered_row_count_is_checked(self, rng, gathered, message):
+        a = rng.normal(size=(40, 3))
+        stream = RowStream(lambda: iter([a]), 3, gather=lambda rows: gathered(a[rows]))
+        weights, total_sq, _ = stream_weights(stream)
+        with pytest.raises(ShapeMismatchError, match=message):
+            materialize_chosen(stream, [3, 9, 9, 20], weights, total_sq)
+
+    def test_only_binary_streams_gather(self, tmp_path, rng):
+        a, path = self._file(tmp_path, rng)
+        write_csv(tmp_path / "a.csv", a)
+        write_matrixmarket(tmp_path / "a.mtx", a)
+        others = [MatrixRowStream(a), open_stream(tmp_path / "a.csv"), open_stream(tmp_path / "a.mtx")]
+        for stream in others:
+            assert stream.select(np.array([1, 3])) is None
+        selected = open_stream(path).select(np.array([1, 3]))
+        assert not selected.replayable
+        assert np.array_equal(np.concatenate(list(selected)), a[[1, 3]])
 
 
 class TestOnePass:
