@@ -195,8 +195,8 @@ def _traverse(
     weights differ from them bit for bit, or whose row count differs,
     raises ShapeMismatchError.  ``source_rows``, for a traversal of
     gathered rows (``RowStream.select``), are the source rows its
-    positions hold; the errors then name the first differing source row
-    and the number of chosen rows expected.
+    positions hold; a weight mismatch then names the first differing
+    source row.
     """
     start = 0
     for block in stream:
@@ -209,8 +209,6 @@ def _traverse(
         yield start, block, weights
         start = stop
     if expected is not None and start != expected.size:
-        if source_rows is not None:
-            raise ShapeMismatchError(f"gathered {start} rows, expected the {expected.size} chosen rows")
         raise ShapeMismatchError(f"stream replay has {start} rows, the first pass had {expected.size}")
 
 
@@ -219,10 +217,7 @@ def _differing(weights, expected, start: int, source_rows) -> str:
     if source_rows is None:
         return f"rows {start}..{start + weights.size - 1}"
     ref = expected[start : start + weights.size]
-    same = weights[: ref.size] == ref
-    if same.all():  # every expected row matched; the block holds more
-        return f"a row past the {expected.size} chosen rows"
-    return f"row {source_rows[start + int(np.argmin(same))]}"
+    return f"row {source_rows[start + int(np.argmin(weights[: ref.size] == ref))]}"
 
 
 def stream_weights(stream: RowStream, accumulate_gram: bool = False):
@@ -256,22 +251,22 @@ def materialize_chosen(stream: RowStream, positions, weights, total_sq: float) -
 
     ``positions`` are traversal positions, which become the sketch's
     ``chosen_indices``, and ``weights`` the row weights of the first pass.
-    A stream that can gather (``RowStream.select``; a binary file's) reads
-    only the distinct chosen rows, and their weights are checked bit for
-    bit against ``weights``.  Any other stream is replayed in full,
-    holding the distinct chosen rows plus the block being read, and every
-    row's weight is checked.  A pass that differs from the first traversal
-    raises ShapeMismatchError.
+    A stream that gathers (``RowStream.select``; a binary file's, when
+    few rows are chosen) reads only the distinct chosen rows, holds them
+    once, and checks their weights bit for bit against ``weights``.  Any
+    other stream is replayed in full, holding the distinct chosen rows
+    plus the block being read, and every row's weight is checked.  A pass
+    that differs from the first traversal raises ShapeMismatchError.
     """
     positions = np.array(positions, dtype=np.int64)
     weights = np.asarray(weights)
     wanted, inverse = np.unique(positions, return_inverse=True)
-    rows = np.empty((wanted.size, stream.n_cols))
     selected = stream.select(wanted)
     if selected is not None:
-        for start, block, _ in _traverse(selected, weights[wanted], wanted):
-            rows[start : start + block.shape[0]] = block
+        # one block, the distinct chosen rows themselves
+        [(_, rows, _)] = _traverse(selected, weights[wanted], wanted)
     else:
+        rows = np.empty((wanted.size, stream.n_cols))
         for start, block, _ in _traverse(stream, weights):
             lo, hi = np.searchsorted(wanted, (start, start + block.shape[0]))
             rows[lo:hi] = block[wanted[lo:hi] - start]

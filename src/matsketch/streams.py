@@ -36,24 +36,18 @@ BLOCK_ROWS = 4096  # rows per block handed out by every reader
 
 
 class RowStream:
-    """Stream over a block factory (replayable) or a block iterable (single-shot).
+    """Stream over a block factory (replayable) or a block iterable (single-shot)."""
 
-    ``gather``, if given, takes sorted distinct row positions and returns
-    those rows as one array, or None when it cannot vouch for them.
-    """
+    # set by matio.open_stream on a binary file's stream: takes sorted distinct
+    # row positions and returns those rows as one array, or None
+    _gather = None
 
-    def __init__(
-        self,
-        source: Callable[[], Iterable] | Iterable,
-        n_cols: int,
-        gather: Callable[[np.ndarray], np.ndarray | None] | None = None,
-    ):
+    def __init__(self, source: Callable[[], Iterable] | Iterable, n_cols: int):
         if n_cols < 1:
             raise ShapeMismatchError(f"row width must be >= 1, got {n_cols}")
         self.n_cols = int(n_cols)
         self.replayable = callable(source)
         self._source = source if self.replayable else iter(source)
-        self._gather = gather
 
     def select(self, rows: np.ndarray) -> RowStream | None:
         """Single-shot copy of this stream over the rows ``rows`` (sorted, distinct) as one block.

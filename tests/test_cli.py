@@ -260,6 +260,11 @@ class TestGatheredPassTwo:
 
     ARGV = ["approx-svd", "--k", "2", "--d", "20", "--stream", "two-pass", "--seed", "3"]
 
+    @pytest.fixture(autouse=True)
+    def gather_always(self, monkeypatch):
+        # a negative cost per read: the stream gathers whatever share of its rows is chosen
+        monkeypatch.setattr(matio, "_PREAD_BYTES", -(1 << 40))
+
     @pytest.fixture
     def path(self, tmp_path):
         path = tmp_path / "a.bin"

@@ -388,12 +388,18 @@ class TestSeedPinsBytes:
             "807a708b5619cf2ade54b580e9c951c0bd4363b04e060d1429eb2d672ae91906",
         )
 
-    def test_two_pass_file(self, monkeypatch, tmp_path):
+    def test_two_pass_file(self, monkeypatch, tmp_path, gather_always):
         # pass two gathers the chosen rows of the file: the in-memory bytes still
         monkeypatch.setattr(streams, "BLOCK_ROWS", 5)
         write_binary(tmp_path / "a.bin", _pinned_matrix())
         sketch = sample_sketch_two_pass(open_stream(tmp_path / "a.bin"), 40, seed=7)
         assert (_sha256(sketch.chosen_indices), _sha256(sketch.matrix)) == self.SKETCH["in-memory"]
+
+
+@pytest.fixture
+def gather_always(monkeypatch):
+    # a negative cost per read: a binary stream gathers whatever share of its rows is chosen
+    monkeypatch.setattr(matio, "_PREAD_BYTES", -(1 << 40))
 
 
 class TestGather:
@@ -406,7 +412,7 @@ class TestGather:
         return a, tmp_path / "a.bin"
 
     @pytest.mark.parametrize("block_rows", [1, 3, 4096])
-    def test_reads_each_chosen_row_once(self, tmp_path, rng, monkeypatch, block_rows):
+    def test_reads_each_chosen_row_once(self, tmp_path, rng, monkeypatch, block_rows, gather_always):
         a, path = self._file(tmp_path, rng)
         reference = sample_sketch(a, 60, seed=4)
         traversals, reads = [], []
@@ -430,7 +436,7 @@ class TestGather:
         assert sketch.matrix.tobytes() == reference.matrix.tobytes()
 
     @pytest.mark.parametrize("chosen", [True, False])
-    def test_rewrite_under_an_unchanged_stamp(self, tmp_path, rng, monkeypatch, chosen):
+    def test_rewrite_under_an_unchanged_stamp(self, tmp_path, rng, monkeypatch, chosen, gather_always):
         # a coarse-timestamp filesystem: only the chosen rows are checked, and only they count
         a, path = self._file(tmp_path, rng)
         monkeypatch.setattr(matio, "_file_stamp", lambda fh: None)
@@ -450,21 +456,26 @@ class TestGather:
             reference = materialize_chosen(MatrixRowStream(a), positions, weights, total_sq)
             assert sketch.matrix.tobytes() == reference.matrix.tobytes()
 
-    @pytest.mark.parametrize(
-        "gathered, message",
-        [
-            (lambda rows: rows[:-1], "gathered 2 rows, expected the 3 chosen rows"),
-            (lambda rows: np.vstack([rows, rows[:1]]), "in a row past the 3 chosen rows"),
-        ],
-    )
-    def test_gathered_row_count_is_checked(self, rng, gathered, message):
-        a = rng.normal(size=(40, 3))
-        stream = RowStream(lambda: iter([a]), 3, gather=lambda rows: gathered(a[rows]))
-        weights, total_sq, _ = stream_weights(stream)
-        with pytest.raises(ShapeMismatchError, match=message):
-            materialize_chosen(stream, [3, 9, 9, 20], weights, total_sq)
+    def test_gathers_only_while_cheaper_than_a_full_pass(self, tmp_path, rng, monkeypatch):
+        a, path = rng.normal(size=(500, 200)), tmp_path / "wide.bin"
+        write_binary(path, a)
+        width = 8 * a.shape[1]
+        most = a.shape[0] * width // (matio._PREAD_BYTES + 2 * width)
+        reads = []
+        preadv = os.preadv
 
-    def test_only_binary_streams_gather(self, tmp_path, rng):
+        def counted_preadv(*args):
+            reads.append(args[2])
+            return preadv(*args)
+
+        monkeypatch.setattr(os, "preadv", counted_preadv)
+        stream = open_stream(path)
+        assert stream.select(np.arange(most + 1)) is None
+        assert reads == []
+        assert np.array_equal(np.concatenate(list(stream.select(np.arange(most)))), a[:most])
+        assert len(reads) == most
+
+    def test_only_binary_streams_gather(self, tmp_path, rng, gather_always):
         a, path = self._file(tmp_path, rng)
         write_csv(tmp_path / "a.csv", a)
         write_matrixmarket(tmp_path / "a.mtx", a)
