@@ -29,6 +29,7 @@ from .linalg import (
 from .parallel import run_trials
 from .sampling import (
     Sketch,
+    _check_size,
     draw_sketch,
     replay,
     required_sample_size,
@@ -81,8 +82,7 @@ def projector_top_k(sketch: Sketch, k: int) -> Projector:
     """
     mat = sketch.matrix
     d, n = mat.shape
-    if k < 0 or k > n:
-        raise ShapeMismatchError(f"k must lie in [0, {n}], got {k}")
+    _check_k(k, n)
     if k == 0:
         return Projector(basis=np.zeros((n, 0)))
     factor = np.linalg.qr(mat, mode="r") if d > n else mat
@@ -90,6 +90,12 @@ def projector_top_k(sketch: Sketch, k: int) -> Projector:
     cutoff = s[0] * max(d, n) * np.finfo(np.float64).eps if s.size else 0.0
     effective = min(k, int(np.count_nonzero(s > cutoff)))
     return Projector(basis=vh[:effective].T.copy())
+
+
+def _check_k(k: int, n: int) -> None:
+    """ShapeMismatchError unless 0 <= k <= n."""
+    if k < 0 or k > n:
+        raise ShapeMismatchError(f"k must lie in [0, {n}], got {k}")
 
 
 def approximation_error(a, projector: Projector) -> float:
@@ -174,13 +180,16 @@ def low_rank_approximate(
     thus give the same report for the same seed.  Single-shot streams take
     one traversal, need an explicit ``d`` (the reservoir count must be fixed
     before the pass) and are not certified.  ``d`` overrides the sample-size
-    formula in every mode.
+    formula in every mode; a bad ``k`` or ``d`` is refused before any read.
     """
     if not 0 < epsilon < 1:
         raise OutOfRangeError(f"epsilon must lie in (0, 1), got {epsilon}")
     if not 0 < delta < 1:
         raise OutOfRangeError(f"delta must lie in (0, 1), got {delta}")
     stream = source if isinstance(source, RowStream) else MatrixRowStream(source)
+    if d is not None:
+        _check_size(d, stream.n_cols)
+    _check_k(k, stream.n_cols)
     if not stream.replayable:
         if d is None:
             raise OutOfRangeError(

@@ -31,18 +31,18 @@ first pass's weights (which ``sampling.replay`` wraps), whose bitwise
 weight test rejects any entry that is no longer finite.  Streams do no
 scan of their own.
 
-A binary stream also gathers rows (``RowStream.select``): sampling's pass
-two reads only the distinct chosen rows, one ``os.preadv`` each, and
-``_traverse`` checks their weights bit for bit.  It does so only while
-the reads cost less than a full traversal, which takes over once the
+A binary stream's ``RowStream.gather`` is ``_gather_binary_rows``, which
+alone decides whether a gather runs: sampling's pass two then reads only
+the distinct chosen rows, one ``os.preadv`` each, and checks their weights
+bit for bit.  It runs only where ``os`` has ``preadv`` (not on Windows)
+and the reads cost less than a full traversal, which takes over once the
 chosen rows are a large enough share of the file (``_PREAD_BYTES``: about
 8% of 100-column rows, 33% of 1000-column ones).  The rows it does not read
 are guarded by a stamp of the file (device, inode, size, mtime and ctime
 in ns) taken when the stream checks the header: if the stamp differs after
 the reads, pass two replays the whole file instead.  A rewrite that keeps
 the stamp (on a filesystem with coarse timestamps) and touches no chosen
-row goes unseen, and cannot change the sketch.  Where ``os`` has no
-``preadv`` (Windows) every pass reads the whole file.
+row goes unseen, and cannot change the sketch.
 
 A MatrixMarket size line is checked against physical memory
 (``linalg.require_allocatable``) before the matrix is allocated, and the
@@ -190,8 +190,7 @@ def open_stream(path, fmt: str = "auto", digest: InputDigest | None = None) -> R
 
     ``digest`` is fed every byte of the file during the first traversal.
     A binary file is scanned for non-finite entries on that traversal only.
-    A binary stream also gathers given rows by positioned reads
-    (``_gather_binary_rows``), where ``os.preadv`` exists.
+    A binary stream's ``gather`` is ``_gather_binary_rows``.
     """
     fmt = _resolve(path, fmt)
     if fmt == "matrixmarket":
@@ -207,8 +206,7 @@ def open_stream(path, fmt: str = "auto", digest: InputDigest | None = None) -> R
     # entry fails the bitwise weight test of sampling._traverse
     feeds = iter([(digest, _check_finite)])
     stream = RowStream(lambda: _iter_binary_blocks(path, m, n, *next(feeds, (None, None))), n)
-    if hasattr(os, "preadv"):  # where os has none (Windows), pass two reads the file in full
-        stream._gather = lambda rows: _gather_binary_rows(path, m, n, rows, stamp)
+    stream.gather = lambda rows: _gather_binary_rows(path, m, n, rows, stamp)
     return stream
 
 
@@ -419,17 +417,17 @@ def _file_stamp(fh) -> tuple[int, ...]:
 def _gather_binary_rows(path, m: int, n: int, rows: np.ndarray, stamp) -> np.ndarray | None:
     """Rows ``rows`` (sorted, distinct) of an m x n binary file, one ``os.preadv`` each.
 
-    None, before any read, if a full traversal would be cheaper: if
-    ``rows.size * (_PREAD_BYTES + 2w)`` exceeds the file's ``m * w`` bytes
-    of rows, ``w = 8n``.  None too if, after the reads, the file's
-    ``_file_stamp`` is no longer ``stamp``, the one taken when the stream
-    checked the header: the file may have changed since, and only a full
-    traversal can check it.  A read cut short is a ParseError, "truncated
-    at row R".  The rows are not scanned for non-finite values; their
-    weights are checked instead.
+    None, before any read, where ``os`` has no ``preadv`` (Windows) or a
+    full traversal would be cheaper: where ``rows.size * (_PREAD_BYTES +
+    2w)`` exceeds the file's ``m * w`` bytes of rows, ``w = 8n``.  None too
+    if, after the reads, the file's ``_file_stamp`` is no longer ``stamp``,
+    the one taken when the stream checked the header: the file may have
+    changed since, and only a full traversal can check it.  A read cut
+    short is a ParseError, "truncated at row R".  The rows are not scanned
+    for non-finite values; their weights are checked instead.
     """
     width = 8 * n
-    if rows.size * (_PREAD_BYTES + 2 * width) > m * width:
+    if not hasattr(os, "preadv") or rows.size * (_PREAD_BYTES + 2 * width) > m * width:
         return None
     out = np.empty((rows.size, n), dtype="<f8")
     with open(path, "rb") as fh:

@@ -6,14 +6,14 @@ where F is the Frobenius norm of the source, so that the expected Gram
 matrix of the sketch equals the Gram matrix of the source and every sketch
 row has length F/sqrt(d).
 
-Three modes share this law and one block-based core.  Every pass of every
-mode runs through ``_traverse``, the one traversal: it reads row blocks
-(see ``streams``), weighs each block with ``row_weights``' reduction and
-counts positions; a row's index, as in ``Sketch.chosen_indices``, is its
-position in the traversal.  ``_sketch`` alone rescales the chosen rows.
+Three modes share this law and one block-based core.  Every traversal of
+every mode runs through ``_traverse``, the one traversal: it reads row
+blocks (see ``streams``), weighs each block with ``row_weights``' reduction
+and counts positions; a row's index, as in ``Sketch.chosen_indices``, is
+its position in the traversal.  ``_sketch`` alone rescales the chosen rows.
 Non-finite entries give non-finite weights, which every pass rejects: the
-weight total is checked by ``total_weight``, and ``_traverse`` compares a
-replay's weights bit for bit with the first pass's finite ones.
+weight total is checked by ``total_weight``, and the weights of a replay
+or of gathered rows are compared bit for bit with the first pass's.
 
 * ``sample_sketch``          -- in-memory matrix: two-pass sampling over the
   matrix's blocks, so it is bit-identical to the two-pass mode by
@@ -22,7 +22,7 @@ replay's weights bit for bit with the first pass's finite ones.
   (``stream_weights``) accumulates row weights and rejects a zero total,
   then ``draw_sketch`` draws the positions and runs pass 2
   (``materialize_chosen``), which keeps only the chosen rows and checks
-  their weights against pass 1's: a binary file's stream reads just those
+  their weights against pass 1's: a binary file's stream gathers just those
   rows, any other stream is replayed in full and every row is checked;
 * ``sample_sketch_one_pass`` -- single traversal keeping d independent
   single-item weighted reservoirs, updated once per block.  Same occupant
@@ -185,18 +185,13 @@ def sample_sketch(a, d: int, seed=0) -> Sketch:
     return sample_sketch_two_pass(MatrixRowStream(a), d, seed)
 
 
-def _traverse(
-    stream: RowStream, expected=None, source_rows=None
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+def _traverse(stream: RowStream, expected=None) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """One traversal of ``stream``, yielding (start, block, weights) per block.
 
     ``start`` is the position of the block's first row.  Given ``expected``,
     the first pass's weights of the rows traversed, a traversal whose
     weights differ from them bit for bit, or whose row count differs,
-    raises ShapeMismatchError.  ``source_rows``, for a traversal of
-    gathered rows (``RowStream.select``), are the source rows its
-    positions hold; a weight mismatch then names the first differing
-    source row.
+    raises ShapeMismatchError.
     """
     start = 0
     for block in stream:
@@ -204,20 +199,12 @@ def _traverse(
         stop = start + block.shape[0]
         # == on finite sums of squares is a bitwise test; a slice cut short never matches
         if expected is not None and not np.array_equal(weights, expected[start:stop]):
-            where = _differing(weights, expected, start, source_rows)
+            where = f"rows {start}..{stop - 1}"
             raise ShapeMismatchError(f"stream replay differs from the first pass in {where}")
         yield start, block, weights
         start = stop
     if expected is not None and start != expected.size:
         raise ShapeMismatchError(f"stream replay has {start} rows, the first pass had {expected.size}")
-
-
-def _differing(weights, expected, start: int, source_rows) -> str:
-    """Where a block's ``weights`` differ from ``expected``: its positions, or the first source row."""
-    if source_rows is None:
-        return f"rows {start}..{start + weights.size - 1}"
-    ref = expected[start : start + weights.size]
-    return f"row {source_rows[start + int(np.argmin(weights[: ref.size] == ref))]}"
 
 
 def stream_weights(stream: RowStream, accumulate_gram: bool = False):
@@ -251,7 +238,7 @@ def materialize_chosen(stream: RowStream, positions, weights, total_sq: float) -
 
     ``positions`` are traversal positions, which become the sketch's
     ``chosen_indices``, and ``weights`` the row weights of the first pass.
-    A stream that gathers (``RowStream.select``; a binary file's, when
+    A stream that gathers (``RowStream.gather``; a binary file's, when
     few rows are chosen) reads only the distinct chosen rows, holds them
     once, and checks their weights bit for bit against ``weights``.  Any
     other stream is replayed in full, holding the distinct chosen rows
@@ -261,10 +248,13 @@ def materialize_chosen(stream: RowStream, positions, weights, total_sq: float) -
     positions = np.array(positions, dtype=np.int64)
     weights = np.asarray(weights)
     wanted, inverse = np.unique(positions, return_inverse=True)
-    selected = stream.select(wanted)
-    if selected is not None:
-        # one block, the distinct chosen rows themselves
-        [(_, rows, _)] = _traverse(selected, weights[wanted], wanted)
+    rows = stream.gather(wanted)
+    if rows is not None:
+        # != on finite sums of squares is a bitwise test, and true for a NaN
+        differs = _block_weights(rows) != weights[wanted]
+        if differs.any():
+            row = wanted[np.argmax(differs)]
+            raise ShapeMismatchError(f"stream replay differs from the first pass in row {row}")
     else:
         rows = np.empty((wanted.size, stream.n_cols))
         for start, block, _ in _traverse(stream, weights):

@@ -16,15 +16,13 @@ A stream made from a zero-argument callable is replayable: each traversal
 calls it for a fresh iterable of blocks.  One made from an iterable is
 single-shot and refuses a second traversal.
 
-A stream may also carry a gather, which reads given rows of its source
-directly (a binary file's stream has one, see ``matio.open_stream``);
-``select`` hands them out as a one-block single-shot stream, which
-``sampling.materialize_chosen`` checks like any later traversal.
+``gather`` reads given rows directly where the stream can (a binary file's,
+see ``matio.open_stream``); ``sampling.materialize_chosen`` checks them
+against the first pass.
 """
 
 from __future__ import annotations
 
-import copy
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -38,10 +36,6 @@ BLOCK_ROWS = 4096  # rows per block handed out by every reader
 class RowStream:
     """Stream over a block factory (replayable) or a block iterable (single-shot)."""
 
-    # set by matio.open_stream on a binary file's stream: takes sorted distinct
-    # row positions and returns those rows as one array, or None
-    _gather = None
-
     def __init__(self, source: Callable[[], Iterable] | Iterable, n_cols: int):
         if n_cols < 1:
             raise ShapeMismatchError(f"row width must be >= 1, got {n_cols}")
@@ -49,18 +43,12 @@ class RowStream:
         self.replayable = callable(source)
         self._source = source if self.replayable else iter(source)
 
-    def select(self, rows: np.ndarray) -> RowStream | None:
-        """Single-shot copy of this stream over the rows ``rows`` (sorted, distinct) as one block.
+    def gather(self, rows: np.ndarray) -> np.ndarray | None:
+        """The rows at positions ``rows`` (sorted, distinct) read directly, or None.
 
-        None when the stream has no gather or its gather returns None.  The
-        copy keeps the stream's class.
+        None here; a binary file's stream reads them (``matio.open_stream``).
         """
-        block = None if self._gather is None else self._gather(rows)
-        if block is None:
-            return None
-        selected = copy.copy(self)
-        selected.replayable, selected._source = False, iter([block])
-        return selected
+        return None
 
     def __iter__(self) -> Iterator[np.ndarray]:
         if self.replayable:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from matsketch import matio
 from matsketch.matio import _BINARY_HEADER, write_binary
 
 settings.register_profile(
@@ -17,6 +18,12 @@ settings.load_profile("matsketch")
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def gather_always(monkeypatch):
+    # a negative cost per read: a binary stream gathers whatever share of its rows is chosen
+    monkeypatch.setattr(matio, "_PREAD_BYTES", -(1 << 40))
 
 
 def random_orthonormal(rng, rows, cols):

@@ -10,6 +10,7 @@ from matsketch import (
     RowStream,
     ShapeMismatchError,
     Sketch,
+    TooLargeError,
     ZeroMatrixError,
     approximation_error,
     block_identity_matrix,
@@ -349,6 +350,26 @@ class TestLowRankApproximate:
         stream = MatrixRowStream(rng.normal(size=(20, 5)))
         with pytest.raises(OutOfRangeError):
             low_rank_approximate(stream, k=2, epsilon=0.5, delta=0.5, d=d)
+
+    @pytest.mark.parametrize("replayable", [True, False], ids=["two-pass", "one-pass"])
+    @pytest.mark.parametrize(
+        "k, d, error, match",
+        [
+            (6, 8, ShapeMismatchError, r"k must lie in \[0, 5\], got 6"),
+            (-1, 8, ShapeMismatchError, r"k must lie in \[0, 5\], got -1"),
+            (2, 0, OutOfRangeError, "sketch size d must be >= 1, got 0"),
+            (2, 10**12, TooLargeError, "1000000000000x5"),
+        ],
+        ids=["k-above-n", "k-negative", "d-zero", "d-beyond-memory"],
+    )
+    def test_bad_k_or_d_refused_before_reading(self, replayable, k, d, error, match):
+        def unread():
+            pytest.fail("the stream was traversed")
+            yield
+
+        stream = RowStream(unread if replayable else unread(), 5)
+        with pytest.raises(error, match=match):
+            low_rank_approximate(stream, k=k, epsilon=0.5, delta=0.5, d=d)
 
     def test_one_pass_requires_d(self, rng):
         a = rng.normal(size=(20, 5))

@@ -255,15 +255,11 @@ class TestApproxSvd:
         assert read_report(out)["per_trial"][0]["error_spectral"] is None
 
 
+@pytest.mark.usefixtures("gather_always")
 class TestGatheredPassTwo:
     """Pass two of a binary file gathers the chosen rows while its stamp holds."""
 
     ARGV = ["approx-svd", "--k", "2", "--d", "20", "--stream", "two-pass", "--seed", "3"]
-
-    @pytest.fixture(autouse=True)
-    def gather_always(self, monkeypatch):
-        # a negative cost per read: the stream gathers whatever share of its rows is chosen
-        monkeypatch.setattr(matio, "_PREAD_BYTES", -(1 << 40))
 
     @pytest.fixture
     def path(self, tmp_path):

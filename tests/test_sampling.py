@@ -396,12 +396,6 @@ class TestSeedPinsBytes:
         assert (_sha256(sketch.chosen_indices), _sha256(sketch.matrix)) == self.SKETCH["in-memory"]
 
 
-@pytest.fixture
-def gather_always(monkeypatch):
-    # a negative cost per read: a binary stream gathers whatever share of its rows is chosen
-    monkeypatch.setattr(matio, "_PREAD_BYTES", -(1 << 40))
-
-
 class TestGather:
     """Pass two of a binary file reads only the distinct chosen rows, each checked bitwise."""
 
@@ -470,9 +464,9 @@ class TestGather:
 
         monkeypatch.setattr(os, "preadv", counted_preadv)
         stream = open_stream(path)
-        assert stream.select(np.arange(most + 1)) is None
+        assert stream.gather(np.arange(most + 1)) is None
         assert reads == []
-        assert np.array_equal(np.concatenate(list(stream.select(np.arange(most)))), a[:most])
+        assert np.array_equal(stream.gather(np.arange(most)), a[:most])
         assert len(reads) == most
 
     def test_only_binary_streams_gather(self, tmp_path, rng, gather_always):
@@ -481,10 +475,8 @@ class TestGather:
         write_matrixmarket(tmp_path / "a.mtx", a)
         others = [MatrixRowStream(a), open_stream(tmp_path / "a.csv"), open_stream(tmp_path / "a.mtx")]
         for stream in others:
-            assert stream.select(np.array([1, 3])) is None
-        selected = open_stream(path).select(np.array([1, 3]))
-        assert not selected.replayable
-        assert np.array_equal(np.concatenate(list(selected)), a[[1, 3]])
+            assert stream.gather(np.array([1, 3])) is None
+        assert np.array_equal(open_stream(path).gather(np.array([1, 3])), a[[1, 3]])
 
 
 class TestOnePass:

@@ -133,3 +133,34 @@ print(json.dumps({{"exit": code, "layers": tracer.layer_metrics(rec)}}))
     assert outcome["exit"] == 0
     assert outcome["layers"]["streams.passes"] == 2
     assert outcome["layers"]["streams.rows"] > 0
+
+
+def test_traced_gathered_two_pass_run_counts_one_pass(tmp_path):
+    # a gathered pass two reads its rows without traversing the stream, so the
+    # tracer's pass count covers full traversals only
+    path = tmp_path / "a.bin"
+    matsketch.write_binary(path, np.random.default_rng(0).normal(size=(300, 6)))
+    script = f"""
+import json, sys
+sys.path.insert(0, {str(TRACER.parent)!r})
+import tracer
+import matsketch.cli as cli
+from matsketch import matio
+matio._PREAD_BYTES = -(1 << 40)  # gather whatever share of the rows is chosen
+rec = tracer.Tracer()
+tracer.install(rec)
+argv = ["approx-svd", "--input", {str(path)!r}, "--k", "2", "--d", "20",
+        "--stream", "two-pass", "--out", {str(tmp_path / "r.json")!r}]
+code = rec.call("cli.main", cli.main, argv)
+print(json.dumps({{"exit": code, "layers": tracer.layer_metrics(rec)}}))
+"""
+    package_root = str(Path(matsketch.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert result.returncode == 0, result.stderr
+    outcome = json.loads(result.stdout.splitlines()[-1])
+    assert outcome["exit"] == 0
+    assert outcome["layers"]["streams.passes"] == 1
+    assert outcome["layers"]["streams.rows"] > 0
