@@ -2,9 +2,10 @@
 
 The projector acts on input space: it is assembled from the sketch's right
 singular vectors, i.e. the top eigenvectors of the sketch Gram matrix,
-taken from the SVD of the sketch's n x n R factor.  (A d x n sketch's left
-singular vectors live in R^d and cannot project R^n; none is formed.  See
-README "Design notes".)  Singular directions whose values vanish at
+taken from the SVD of the sketch's n x n R factor, which TSQR folds from
+the sketch's distinct rows (``Sketch.blocks``).  (A d x n sketch's left
+singular vectors live in R^d and cannot project R^n; none is formed, nor
+is the d x n sketch itself.  See README "Design notes".)  Singular directions whose values vanish at
 working precision are dropped, so the projector rank never exceeds the
 numerical rank of the sketch: a sketch that misses part of the row space
 yields a genuinely smaller projector instead of an arbitrary completion.
@@ -30,6 +31,7 @@ from .parallel import run_trials
 from .sampling import (
     Sketch,
     _check_size,
+    check_parameters,
     draw_sketch,
     replay,
     required_sample_size,
@@ -77,19 +79,36 @@ def projector_top_k(sketch: Sketch, k: int) -> Projector:
     k = 0 is the zero map.  Directions with numerically zero singular value
     are excluded, so the returned rank is min(k, rank of the sketch).  A
     tall d x n sketch S = QR has the singular values and right singular
-    vectors of its n x n R, so only R is decomposed; no d x n factor is
-    formed.  The cutoff stays relative to S's shape.
+    vectors of its n x n R, so only R is decomposed.  R is folded from
+    ``sketch.blocks()``, whose rows have S's Gram matrix, so neither S nor
+    any other d x n factor is formed.  A sketch with d <= n is decomposed
+    directly, as its blocks stacked.  The cutoff stays relative to S's
+    shape.
     """
-    mat = sketch.matrix
-    d, n = mat.shape
+    n = sketch.rows.shape[1]
     _check_k(k, n)
     if k == 0:
         return Projector(basis=np.zeros((n, 0)))
-    factor = np.linalg.qr(mat, mode="r") if d > n else mat
+    blocks = sketch.blocks()
+    factor = _r_factor(blocks, n) if sketch.d > n else np.vstack(list(blocks))
     _, s, vh = np.linalg.svd(factor, full_matrices=False)
-    cutoff = s[0] * max(d, n) * np.finfo(np.float64).eps if s.size else 0.0
+    cutoff = s[0] * max(sketch.d, n) * np.finfo(np.float64).eps if s.size else 0.0
     effective = min(k, int(np.count_nonzero(s > cutoff)))
     return Projector(basis=vh[:effective].T.copy())
+
+
+def _r_factor(blocks, n: int) -> np.ndarray:
+    """The R of A = QR, A the rows of ``blocks`` stacked, folded block by block.
+
+    TSQR (Demmel, Grigori, Hoemmen, Langou, SIAM J. Sci. Comput. 34, 2012):
+    each block is stacked under the R so far and factored again, so A is
+    never formed.  R^T R = A^T A, so R has A's singular values and right
+    singular vectors.
+    """
+    r = np.empty((0, n))
+    for block in blocks:
+        r = np.linalg.qr(np.vstack((r, block)) if r.size else block, mode="r")
+    return r
 
 
 def _check_k(k: int, n: int) -> None:
@@ -121,9 +140,9 @@ def projection_error_bound(a, sketch: Sketch, k: int) -> BoundCheck:
     certificate of ``low_rank_approximate``.
     """
     arr = as_matrix(a)
-    if sketch.matrix.shape[1] != arr.shape[1]:
+    if sketch.rows.shape[1] != arr.shape[1]:
         raise ShapeMismatchError(
-            f"sketch has {sketch.matrix.shape[1]} columns, matrix has {arr.shape[1]}"
+            f"sketch has {sketch.rows.shape[1]} columns, matrix has {arr.shape[1]}"
         )
     projector = projector_top_k(sketch, k)
     lhs = approximation_error(arr, projector) ** 2
@@ -180,12 +199,11 @@ def low_rank_approximate(
     thus give the same report for the same seed.  Single-shot streams take
     one traversal, need an explicit ``d`` (the reservoir count must be fixed
     before the pass) and are not certified.  ``d`` overrides the sample-size
-    formula in every mode; a bad ``k`` or ``d`` is refused before any read.
+    formula in every mode.  ``sampling.check_parameters`` refuses a bad
+    ``epsilon``, ``delta``, ``c_constant`` or ``d``, and a bad ``k`` is
+    refused too, before any row is read.
     """
-    if not 0 < epsilon < 1:
-        raise OutOfRangeError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if not 0 < delta < 1:
-        raise OutOfRangeError(f"delta must lie in (0, 1), got {delta}")
+    check_parameters(epsilon, delta, c_constant, d)
     stream = source if isinstance(source, RowStream) else MatrixRowStream(source)
     if d is not None:
         _check_size(d, stream.n_cols)
@@ -253,9 +271,7 @@ def _certify(blocks, gram, lam, sketch, projector, k) -> tuple[float, float, flo
     floor = _GRAM_FLOOR * n * np.finfo(np.float64).eps * float(lam[-1])
     coarse = error_sq < floor or (k < n and lam_next < floor)
     if coarse or error_sq > lam_next + 2.0 * gram_deviation:
-        r = np.empty((0, n))
-        for block in blocks:
-            r = np.linalg.qr(np.vstack((r, block)), mode="r")
+        r = _r_factor(blocks, n)
         values = _singular_values(r)
         sigma_next = float(values[k]) if k < values.size else 0.0
         return sigma_next, approximation_error(r, projector), gram_deviation

@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import approx, cutnorm, lln, matio, parallel, reports
+from . import approx, cutnorm, lln, matio, parallel, reports, sampling
 from .errors import Error
 from .streams import RowStream
 
@@ -106,8 +106,16 @@ def _provenance(path, digest: matio.InputDigest) -> dict:
 
 
 def _cmd_approx_svd(args, digest):
+    """Run ``approx.low_rank_approximate`` on the input, read whole or streamed.
+
+    ``--epsilon``, ``--delta``, ``--c-const`` and ``--d`` are checked before
+    the input is opened, by the library's own ``check_parameters``.  ``--k``
+    is checked against the width, so with ``--stream none`` only after the
+    whole matrix is read.
+    """
     if args.stream == "one-pass" and args.d is None:
         raise UsageError("--stream one-pass requires an explicit --d")
+    sampling.check_parameters(args.epsilon, args.delta, args.c_const, args.d)
     if args.stream == "none":
         source = matio.read_matrix(args.input, args.format, digest)
     else:

@@ -4,7 +4,10 @@ Rows are drawn independently with probability proportional to their squared
 Euclidean length.  A drawn row x is stored as (1/sqrt(d)) * (F/|x|) * x,
 where F is the Frobenius norm of the source, so that the expected Gram
 matrix of the sketch equals the Gram matrix of the source and every sketch
-row has length F/sqrt(d).
+row has length F/sqrt(d).  A ``Sketch`` holds each distinct drawn row once,
+with the draws that took it, so a two-pass sketch never holds more rows
+than the source (a one-pass sketch holds its d reservoirs); the d x n
+sketch matrix is built only on request (``Sketch.matrix``).
 
 Three modes share this law and one block-based core.  Every traversal of
 every mode runs through ``_traverse``, the one traversal: it reads row
@@ -50,22 +53,58 @@ from .errors import (
 )
 from .linalg import as_matrix, require_allocatable
 from .rng import as_generator
-from .streams import MatrixRowStream, RowStream
+from .streams import BLOCK_ROWS, MatrixRowStream, RowStream
 
 _CEIL_GUARD = 1e-9  # absorbs float noise so exact-integer products do not round up
 
 
 @dataclass(frozen=True)
 class Sketch:
-    """Sampled-and-rescaled row sketch plus sampling metadata."""
+    """The sketch S, held as its distinct rows, plus sampling metadata.
 
-    matrix: np.ndarray
+    S is the d x n matrix whose row i is the i-th drawn row, rescaled.
+    ``rows`` holds each distinct row of S once, and draw i is row
+    ``inverse[i]`` of ``rows``, so a row drawn c times has c draws.
+    ``blocks`` and ``gram`` read S^T S off ``rows`` and the multiplicities;
+    ``matrix`` builds S itself, on request.
+    """
+
+    rows: np.ndarray
+    inverse: np.ndarray
     chosen_indices: np.ndarray
     frobenius_of_source: float
     d: int
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """The d x n sketch S, built anew on each call."""
+        return self.rows[self.inverse]
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """Row blocks B_1, B_2, ... with sum B_j^T B_j = S^T S.
+
+        Each distinct row once, in views of ``rows``, then each row drawn
+        c > 1 times again, times sqrt(c - 1): sum_j c_j r_j r_j^T is
+        sum_j r_j r_j^T + sum_j (c_j - 1) r_j r_j^T.  At most
+        ``BLOCK_ROWS`` rows per block, so no block grows with d.
+        """
+        rows = self.rows
+        for start in range(0, rows.shape[0], BLOCK_ROWS):
+            yield rows[start : start + BLOCK_ROWS]
+        counts = np.bincount(self.inverse, minlength=rows.shape[0])
+        many = np.flatnonzero(counts > 1)
+        for start in range(0, many.size, BLOCK_ROWS):
+            repeated = many[start : start + BLOCK_ROWS]
+            block = rows[repeated]
+            block *= np.sqrt(counts[repeated] - 1.0)[:, None]
+            yield block
+
     def gram(self) -> np.ndarray:
-        return self.matrix.T @ self.matrix
+        """S^T S, summed over ``blocks``."""
+        gram = np.zeros((self.rows.shape[1], self.rows.shape[1]))
+        for block in self.blocks():
+            gram += block.T @ block
+        return gram
 
 
 def required_sample_size(r, epsilon, delta, c_constant=1.0) -> int:
@@ -76,18 +115,29 @@ def required_sample_size(r, epsilon, delta, c_constant=1.0) -> int:
     """
     if not r >= 1:
         raise OutOfRangeError(f"numerical rank must be >= 1, got {r}")
-    if not 0 < epsilon < 1:
-        raise OutOfRangeError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if not 0 < delta < 1:
-        raise OutOfRangeError(f"delta must lie in (0, 1), got {delta}")
-    if not c_constant > 0:
-        raise OutOfRangeError(f"c_constant must be positive, got {c_constant}")
+    check_parameters(epsilon, delta, c_constant)
     scale = epsilon**4 * delta  # underflows to 0 for a tiny epsilon
     t = float(r) / scale if scale > 0 else math.inf
     value = c_constant * t * math.log(max(t, math.e))
     if not math.isfinite(value):
         raise TooLargeError(f"sample size for r={r}, epsilon={epsilon}, delta={delta} exceeds float64")
     return max(1, math.ceil(value - _CEIL_GUARD * max(1.0, value)))
+
+
+def check_parameters(epsilon, delta, c_constant=1.0, d=None) -> None:
+    """OutOfRangeError unless epsilon and delta lie in (0, 1), c_constant > 0 and d >= 1.
+
+    None of these needs data, so they are checked before any row is read.
+    ``d=None`` (the sample-size formula decides) passes.
+    """
+    if not 0 < epsilon < 1:
+        raise OutOfRangeError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if not 0 < delta < 1:
+        raise OutOfRangeError(f"delta must lie in (0, 1), got {delta}")
+    if not c_constant > 0:
+        raise OutOfRangeError(f"c_constant must be positive, got {c_constant}")
+    if d is not None:
+        _check_size(d)
 
 
 def row_weights(a) -> np.ndarray:
@@ -152,19 +202,32 @@ def draw_weighted_indices(weights, size: int, rng) -> np.ndarray:
     return np.searchsorted(cum, u, side="right").astype(np.int64)
 
 
-def _check_size(d: int, n_cols: int) -> None:
-    """OutOfRangeError if d < 1; TooLargeError if a d x n_cols array exceeds physical memory."""
+def _check_size(d: int, n_cols: int | None = None) -> None:
+    """OutOfRangeError if d < 1; given n_cols, TooLargeError if a d x n_cols array exceeds memory.
+
+    A two-pass sketch holds at most min(d, m) rows, but the one-pass
+    reservoirs, the positions, the draw's uniforms and ``Sketch.matrix``
+    grow with d, so a d that no d x n array could fit is refused before
+    the draw.
+    """
     if d < 1:
         raise OutOfRangeError(f"sketch size d must be >= 1, got {d}")
-    require_allocatable(d, n_cols)
+    if n_cols is not None:
+        require_allocatable(d, n_cols)
 
 
-def _sketch(rows: np.ndarray, positions: np.ndarray, weights: np.ndarray, total_sq: float) -> Sketch:
-    """Each chosen row x becomes (1/sqrt(d)) * (F/|x|) * x, with d = ``positions.size``."""
+def _sketch(
+    rows: np.ndarray, inverse: np.ndarray, positions: np.ndarray, weights: np.ndarray, total_sq: float
+) -> Sketch:
+    """The sketch whose draw i is row ``inverse[i]`` of ``rows``, scaled in place.
+
+    ``positions`` are the d draws' traversal positions and ``weights`` the
+    weights of ``rows``.  Each row x becomes (1/sqrt(d)) * (F/|x|) * x.
+    """
     d = positions.size
     f = math.sqrt(total_sq)
-    scale = f / (math.sqrt(d) * np.sqrt(weights))
-    return Sketch(matrix=rows * scale[:, None], chosen_indices=positions, frobenius_of_source=f, d=d)
+    rows *= (f / (math.sqrt(d) * np.sqrt(weights)))[:, None]
+    return Sketch(rows=rows, inverse=inverse, chosen_indices=positions, frobenius_of_source=f, d=d)
 
 
 def sample_sketch(a, d: int, seed=0) -> Sketch:
@@ -243,7 +306,9 @@ def materialize_chosen(stream: RowStream, positions, weights, total_sq: float) -
     once, and checks their weights bit for bit against ``weights``.  Any
     other stream is replayed in full, holding the distinct chosen rows
     plus the block being read, and every row's weight is checked.  A pass
-    that differs from the first traversal raises ShapeMismatchError.
+    that differs from the first traversal raises ShapeMismatchError.  The
+    distinct rows, rescaled in place, become the sketch's ``rows``; no
+    d x n array is made.
     """
     positions = np.array(positions, dtype=np.int64)
     weights = np.asarray(weights)
@@ -260,7 +325,7 @@ def materialize_chosen(stream: RowStream, positions, weights, total_sq: float) -
         for start, block, _ in _traverse(stream, weights):
             lo, hi = np.searchsorted(wanted, (start, start + block.shape[0]))
             rows[lo:hi] = block[wanted[lo:hi] - start]
-    return _sketch(rows[inverse], positions, weights[positions], total_sq)
+    return _sketch(rows, inverse, positions, weights[wanted], total_sq)
 
 
 def draw_sketch(stream: RowStream, weights, total_sq: float, d: int, seed) -> Sketch:
@@ -310,4 +375,4 @@ def sample_sketch_one_pass(stream: RowStream, d: int, seed=0) -> Sketch:
                 occupant_index[slots] = start + picks
                 occupant_weight[slots] = w[picks]
     _check_nonzero(running)
-    return _sketch(rows, occupant_index, occupant_weight, running)
+    return _sketch(rows, np.arange(d), occupant_index, occupant_weight, running)

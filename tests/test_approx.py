@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from matsketch import (
 )
 from matsketch import approx as approx_module
 from matsketch import linalg
+from matsketch import sampling as sampling_module
+from matsketch.streams import BLOCK_ROWS
 from matsketch.matio import open_stream, write_binary
 from matsketch.cli import main
 from conftest import matrix_with_singular_values, random_orthonormal
@@ -47,7 +50,8 @@ def svd_shapes(monkeypatch):
 def identity_sketch(n: int) -> Sketch:
     # a sketch of the identity that reproduces its Gram matrix exactly
     return Sketch(
-        matrix=np.eye(n),
+        rows=np.eye(n),
+        inverse=np.arange(n),
         chosen_indices=np.arange(n),
         frobenius_of_source=math.sqrt(n),
         d=n,
@@ -57,7 +61,8 @@ def identity_sketch(n: int) -> Sketch:
 class TestProjector:
     def test_single_direction(self):
         sketch = Sketch(
-            matrix=np.tile([2.0, 0.0, 0.0], (4, 1)),
+            rows=np.tile([2.0, 0.0, 0.0], (4, 1)),
+            inverse=np.arange(4),
             chosen_indices=np.zeros(4, dtype=np.int64),
             frobenius_of_source=4.0,
             d=4,
@@ -103,7 +108,8 @@ class TestProjector:
     def test_rank_capped_at_sketch_rank(self):
         sketch = identity_sketch(3)
         deficient = Sketch(
-            matrix=sketch.matrix[:2],  # spans only e1, e2
+            rows=sketch.matrix[:2],  # spans only e1, e2
+            inverse=np.arange(2),
             chosen_indices=np.arange(2),
             frobenius_of_source=sketch.frobenius_of_source,
             d=2,
@@ -125,7 +131,8 @@ class TestProjector:
         n = 20
         matrix = matrix_with_singular_values(rng, d, n, 0.8 ** np.arange(rank))
         sketch = Sketch(
-            matrix=matrix, chosen_indices=np.arange(d), frobenius_of_source=1.0, d=d
+            rows=matrix, inverse=np.arange(d), chosen_indices=np.arange(d),
+            frobenius_of_source=1.0, d=d,
         )
         _, s, vh = np.linalg.svd(matrix, full_matrices=False)
         effective = min(k, int(np.count_nonzero(s > s[0] * max(d, n) * np.finfo(float).eps)))
@@ -371,6 +378,25 @@ class TestLowRankApproximate:
         with pytest.raises(error, match=match):
             low_rank_approximate(stream, k=k, epsilon=0.5, delta=0.5, d=d)
 
+    @pytest.mark.parametrize(
+        "changed, match",
+        [
+            ({"epsilon": 1.0}, r"epsilon must lie in \(0, 1\), got 1.0"),
+            ({"delta": 0.0}, r"delta must lie in \(0, 1\), got 0.0"),
+            ({"c_constant": 0.0}, "c_constant must be positive, got 0.0"),
+            ({"c_constant": -2.0}, "c_constant must be positive, got -2.0"),
+        ],
+        ids=["epsilon", "delta", "c-zero", "c-negative"],
+    )
+    def test_bad_accuracy_parameters_refused_before_reading(self, changed, match):
+        def unread():
+            pytest.fail("the stream was traversed")
+            yield
+
+        arguments = {"k": 2, "epsilon": 0.5, "delta": 0.5, **changed}
+        with pytest.raises(OutOfRangeError, match=match):
+            low_rank_approximate(RowStream(unread, 5), **arguments)
+
     def test_one_pass_requires_d(self, rng):
         a = rng.normal(size=(20, 5))
         stream = RowStream(iter([a]), 5)
@@ -393,6 +419,39 @@ class TestLowRankApproximate:
     def test_zero_matrix(self):
         with pytest.raises(ZeroMatrixError):
             low_rank_approximate(np.zeros((4, 3)), k=1, epsilon=0.5, delta=0.5)
+
+
+class TestDistinctRowSketch:
+    """A sketch holds each chosen row once; its Gram and projector are the d x n S's."""
+
+    @pytest.mark.parametrize("block_rows", [BLOCK_ROWS, 7])
+    def test_gram_and_projector_match_the_full_sketch(self, rng, monkeypatch, block_rows):
+        # 7-row blocks fold the R factor and the repeated rows over several blocks
+        monkeypatch.setattr(sampling_module, "BLOCK_ROWS", block_rows)
+        a = matrix_with_singular_values(rng, 40, 8, 2.0 ** -np.arange(8))
+        sketch = sample_sketch(a, 300, seed=1)
+        full = sketch.matrix
+        assert full.shape == (300, 8) and sketch.rows.shape[0] < 40
+        gram = full.T @ full
+        assert spectral_norm(sketch.gram() - gram) <= 1e-12 * spectral_norm(gram)
+        _, _, vh = np.linalg.svd(full, full_matrices=False)
+        for k in (1, 3, 8):
+            reference = vh[:k].T @ vh[:k]
+            assert spectral_norm(projector_top_k(sketch, k).matrix() - reference) <= 1e-12
+
+    def test_two_pass_memory_does_not_grow_with_d(self, rng):
+        # at d = 4m a d x n sketch alone would take four copies of the input;
+        # the distinct rows take at most one, and the rest is O(d) indices and
+        # blocks of BLOCK_ROWS rows, which m = 5 BLOCK_ROWS keeps small
+        m, n = 5 * BLOCK_ROWS, 50
+        a = rng.normal(size=(m, n))
+        tracemalloc.start()
+        try:
+            low_rank_approximate(a, 3, 0.5, 0.5, seed=0, d=4 * m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * m * n * 8
 
 
 class TestBlockIdentity:

@@ -245,6 +245,23 @@ class TestApproxSvd:
         monkeypatch.setattr(matio, "open_stream", no_open)
         assert main(argv + ["--input", str(path)]) == 64
 
+    @pytest.mark.parametrize(
+        "flag", [["--epsilon", "1.5"], ["--delta", "0"], ["--c-const", "0"], ["--d", "0"]]
+    )
+    def test_bad_parameters_refused_before_the_matrix_is_read(
+        self, monkeypatch, capsys, rank3_file, flag
+    ):
+        argv = ["approx-svd", "--input", str(rank3_file), "--k", "3", "--out", "-", *flag]
+        assert main(argv + ["--stream", "two-pass"]) == 65
+        streamed = capsys.readouterr().err
+
+        def no_read(*args, **kwargs):
+            pytest.fail("the matrix was read")
+
+        monkeypatch.setattr(matio, "read_matrix", no_read)
+        assert main(argv) == 65
+        assert capsys.readouterr().err == streamed
+
     def test_one_pass_with_d(self, tmp_path, rank3_file):
         out = tmp_path / "one.json"
         code = main(
