@@ -35,6 +35,14 @@ from matsketch import (
 from matsketch.rng import spawn
 
 
+def decay_digests(est) -> dict:
+    """sha256 of the bytes of each per-trial and bound-term array of a DecayEstimate."""
+    return {
+        name: hashlib.sha256(np.asarray(getattr(est, name)).tobytes()).hexdigest()
+        for name in ("samples", "subset_sizes", "bound_terms")
+    }
+
+
 def all_block_sums(a: np.ndarray) -> np.ndarray:
     """|sum of entries| for every row-subset x column-subset block."""
     m, n = a.shape
@@ -413,6 +421,17 @@ class TestCutDecay:
         }
         assert digests == expected
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_seed_pins_bytes_on_real_entries(self, monkeypatch, threads):
+        # distinct column lengths and a nonzero diagonal, unlike a sign matrix
+        monkeypatch.setenv("MATSKETCH_THREADS", threads)
+        a = np.random.default_rng(0).normal(size=(12, 12))
+        assert decay_digests(cut_decay_estimate(a, 5, trials=20, seed=0)) == {
+            "samples": "af44bb51f591c90c06b2d07e49e5555093880e64ac7d037bbec17cceed7cf8fb",
+            "subset_sizes": "50d26c824533953d61c2b24f2f478ee8a6103a620427629f4e00093030504929",
+            "bound_terms": "6d4f1259b965d803eedcd31d52d3181d5d0596b208829c37a0065323f3afc960",
+        }
+
     @pytest.mark.parametrize(
         "maker,term_index,ratio_band",
         [
@@ -475,6 +494,18 @@ class TestSpectralDecay:
     def test_q_out_of_range(self):
         with pytest.raises(OutOfRangeError):
             spectral_decay_estimate(np.eye(8), 0.5, 10, seed=0)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_seed_pins_bytes(self, monkeypatch, threads):
+        # n/q = 20/6 is not an integer: the ceil(n/q) = 4 longest of 20
+        # distinct column lengths are averaged
+        monkeypatch.setenv("MATSKETCH_THREADS", threads)
+        a = np.random.default_rng(0).normal(size=(20, 20))
+        assert decay_digests(spectral_decay_estimate(a, 6, trials=50, seed=0)) == {
+            "samples": "11dd89a9e2b4c8f8896c2216477a55b4eacceba677fca0b34931499da2d24640",
+            "subset_sizes": "936e8250446ba262baf52ab7ccb1e69ae0f07d97d735b4780e3f553065f3bfe8",
+            "bound_terms": "41546cdbb84466cd72c8f86865d1bb33b361f2082a735decc45d175dca0dc0a5",
+        }
 
 
 class TestOrderStatistics:
