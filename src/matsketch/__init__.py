@@ -16,14 +16,11 @@ from .approx import (
 from .cutnorm import (
     CutNormResult,
     DecayEstimate,
-    SubsetMask,
     bernoulli_subset,
     cut_decay_estimate,
     cut_norm_exact,
-    full_mask,
     inf_to_one_norm_exact,
     order_statistics_check,
-    restrict,
     sign_matrix_lower_bound,
     spectral_decay_estimate,
     witness_all_ones,
@@ -47,13 +44,10 @@ from .errors import (
 )
 from .linalg import (
     SvdResult,
-    column_norm_sum,
-    diagonal_part,
     numerical_rank,
     spectral_norm,
     svd,
     sym_spectral_norm,
-    top_k_column_average,
 )
 from .lln import (
     DeviationStats,

@@ -13,7 +13,8 @@ Every command is deterministic given its flags and seed and writes a JSON
 report (see report_schema.json) whose ``config`` records every flag of the
 subcommand except ``--out``.  Exit codes: 0 success, 2 guarantee
 violation under --strict, 64 usage error, 65 data error (including an
-input, or a witness, too large to allocate).
+input or a generated witness too large to allocate, and a cut-decay
+witness larger than the exact oracle takes).
 """
 
 from __future__ import annotations
@@ -68,10 +69,9 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--witness",
         default="identity",
-        choices=("all-ones", "identity", "random-sign", "block-identity", "file"),
+        choices=("all-ones", "identity", "random-sign", "file"),
     )
     p.add_argument("--n", type=int, default=16, help="witness size")
-    p.add_argument("--m", type=int, default=None, help="rows for block-identity")
     p.add_argument("--input", default=None, help="matrix file for --witness file")
     p.add_argument("--format", default="auto", choices=("auto",) + matio.FORMATS)
     p.add_argument("--out", default="report.json")
@@ -150,19 +150,19 @@ def _cmd_approx_svd(args, digest):
 
 
 def _witness_matrix(args, digest) -> np.ndarray:
+    """The input matrix, or the generated n x n witness; a cut witness the
+    exact oracle cannot take is refused before it is built."""
     if args.witness == "file":
         if args.input is None:
             raise UsageError("--witness file requires --input")
         return matio.read_matrix(args.input, args.format, digest)
+    if args.norm == "cut":
+        cutnorm.check_cut_decay_size(args.n)
     if args.witness == "all-ones":
         return cutnorm.witness_all_ones(args.n)
     if args.witness == "identity":
         return cutnorm.witness_identity(args.n)
-    if args.witness == "random-sign":
-        return cutnorm.witness_random_sign(args.n, args.seed)
-    if args.m is None:
-        raise UsageError("--witness block-identity requires --m")
-    return approx.block_identity_matrix(args.n, args.m)
+    return cutnorm.witness_random_sign(args.n, args.seed)
 
 
 def _cmd_decay(args, digest):

@@ -6,6 +6,11 @@ Both exact oracles enumerate the smaller dimension (transposing first if
 needed, which both norms allow) and reject inputs whose smaller dimension
 exceeds 24; 2^24 subsets is the practical limit for an exact answer.
 Larger inputs raise TooLargeError rather than being approximated.
+
+A random restriction is a boolean mask over the coordinates, from
+``bernoulli_subset``; the decay estimates index with it directly,
+``a[np.ix_(mask, mask)]`` for a principal submatrix and ``a[mask]`` for
+a row restriction.
 """
 
 from __future__ import annotations
@@ -21,17 +26,9 @@ from .errors import (
     NotSortedError,
     NotSquareError,
     OutOfRangeError,
-    ShapeMismatchError,
     TooLargeError,
 )
-from .linalg import (
-    as_matrix,
-    column_norm_sum,
-    diagonal_part,
-    require_square,
-    spectral_norm,
-    top_k_column_average,
-)
+from .linalg import as_matrix, require_allocatable, require_square, spectral_norm
 from .parallel import run_trials
 from .rng import as_generator, spawn
 
@@ -42,45 +39,15 @@ _CHUNK_BITS = 12
 _SPAN_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
-class SubsetMask:
-    """Outcome of including each of n coordinates independently."""
-
-    n: int
-    included: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return int(np.count_nonzero(self.included))
-
-
-def full_mask(n: int) -> SubsetMask:
-    return SubsetMask(n=n, included=np.ones(n, dtype=bool))
-
-
-def bernoulli_subset(n: int, q: float, seed=0) -> SubsetMask:
-    """Include each coordinate independently with probability q/n."""
+def bernoulli_subset(n: int, q: float, seed=0) -> np.ndarray:
+    """Boolean mask that includes each of n coordinates independently with
+    probability q/n."""
     if n < 1:
         raise OutOfRangeError(f"n must be >= 1, got {n}")
     if not 0 <= q <= n:
         raise OutOfRangeError(f"q must lie in [0, {n}], got {q}")
     rng = as_generator(seed)
-    return SubsetMask(n=n, included=rng.random(n) < q / n)
-
-
-def restrict(a, row_mask: SubsetMask, col_mask: SubsetMask | None = None) -> np.ndarray:
-    """Submatrix on the selected rows/columns, original order preserved.
-
-    An empty selection yields an empty array whose every norm is 0.
-    """
-    arr = as_matrix(a, allow_empty=True)
-    if col_mask is None:
-        col_mask = full_mask(arr.shape[1])
-    if row_mask.n != arr.shape[0] or col_mask.n != arr.shape[1]:
-        raise ShapeMismatchError(
-            f"mask sizes ({row_mask.n}, {col_mask.n}) do not match shape {arr.shape}"
-        )
-    return arr[np.ix_(row_mask.included, col_mask.included)]
+    return rng.random(n) < q / n
 
 
 @dataclass(frozen=True)
@@ -241,11 +208,14 @@ class DecayEstimate:
 
 
 def _decay_estimate(arr, q, trials, seed, restricted_norm, bound_terms) -> DecayEstimate:
-    """Mean of ``restricted_norm(mask)`` over Bernoulli(q/n) masks, then ``bound_terms()``."""
+    """Mean of ``restricted_norm(mask)`` over Bernoulli(q/n) masks, then ``bound_terms()``.
+
+    An empty mask restricts to an empty array, whose every norm is 0.
+    """
 
     def run(rng):
         mask = bernoulli_subset(arr.shape[0], q, rng)
-        return restricted_norm(mask), mask.size
+        return restricted_norm(mask), int(np.count_nonzero(mask))
 
     samples, sizes = zip(*run_trials(run, trials, seed))
     samples = np.asarray(samples)
@@ -263,6 +233,12 @@ def _decay_estimate(arr, q, trials, seed, restricted_norm, bound_terms) -> Decay
     )
 
 
+def check_cut_decay_size(n: int) -> None:
+    """TooLargeError unless an n x n cut decay fits the exact oracle."""
+    if n > MAX_ENUM:
+        raise TooLargeError(f"cut decay needs n <= {MAX_ENUM} for the exact oracle, got {n}")
+
+
 def cut_decay_estimate(a, q: float, trials: int, seed: int = 0) -> DecayEstimate:
     """Exact cut norm of a random principal submatrix, averaged over trials.
 
@@ -272,18 +248,17 @@ def cut_decay_estimate(a, q: float, trials: int, seed: int = 0) -> DecayEstimate
     """
     arr = require_square(a)
     n = arr.shape[0]
-    if n > MAX_ENUM:
-        raise TooLargeError(f"cut decay needs n <= {MAX_ENUM} for the exact oracle, got {n}")
+    check_cut_decay_size(n)
     if not 0 <= q <= n:
         raise OutOfRangeError(f"q must lie in [0, {n}], got {q}")
     delta = q / n
     return _decay_estimate(
         arr, q, trials, seed,
-        restricted_norm=lambda mask: cut_norm_exact(restrict(arr, mask, mask)).value,
+        restricted_norm=lambda mask: cut_norm_exact(arr[np.ix_(mask, mask)]).value,
         bound_terms=lambda: (
-            delta**2 * cut_norm_exact(arr - diagonal_part(arr)).value,
+            delta**2 * cut_norm_exact(arr - np.diag(np.diag(arr))).value,
             delta * _signed_part(np.diag(arr))[0],
-            delta**1.5 * (column_norm_sum(arr) + column_norm_sum(arr.T)),
+            delta**1.5 * (np.linalg.norm(arr, axis=0).sum() + np.linalg.norm(arr.T, axis=0).sum()),
         ),
     )
 
@@ -301,10 +276,10 @@ def spectral_decay_estimate(a, q: float, trials: int, seed: int = 0) -> DecayEst
     log_factor = max(1.0, math.sqrt(math.log(q)))
     return _decay_estimate(
         arr, q, trials, seed,
-        restricted_norm=lambda mask: spectral_norm(arr[mask.included]),
+        restricted_norm=lambda mask: spectral_norm(arr[mask]),
         bound_terms=lambda: (
             math.sqrt(q / n) * spectral_norm(arr),
-            log_factor * top_k_column_average(arr, math.ceil(n / q)),
+            log_factor * np.sort(np.linalg.norm(arr, axis=0))[-math.ceil(n / q) :].mean(),
         ),
     )
 
@@ -347,22 +322,26 @@ def order_statistics_check(a, delta: float, trials: int, seed: int = 0):
     return float(values.mean()), (delta / (4 * math.e)) * width, 4 * delta * width
 
 
-def witness_all_ones(n: int) -> np.ndarray:
+def _check_witness_size(n: int) -> None:
+    """OutOfRangeError unless n >= 1; TooLargeError if n x n exceeds physical memory."""
     if n < 1:
         raise OutOfRangeError(f"n must be >= 1, got {n}")
+    require_allocatable(n, n)
+
+
+def witness_all_ones(n: int) -> np.ndarray:
+    _check_witness_size(n)
     return np.ones((n, n))
 
 
 def witness_identity(n: int) -> np.ndarray:
-    if n < 1:
-        raise OutOfRangeError(f"n must be >= 1, got {n}")
+    _check_witness_size(n)
     return np.eye(n)
 
 
 def witness_random_sign(n: int, seed=0) -> np.ndarray:
     """i.i.d. uniform +-1 entries, deterministic per seed."""
-    if n < 1:
-        raise OutOfRangeError(f"n must be >= 1, got {n}")
+    _check_witness_size(n)
     rng = as_generator(seed)
     return (rng.integers(0, 2, size=(n, n)) * 2 - 1).astype(np.float64)
 

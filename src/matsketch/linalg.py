@@ -1,12 +1,12 @@
-"""Deterministic dense-matrix norms and decompositions.
+"""Deterministic dense-matrix norms and decompositions, and the input
+checks the other modules share.
 
-All functions take anything ``np.asarray`` accepts and validate it as a
-finite real matrix.
+The norms and decompositions take anything ``np.asarray`` accepts and
+validate it as a finite real matrix.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -16,7 +16,6 @@ from .errors import (
     ConvergenceError,
     InvalidMatrixError,
     NotSquareError,
-    OutOfRangeError,
     TooLargeError,
     ZeroMatrixError,
 )
@@ -132,29 +131,3 @@ def _singular_values(arr: np.ndarray) -> np.ndarray:
         return np.linalg.svd(arr, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD backend failed to converge: {exc}") from exc
-
-
-def column_norm_sum(a) -> float:
-    """Sum of the Euclidean lengths of the columns."""
-    return float(np.linalg.norm(as_matrix(a, allow_empty=True), axis=0).sum())
-
-
-def top_k_column_average(a, k) -> float:
-    """Average of the k largest column Euclidean lengths.
-
-    Fractional ``k`` is rounded up; the result is then clamped to [1, n].
-    """
-    lengths = np.linalg.norm(as_matrix(a, allow_empty=True), axis=0)
-    n = lengths.size
-    if n == 0:
-        return 0.0
-    if k <= 0:
-        raise OutOfRangeError(f"k must be positive, got {k}")
-    kk = min(n, max(1, math.ceil(k)))
-    return float(np.sort(lengths)[-kk:].mean())
-
-
-def diagonal_part(a) -> np.ndarray:
-    """Matrix with the same diagonal and zero off-diagonal entries."""
-    arr = require_square(a)
-    return np.diag(np.diag(arr))

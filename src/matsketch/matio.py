@@ -44,11 +44,11 @@ the reads, pass two replays the whole file instead.  A rewrite that keeps
 the stamp (on a filesystem with coarse timestamps) and touches no chosen
 row goes unseen, and cannot change the sketch.
 
-A MatrixMarket size line is checked against physical memory
-(``linalg.require_allocatable``) before the matrix is allocated, and the
-parser holds no more than that check covered: ``array`` values fill a
-float64 vector of m*n entries, ``coordinate`` duplicates are tracked in an
-m x n bool mask.
+A binary header and a MatrixMarket size line are checked against physical
+memory (``linalg.require_allocatable``) before ``read_matrix`` allocates
+the matrix, and the MatrixMarket parser holds no more than that check
+covered: ``array`` values fill a float64 vector of m*n entries,
+``coordinate`` duplicates are tracked in an m x n bool mask.
 
 Both readers take an optional ``InputDigest``, which hashes the bytes they
 read (on a stream's first traversal only) as they are read, so the input's
@@ -463,6 +463,7 @@ def _read_binary(path, digest: InputDigest | None = None) -> np.ndarray:
     """Read the data into one array, block by block through ``_iter_binary_blocks``."""
     with open(path, "rb") as fh:
         m, n = _binary_shape(fh, path)
+    require_allocatable(m, n)
     arr = np.empty((m, n), dtype="<f8")
     for _ in _iter_binary_blocks(path, m, n, digest, _check_finite, out=arr):
         pass

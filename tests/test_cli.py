@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import struct
@@ -10,7 +11,17 @@ import numpy as np
 import pytest
 
 import matsketch
-from matsketch import RowStream, approx, block_identity_matrix, matio, parallel, write_binary, write_csv
+from matsketch import (
+    RowStream,
+    approx,
+    block_identity_matrix,
+    cli,
+    cutnorm,
+    matio,
+    parallel,
+    write_binary,
+    write_csv,
+)
 from matsketch.cli import main
 from conftest import matrix_with_singular_values, write_binary_with_nan
 
@@ -440,8 +451,19 @@ class TestDecay:
     def test_file_witness_requires_input(self):
         assert main(["decay", "--norm", "cut", "--witness", "file", "--q", "4"]) == 64
 
-    def test_block_identity_requires_m(self):
-        assert main(["decay", "--norm", "spectral", "--witness", "block-identity", "--q", "4"]) == 64
+    @pytest.mark.parametrize("witness", ["all-ones", "identity", "random-sign"])
+    def test_cut_witness_beyond_the_oracle_refused_before_it_is_built(
+        self, monkeypatch, capsys, witness
+    ):
+        def not_built(*args):
+            pytest.fail("the witness was built")
+
+        for name in ("witness_all_ones", "witness_identity", "witness_random_sign"):
+            monkeypatch.setattr(cutnorm, name, not_built)
+        argv = ["decay", "--norm", "cut", "--witness", witness, "--n", "25", "--q", "4", "--out", "-"]
+        assert main(argv) == 65
+        err = capsys.readouterr().err
+        assert err == "matsketch: cut decay needs n <= 24 for the exact oracle, got 25\n"
 
 
 class TestLln:
@@ -605,6 +627,38 @@ class TestBlasThreads:
         assert main(argv) == 0
         assert seen == [caller]
         assert blas_threads() == caller
+
+
+def _every_choice():
+    """(command, flag, value) for each ``choices`` value of each subcommand flag."""
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (command, action.option_strings[0], value)
+        for command, sub in commands.choices.items()
+        for action in sub._actions
+        if action.choices
+        for value in action.choices
+    ]
+
+
+# a tiny run of each command that has a choice; the flag under test, given
+# after these, overrides them
+SMOKE_ARGV = {
+    "approx-svd": ["--k", "1", "--d", "4"],
+    "decay": ["--norm", "cut", "--witness", "file", "--n", "4", "--q", "2", "--trials", "2"],
+    "lln": ["--ensemble", "matrix-rows", "--n", "4", "--d", "4", "--trials", "2"],
+}
+
+
+@pytest.mark.parametrize("command,flag,value", _every_choice())
+def test_every_choice_runs(tmp_path, command, flag, value):
+    # square, for decay; in the format under test, binary for the others
+    fmt = value if flag == "--format" and value != "auto" else "binary"
+    path = tmp_path / f"a.{fmt}"
+    getattr(matio, f"write_{fmt}")(path, np.random.default_rng(4).standard_normal((4, 4)))
+    argv = [command, *SMOKE_ARGV[command], "--input", str(path), flag, value]
+    assert main(argv + ["--out", str(tmp_path / "r.json")]) == 0
 
 
 def test_console_entry_point_runs(tmp_path):

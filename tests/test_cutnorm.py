@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -14,17 +15,13 @@ from matsketch import (
     NotSortedError,
     NotSquareError,
     OutOfRangeError,
-    ShapeMismatchError,
-    SubsetMask,
     TooLargeError,
     bernoulli_subset,
     cut_decay_estimate,
     cut_norm_exact,
     cutnorm,
-    full_mask,
     inf_to_one_norm_exact,
     order_statistics_check,
-    restrict,
     sign_matrix_lower_bound,
     spectral_decay_estimate,
     spectral_norm,
@@ -315,20 +312,21 @@ class TestNormEquivalence:
 
 class TestBernoulliSubset:
     def test_q_equals_n(self):
-        assert bernoulli_subset(10, 10, seed=0).included.all()
+        assert bernoulli_subset(10, 10, seed=0).all()
 
     def test_q_zero(self):
-        assert not bernoulli_subset(10, 0, seed=0).included.any()
+        assert not bernoulli_subset(10, 0, seed=0).any()
 
     def test_binomial_mean(self):
         n, q, trials = 100, 30, 100_000
-        sizes = np.array([bernoulli_subset(n, q, seed=s).size for s in range(trials)])
+        sizes = np.array([np.count_nonzero(bernoulli_subset(n, q, seed=s)) for s in range(trials)])
         se = math.sqrt(n * 0.3 * 0.7 / trials)
         assert abs(sizes.mean() - q) <= 3 * se
 
     def test_deterministic(self):
-        a = bernoulli_subset(50, 20, seed=9).included
-        b = bernoulli_subset(50, 20, seed=9).included
+        a = bernoulli_subset(50, 20, seed=9)
+        b = bernoulli_subset(50, 20, seed=9)
+        assert a.dtype == bool and a.shape == (50,)
         assert np.array_equal(a, b)
 
     def test_out_of_range(self):
@@ -339,36 +337,22 @@ class TestBernoulliSubset:
 
 
 class TestRestrict:
-    def test_full_masks(self, rng):
-        a = rng.normal(size=(5, 7))
-        assert np.array_equal(restrict(a, full_mask(5), full_mask(7)), a)
-
     def test_identity_restriction(self):
         mask = bernoulli_subset(12, 6, seed=1)
-        sub = restrict(np.eye(12), mask, mask)
-        assert np.array_equal(sub, np.eye(mask.size))
-
-    def test_composition(self, rng):
-        a = rng.normal(size=(9, 9))
-        rows = bernoulli_subset(9, 4, seed=2)
-        cols = bernoulli_subset(9, 5, seed=3)
-        row_restricted = restrict(a, rows)
-        two_step = restrict(row_restricted, full_mask(row_restricted.shape[0]), cols)
-        assert np.array_equal(two_step, restrict(a, rows, cols))
+        sub = np.eye(12)[np.ix_(mask, mask)]
+        assert np.array_equal(sub, np.eye(np.count_nonzero(mask)))
 
     def test_empty_selection_has_zero_norms(self, rng):
         a = rng.normal(size=(4, 4))
-        none = SubsetMask(n=4, included=np.zeros(4, dtype=bool))
-        sub = restrict(a, none, none)
+        none = np.zeros(4, dtype=bool)
+        sub = a[np.ix_(none, none)]
         assert sub.shape == (0, 0)
+        assert a[none].shape == (0, 4)
         assert np.linalg.norm(sub) == 0.0
         assert spectral_norm(sub) == 0.0
+        assert spectral_norm(a[none]) == 0.0
         assert cut_norm_exact(sub).value == 0.0
         assert inf_to_one_norm_exact(sub) == 0.0
-
-    def test_mask_size_mismatch(self, rng):
-        with pytest.raises(ShapeMismatchError):
-            restrict(rng.normal(size=(4, 4)), full_mask(5), full_mask(4))
 
 
 class TestCutDecay:
@@ -393,6 +377,17 @@ class TestCutDecay:
     def test_oracle_limit(self):
         with pytest.raises(TooLargeError):
             cut_decay_estimate(np.eye(32), 8, 10, seed=0)
+
+    def test_bound_terms(self):
+        a = np.array([[1.0, 2.0], [-3.0, 4.0]])
+        est = cut_decay_estimate(a, 1, 1, seed=0)
+        delta = 0.5
+        # off-diagonal part [[0, 2], [-3, 0]]: its best block is the -3 alone
+        assert est.bound_terms[0] == pytest.approx(delta**2 * 3.0)
+        assert est.bound_terms[1] == pytest.approx(delta * 5.0)
+        columns = math.sqrt(10) + math.sqrt(20)
+        rows = math.sqrt(5) + math.sqrt(25)
+        assert est.bound_terms[2] == pytest.approx(delta**1.5 * (columns + rows))
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize(
@@ -487,6 +482,11 @@ class TestSpectralDecay:
         assert est.bound_terms[0] == pytest.approx(0.5)
         assert est.bound_terms[1] == pytest.approx(math.sqrt(math.log(16)))
 
+    def test_bound_term_averages_the_longest_columns(self):
+        # ceil(4 / 3) = 2 columns: the lengths 4 and 2 average to 3
+        est = spectral_decay_estimate(np.diag([1.0, 4.0, 1.0, 2.0]), 3, 1, seed=0)
+        assert est.bound_terms[1] == pytest.approx(math.sqrt(math.log(3)) * 3.0)
+
     def test_log_factor_clamped_for_tiny_q(self):
         est = spectral_decay_estimate(np.eye(8), 2, 10, seed=0)
         assert est.bound_terms[1] == pytest.approx(1.0)  # sqrt(log 2) < 1 clamps
@@ -573,6 +573,13 @@ class TestWitnesses:
         assert np.isin(a, (-1.0, 1.0)).all()
         assert np.array_equal(a, witness_random_sign(16, seed=3))
         assert not np.array_equal(a, witness_random_sign(16, seed=4))
+
+    @pytest.mark.parametrize("maker", [witness_all_ones, witness_identity, witness_random_sign])
+    def test_size_beyond_memory_refused_before_allocating(self, monkeypatch, maker):
+        # 64 KiB of physical memory: a 1024 x 1024 witness needs 8 MiB
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}.__getitem__)
+        with pytest.raises(TooLargeError, match="1024x1024"):
+            maker(1024)
 
 
 class TestSignMatrixLowerBound:

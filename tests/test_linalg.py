@@ -9,18 +9,12 @@ from hypothesis.extra.numpy import arrays
 from matsketch import (
     ConvergenceError,
     InvalidMatrixError,
-    NotSquareError,
-    OutOfRangeError,
     ZeroMatrixError,
     block_identity_matrix,
-    column_norm_sum,
-    diagonal_part,
     numerical_rank,
     spectral_norm,
     svd,
     sym_spectral_norm,
-    top_k_column_average,
-    witness_random_sign,
 )
 
 finite_entries = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
@@ -113,69 +107,6 @@ class TestSvd:
         monkeypatch.setattr(np.linalg, "svd", boom)
         with pytest.raises(ConvergenceError):
             svd(np.eye(2))
-
-
-class TestColumnNorms:
-    def test_identity(self):
-        assert column_norm_sum(np.eye(9)) == pytest.approx(9.0)
-
-    def test_sign_matrix(self):
-        a = witness_random_sign(16, seed=5)
-        assert column_norm_sum(a) == pytest.approx(16**1.5)
-        assert column_norm_sum(a.T) == pytest.approx(16**1.5)
-
-    def test_explicit_columns(self):
-        a = np.array([[3.0, 0.0], [4.0, 0.0], [0.0, 5.0]])
-        assert column_norm_sum(a) == pytest.approx(10.0)
-
-
-class TestTopKColumnAverage:
-    def test_identity_any_k(self):
-        for k in (1, 2, 3, 5):
-            assert top_k_column_average(np.eye(5), k) == pytest.approx(1.0)
-
-    def test_sorted_average(self):
-        a = np.diag([4.0, 2.0, 1.0, 1.0])
-        assert top_k_column_average(a, 2) == pytest.approx(3.0)
-
-    def test_k_equals_n_is_full_average(self, rng):
-        a = rng.normal(size=(6, 4))
-        assert top_k_column_average(a, 4) == pytest.approx(column_norm_sum(a) / 4)
-
-    def test_fractional_k_rounds_up(self):
-        a = np.diag([4.0, 2.0, 1.0, 1.0])
-        assert top_k_column_average(a, 1.2) == pytest.approx(3.0)
-        assert top_k_column_average(a, 0.3) == pytest.approx(4.0)
-
-    def test_k_above_n_clamps(self, rng):
-        a = rng.normal(size=(3, 3))
-        assert top_k_column_average(a, 17) == pytest.approx(column_norm_sum(a) / 3)
-
-    def test_nonincreasing_in_k(self, rng):
-        a = rng.normal(size=(5, 8))
-        values = [top_k_column_average(a, k) for k in range(1, 9)]
-        assert all(x >= y - 1e-12 for x, y in zip(values, values[1:]))
-        assert values[0] == pytest.approx(np.linalg.norm(a, axis=0).max())
-
-    def test_nonpositive_k(self):
-        with pytest.raises(OutOfRangeError):
-            top_k_column_average(np.eye(3), 0)
-
-
-class TestDiagonalPart:
-    def test_identity(self):
-        assert np.array_equal(diagonal_part(np.eye(4)), np.eye(4))
-
-    def test_all_ones(self):
-        assert np.array_equal(diagonal_part(np.ones((5, 5))), np.eye(5))
-
-    def test_strictly_upper(self):
-        a = np.triu(np.ones((4, 4)), k=1)
-        assert np.array_equal(diagonal_part(a), np.zeros((4, 4)))
-
-    def test_not_square(self):
-        with pytest.raises(NotSquareError):
-            diagonal_part(np.ones((3, 4)))
 
 
 @given(small_matrices)

@@ -217,6 +217,21 @@ class TestBinary:
         with pytest.raises(ParseError, match="bytes"):
             open_stream(path, "binary")
 
+    def test_size_beyond_memory_refused_before_allocating(self, tmp_path, monkeypatch):
+        path = tmp_path / "big.bin"
+        with open(path, "wb") as fh:
+            fh.write(matio._BINARY_HEADER.pack(1024, 1024))
+            fh.truncate(matio._BINARY_HEADER.size + 8 * 1024 * 1024)  # sparse: no data written
+
+        def no_allocation(*args, **kwargs):
+            pytest.fail("the declared matrix was allocated")
+
+        # 64 KiB of physical memory: the matrix needs 8 MiB
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}.__getitem__)
+        monkeypatch.setattr(np, "empty", no_allocation)
+        with pytest.raises(TooLargeError, match="1024x1024"):
+            read_matrix(path, "binary")
+
     def test_file_shrinking_after_the_size_check(self, tmp_path, monkeypatch, random_matrix):
         path = tmp_path / "a.bin"
         write_binary(path, random_matrix)
