@@ -28,7 +28,6 @@ from .cutnorm import (
     witness_random_sign,
 )
 from .errors import (
-    ConvergenceError,
     Error,
     InvalidMatrixError,
     InvariantError,

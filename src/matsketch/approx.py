@@ -20,13 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvariantError, OutOfRangeError, ShapeMismatchError
-from .linalg import (
-    _singular_values,
-    as_matrix,
-    gram_eigenvalues,
-    spectral_norm,
-    sym_spectral_norm,
-)
+from .linalg import as_matrix, spectral_norm, sym_spectral_norm
 from .parallel import run_trials
 from .sampling import (
     Sketch,
@@ -146,7 +140,7 @@ def projection_error_bound(a, sketch: Sketch, k: int) -> BoundCheck:
         )
     projector = projector_top_k(sketch, k)
     lhs = approximation_error(arr, projector) ** 2
-    values = _singular_values(arr)
+    values = np.linalg.svd(arr, compute_uv=False)
     sigma_next = float(values[k]) if k < values.size else 0.0
     gram_gap = sym_spectral_norm(arr.T @ arr - sketch.gram())
     rhs = sigma_next**2 + 2.0 * gram_gap
@@ -219,7 +213,7 @@ def low_rank_approximate(
             k=int(k), d=int(d), epsilon=float(epsilon), delta=float(delta), numerical_rank=None
         )
     weights, total_sq, gram = stream_weights(stream, accumulate_gram=True)
-    eigenvalues = gram_eigenvalues(gram)
+    eigenvalues = np.linalg.eigvalsh(gram)
     rank = total_sq / float(eigenvalues[-1])
     if d is None:
         # the Gram ratio of a rank-one matrix can round to just below 1
@@ -272,7 +266,7 @@ def _certify(blocks, gram, lam, sketch, projector, k) -> tuple[float, float, flo
     coarse = error_sq < floor or (k < n and lam_next < floor)
     if coarse or error_sq > lam_next + 2.0 * gram_deviation:
         r = _r_factor(blocks, n)
-        values = _singular_values(r)
+        values = np.linalg.svd(r, compute_uv=False)
         sigma_next = float(values[k]) if k < values.size else 0.0
         return sigma_next, approximation_error(r, projector), gram_deviation
     return math.sqrt(lam_next), math.sqrt(error_sq), gram_deviation

@@ -13,8 +13,11 @@ Every command is deterministic given its flags and seed and writes a JSON
 report (see report_schema.json) whose ``config`` records every flag of the
 subcommand except ``--out``.  Exit codes: 0 success, 2 guarantee
 violation under --strict, 64 usage error, 65 data error (including an
-input or a generated witness too large to allocate, and a cut-decay
-witness larger than the exact oracle takes).
+input or a generated witness too large to allocate, a cut-decay witness
+larger than the exact oracle takes, and a linear-algebra routine that
+fails to converge: numpy's ``LinAlgError`` is mapped to 65 in ``main``
+alone).  ``decay`` and ``lln`` check their numbers before they build a
+witness or read ``--input``.
 """
 
 from __future__ import annotations
@@ -150,14 +153,20 @@ def _cmd_approx_svd(args, digest):
 
 
 def _witness_matrix(args, digest) -> np.ndarray:
-    """The input matrix, or the generated n x n witness; a cut witness the
-    exact oracle cannot take is refused before it is built."""
+    """The input matrix, or the generated n x n witness.
+
+    The decay's arguments are checked before a witness is built, and before
+    a cut decay reads its input, with n the width that the file's header or
+    first line gives; a spectral decay checks its input after the read.
+    """
     if args.witness == "file":
         if args.input is None:
             raise UsageError("--witness file requires --input")
+        if args.norm == "cut":
+            n = matio.open_stream(args.input, args.format).n_cols
+            cutnorm.check_decay_arguments(args.norm, n, args.q, args.trials)
         return matio.read_matrix(args.input, args.format, digest)
-    if args.norm == "cut":
-        cutnorm.check_cut_decay_size(args.n)
+    cutnorm.check_decay_arguments(args.norm, args.n, args.q, args.trials)
     if args.witness == "all-ones":
         return cutnorm.witness_all_ones(args.n)
     if args.witness == "identity":
@@ -182,11 +191,13 @@ def _cmd_decay(args, digest):
 
 
 def _cmd_lln(args, digest):
+    """``--d`` and ``--trials`` are checked before the ensemble is built."""
+    if args.ensemble == "matrix-rows" and args.input is None:
+        raise UsageError("--ensemble matrix-rows requires --input")
+    lln.check_deviation_arguments(args.d, args.trials)
     if args.ensemble == "scaled-basis":
         ensemble = lln.scaled_basis_ensemble(args.n)
     else:
-        if args.input is None:
-            raise UsageError("--ensemble matrix-rows requires --input")
         ensemble = lln.matrix_rows_ensemble(matio.read_matrix(args.input, args.format, digest))
     stats = lln.lln_deviation(ensemble, args.d, args.trials, args.seed, args.c_const)
     per_trial = [{"trial": i, "deviation": float(v)} for i, v in enumerate(stats.deviations)]
@@ -255,6 +266,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"matsketch: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except np.linalg.LinAlgError as exc:
+        print(f"matsketch: linear algebra failed to converge: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except (Error, OSError, MemoryError) as exc:
         print(f"matsketch: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -29,7 +29,7 @@ from .errors import (
     TooLargeError,
 )
 from .linalg import as_matrix, require_allocatable, require_square, spectral_norm
-from .parallel import run_trials
+from .parallel import check_trials, run_trials
 from .rng import as_generator, spawn
 
 MAX_ENUM = 24
@@ -233,10 +233,19 @@ def _decay_estimate(arr, q, trials, seed, restricted_norm, bound_terms) -> Decay
     )
 
 
-def check_cut_decay_size(n: int) -> None:
-    """TooLargeError unless an n x n cut decay fits the exact oracle."""
-    if n > MAX_ENUM:
+def check_decay_arguments(norm: str, n: int, q: float, trials: int) -> None:
+    """The arguments of a ``norm`` ("cut" or "spectral") decay of an n x n
+    matrix, checked before the matrix need exist: n >= 1, a cut decay n <=
+    MAX_ENUM (TooLargeError) and q in [0, n], a spectral decay q in [1, n],
+    and trials >= 1."""
+    if n < 1:
+        raise OutOfRangeError(f"n must be >= 1, got {n}")
+    if norm == "cut" and n > MAX_ENUM:
         raise TooLargeError(f"cut decay needs n <= {MAX_ENUM} for the exact oracle, got {n}")
+    low = 0 if norm == "cut" else 1
+    if not low <= q <= n:
+        raise OutOfRangeError(f"q must lie in [{low}, {n}], got {q}")
+    check_trials(trials)
 
 
 def cut_decay_estimate(a, q: float, trials: int, seed: int = 0) -> DecayEstimate:
@@ -248,9 +257,7 @@ def cut_decay_estimate(a, q: float, trials: int, seed: int = 0) -> DecayEstimate
     """
     arr = require_square(a)
     n = arr.shape[0]
-    check_cut_decay_size(n)
-    if not 0 <= q <= n:
-        raise OutOfRangeError(f"q must lie in [0, {n}], got {q}")
+    check_decay_arguments("cut", n, q, trials)
     delta = q / n
     return _decay_estimate(
         arr, q, trials, seed,
@@ -271,8 +278,7 @@ def spectral_decay_estimate(a, q: float, trials: int, seed: int = 0) -> DecayEst
     """
     arr = require_square(a)
     n = arr.shape[0]
-    if not 1 <= q <= n:
-        raise OutOfRangeError(f"q must lie in [1, {n}], got {q}")
+    check_decay_arguments("spectral", n, q, trials)
     log_factor = max(1.0, math.sqrt(math.log(q)))
     return _decay_estimate(
         arr, q, trials, seed,

@@ -2,7 +2,9 @@
 
 Everything raised by this package derives from :class:`Error`, so callers
 (notably the CLI) can distinguish data problems from usage problems with a
-single except clause.
+single except clause.  A LAPACK routine that fails to converge raises
+numpy's own ``np.linalg.LinAlgError``, which passes through the library
+unchanged; the CLI maps it to exit 65.
 """
 
 
@@ -49,10 +51,6 @@ class NotSignMatrixError(Error, ValueError):
 
 class NotReplayableError(Error, RuntimeError):
     """A single-shot stream was traversed more than once."""
-
-
-class ConvergenceError(Error, RuntimeError):
-    """An iterative numerical backend failed to converge."""
 
 
 class InvariantError(Error, RuntimeError):

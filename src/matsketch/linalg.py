@@ -12,13 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    InvalidMatrixError,
-    NotSquareError,
-    TooLargeError,
-    ZeroMatrixError,
-)
+from .errors import InvalidMatrixError, NotSquareError, TooLargeError, ZeroMatrixError
 
 def as_matrix(a, allow_empty: bool = False, check_finite: bool = True) -> np.ndarray:
     """Validate and return ``a`` as a 2-d float64 array with finite entries.
@@ -69,7 +63,7 @@ def spectral_norm(a) -> float:
     arr = as_matrix(a, allow_empty=True)
     if arr.size == 0:
         return 0.0
-    return float(_singular_values(arr)[0])
+    return float(np.linalg.svd(arr, compute_uv=False)[0])
 
 
 def sym_spectral_norm(a) -> float:
@@ -81,15 +75,6 @@ def sym_spectral_norm(a) -> float:
     return float(np.abs(np.linalg.eigvalsh(sym)).max())
 
 
-def gram_eigenvalues(gram: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric Gram matrix; the last is the
-    squared spectral norm of any matrix with that Gram."""
-    try:
-        return np.linalg.eigvalsh(gram)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolver failed to converge: {exc}") from exc
-
-
 def numerical_rank(a) -> float:
     """Squared Frobenius norm over squared spectral norm.
 
@@ -97,7 +82,7 @@ def numerical_rank(a) -> float:
     the exact rank.
     """
     arr = as_matrix(a)
-    values = _singular_values(arr)
+    values = np.linalg.svd(arr, compute_uv=False)
     top = float(values[0])
     if top == 0.0:
         raise ZeroMatrixError("numerical rank is undefined for the zero matrix")
@@ -119,15 +104,5 @@ class SvdResult:
 
 def svd(a) -> SvdResult:
     arr = as_matrix(a)
-    try:
-        u, s, vh = np.linalg.svd(arr, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"SVD backend failed to converge: {exc}") from exc
+    u, s, vh = np.linalg.svd(arr, full_matrices=False)
     return SvdResult(left=u, values=s, right=vh.T)
-
-
-def _singular_values(arr: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.svd(arr, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"SVD backend failed to converge: {exc}") from exc

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRangeError, ShapeMismatchError
-from .linalg import gram_eigenvalues
-from .parallel import run_trials
+from .parallel import check_trials, run_trials
 from .rng import as_generator
 from .sampling import draw_weighted_indices, stream_weights
 from .streams import MatrixRowStream
@@ -64,7 +63,7 @@ def matrix_rows_ensemble(a) -> VectorEnsemble:
     """
     stream = MatrixRowStream(a)
     weights, total, gram = stream_weights(stream, accumulate_gram=True)
-    top_sq = float(gram_eigenvalues(gram)[-1])
+    top_sq = float(np.linalg.eigvalsh(gram)[-1])
     fro = math.sqrt(total / top_sq)
     keep = weights > 0
     # each atom is its row rescaled to length fro; the spectral norm cancels
@@ -98,6 +97,13 @@ class DeviationStats:
     a_value: float
 
 
+def check_deviation_arguments(d: int, trials: int) -> None:
+    """OutOfRangeError unless d >= 2 and trials >= 1; ``lln_deviation``'s first check."""
+    if d < 2:
+        raise OutOfRangeError(f"d must be >= 2, got {d}")
+    check_trials(trials)
+
+
 def lln_deviation(
     ensemble: VectorEnsemble, d: int, trials: int, seed: int = 0, c_constant: float = 1.0
 ) -> DeviationStats:
@@ -109,8 +115,7 @@ def lln_deviation(
     count) and its deviation from the exact moment is read off a symmetric
     eigensolver.
     """
-    if d < 2:
-        raise OutOfRangeError(f"d must be >= 2, got {d}")
+    check_deviation_arguments(d, trials)
     atoms = ensemble.atoms
     exact = ensemble.second_moment
 

@@ -48,10 +48,15 @@ def run_indexed(fn, count: int) -> list:
         return list(pool.map(fn, range(count)))
 
 
-def run_trials(fn, trials: int, seed) -> list:
-    """Evaluate ``fn(spawn(seed, i))`` for trial i in range(trials), in trial order."""
+def check_trials(trials: int) -> None:
+    """OutOfRangeError unless trials >= 1."""
     if trials < 1:
         raise OutOfRangeError(f"trials must be >= 1, got {trials}")
+
+
+def run_trials(fn, trials: int, seed) -> list:
+    """Evaluate ``fn(spawn(seed, i))`` for trial i in range(trials), in trial order."""
+    check_trials(trials)
     return run_indexed(lambda i: fn(spawn(seed, i)), trials)
 
 

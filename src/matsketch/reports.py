@@ -26,14 +26,8 @@ def utc_now() -> str:
 
 def _plain(value):
     """Convert numpy scalars/arrays to builtin types for JSON."""
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value]
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if isinstance(value, dict):

@@ -465,6 +465,43 @@ class TestDecay:
         err = capsys.readouterr().err
         assert err == "matsketch: cut decay needs n <= 24 for the exact oracle, got 25\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--norm", "spectral", "--witness", "all-ones", "--n", "4000", "--q", "0.5"],
+             "q must lie in [1, 4000], got 0.5"),
+            (["--norm", "spectral", "--witness", "all-ones", "--n", "4000", "--q", "5",
+              "--trials", "0"], "trials must be >= 1, got 0"),
+            (["--norm", "spectral", "--witness", "identity", "--n", "0", "--q", "1"],
+             "n must be >= 1, got 0"),
+            (["--norm", "cut", "--witness", "random-sign", "--n", "16", "--q", "20"],
+             "q must lie in [0, 16], got 20.0"),
+            (["--norm", "cut", "--witness", "file", "--input", "{wide}", "--q", "4"],
+             "cut decay needs n <= 24 for the exact oracle, got 30"),
+            (["--norm", "cut", "--witness", "file", "--input", "{small}", "--q", "12"],
+             "q must lie in [0, 10], got 12.0"),
+            (["--norm", "cut", "--witness", "file", "--input", "{small}", "--q", "4",
+              "--trials", "0"], "trials must be >= 1, got 0"),
+        ],
+    )
+    def test_numbers_checked_before_any_matrix_exists(
+        self, tmp_path, rng, monkeypatch, capsys, argv, message
+    ):
+        # a cut decay reads only the width of its input file before the check
+        write_binary(tmp_path / "wide.bin", rng.normal(size=(30, 30)))
+        write_csv(tmp_path / "small.csv", rng.normal(size=(10, 10)))
+
+        def not_built(*args):
+            pytest.fail("a matrix was built or read")
+
+        for name in ("witness_all_ones", "witness_identity", "witness_random_sign"):
+            monkeypatch.setattr(cutnorm, name, not_built)
+        monkeypatch.setattr(matio, "read_matrix", not_built)
+        paths = {"{wide}": str(tmp_path / "wide.bin"), "{small}": str(tmp_path / "small.csv")}
+        argv = ["decay", *(paths.get(a, a) for a in argv), "--out", "-"]
+        assert main(argv) == 65
+        assert capsys.readouterr().err == f"matsketch: {message}\n"
+
 
 class TestLln:
     def test_one_dimensional_deviations_vanish(self, tmp_path):
@@ -500,6 +537,65 @@ class TestLln:
 
     def test_matrix_rows_requires_input(self):
         assert main(["lln", "--ensemble", "matrix-rows", "--d", "10"]) == 64
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--d", "1"], "d must be >= 2, got 1"),
+         (["--d", "4", "--trials", "0"], "trials must be >= 1, got 0")],
+    )
+    def test_numbers_checked_before_the_input_is_read(
+        self, rank3_file, monkeypatch, capsys, argv, message
+    ):
+        def not_read(*args):
+            pytest.fail("the input was read")
+
+        monkeypatch.setattr(matio, "read_matrix", not_read)
+        argv = ["lln", "--ensemble", "matrix-rows", "--input", str(rank3_file), *argv, "--out", "-"]
+        code = main(argv)
+        assert code == 65
+        assert capsys.readouterr().err == f"matsketch: {message}\n"
+
+
+class TestLapackFailure:
+    # (numpy.linalg function, the call that fails, argv); "{input}" is a 150 x 30 CSV
+    SITES = {
+        "approx-projector-svd": ("svd", 1, ["approx-svd", "--input", "{input}", "--k", "3"]),
+        "approx-tsqr-qr": (
+            "qr", 1,
+            ["approx-svd", "--input", "{input}", "--k", "3", "--stream", "two-pass", "--d", "40"],
+        ),
+        "approx-certificate-eigvalsh": (
+            "eigvalsh", 2, ["approx-svd", "--input", "{input}", "--k", "3"],
+        ),
+        "lln-trial-eigvalsh": (
+            "eigvalsh", 1, ["lln", "--ensemble", "scaled-basis", "--n", "4", "--d", "8"],
+        ),
+        "decay-spectral-svd": (
+            "svd", 1,
+            ["decay", "--norm", "spectral", "--witness", "identity", "--n", "8", "--q", "4"],
+        ),
+        "optimality-projector-svd": (
+            "svd", 1, ["optimality", "--n", "4", "--m", "8", "--d", "6", "--trials", "3"],
+        ),
+    }
+
+    @pytest.mark.parametrize("site", sorted(SITES))
+    def test_exits_65(self, rank3_file, monkeypatch, capsys, site):
+        name, failing_call, argv = self.SITES[site]
+        real = getattr(np.linalg, name)
+        calls = []
+
+        def fails_from_call(*args, **kwargs):
+            calls.append(name)
+            if len(calls) >= failing_call:
+                raise np.linalg.LinAlgError(f"{name} did not converge")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, fails_from_call)
+        argv = [str(rank3_file) if a == "{input}" else a for a in argv]
+        assert main([*argv, "--out", "-"]) == 65
+        assert len(calls) == failing_call
+        assert "failed to converge" in capsys.readouterr().err
 
 
 class TestOptimality:

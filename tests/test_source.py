@@ -37,6 +37,18 @@ def test_library_has_no_assert_statements():
     assert SOURCES and not found, found
 
 
+def test_only_the_cli_names_linalgerror():
+    # numpy's LinAlgError passes through the library; cli.main alone maps it to exit 65
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if "LinAlgError" in (getattr(node, key, None) for key in ("id", "attr", "name"))
+    ]
+    assert len(SOURCES) > 1 and not found, found
+
+
 def test_module_constants_are_read():
     # a module-level name that no code in the package reads is dead
     trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES]
