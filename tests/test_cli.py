@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import struct
@@ -641,6 +642,38 @@ class TestDeterminism:
         )
         for key in ("config", "summary", "results", "provenance"):
             assert r1[key] == r2[key]
+
+
+class TestReportBytesPinned:
+    """A seed fixes the bytes of ``per_trial`` and ``results``, projector_sha256 included."""
+
+    PINS = {
+        "approx-none": "d778b197b79e2796b672eacb0b95f32b87f5ca76d77cad885db6590009fd438d",
+        "approx-two-pass": "d778b197b79e2796b672eacb0b95f32b87f5ca76d77cad885db6590009fd438d",
+        "approx-one-pass": "8bb94e3fb7b652654807c5728c4a12ab4e61401eb193d661aa01a70181313536",
+        "optimality": "9e622b5ab51b915e4f616aacaec65bc40bbd7f4686e8a17d7cfee0ab28b18f80",
+    }
+    APPROX = ["approx-svd", "--input", "{input}", "--k", "3", "--seed", "7"]
+    ARGV = {
+        "approx-none": [*APPROX, "--stream", "none"],
+        "approx-two-pass": [*APPROX, "--stream", "two-pass"],
+        "approx-one-pass": [*APPROX, "--stream", "one-pass", "--d", "40"],
+        "optimality": ["optimality", "--n", "4", "--m", "16", "--d", "6", "--trials", "20",
+                       "--seed", "3"],
+    }
+
+    @pytest.mark.parametrize("run", sorted(ARGV))
+    def test_seed_pins_report_bytes(self, tmp_path, run):
+        path = tmp_path / "a.bin"
+        write_binary(path, np.random.default_rng(11).standard_normal((300, 12)))
+        out = tmp_path / "report.json"
+        argv = [str(path) if a == "{input}" else a for a in self.ARGV[run]]
+        assert main([*argv, "--out", str(out)]) == 0
+        report = read_report(out)
+        pinned = json.dumps(
+            {"per_trial": report["per_trial"], "results": report["results"]}, sort_keys=True
+        )
+        assert hashlib.sha256(pinned.encode()).hexdigest() == self.PINS[run]
 
 
 # runs approx-svd in all three modes on argv[1], each report to stdout
