@@ -5,7 +5,6 @@ from .approx import (
     ApproxReport,
     BoundCheck,
     OptimalityResult,
-    Projector,
     approximation_error,
     block_identity_matrix,
     low_rank_approximate,

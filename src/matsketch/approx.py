@@ -1,14 +1,16 @@
 """Rank-k projectors from sketches and the approximation-error machinery.
 
-The projector acts on input space: it is assembled from the sketch's right
-singular vectors, i.e. the top eigenvectors of the sketch Gram matrix,
-taken from the SVD of the sketch's n x n R factor, which TSQR folds from
-the sketch's distinct rows (``Sketch.blocks``).  (A d x n sketch's left
-singular vectors live in R^d and cannot project R^n; none is formed, nor
-is the d x n sketch itself.  See README "Design notes".)  Singular directions whose values vanish at
-working precision are dropped, so the projector rank never exceeds the
-numerical rank of the sketch: a sketch that misses part of the row space
-yields a genuinely smaller projector instead of an arbitrary completion.
+The projector acts on input space and is handed out as its orthonormal
+basis B, a plain n x k' float64 array (the projection is B @ B.T, never
+formed): the sketch's top right singular vectors, i.e. the top
+eigenvectors of the sketch Gram matrix, taken from the SVD of the
+sketch's n x n R factor, which TSQR folds from the sketch's distinct rows
+(``Sketch.blocks``).  (A d x n sketch's left singular vectors live in R^d
+and cannot project R^n; none is formed, nor is the d x n sketch itself.
+See README "Design notes".)  Singular directions whose values vanish at
+working precision are dropped, so k' never exceeds the numerical rank of
+the sketch: a sketch that misses part of the row space yields a genuinely
+smaller projector instead of an arbitrary completion.
 """
 
 from __future__ import annotations
@@ -40,55 +42,29 @@ from .streams import MatrixRowStream, RowStream
 _GRAM_FLOOR = 1e3
 
 
-@dataclass(frozen=True)
-class Projector:
-    """Orthogonal projection onto the span of ``basis`` columns (in R^n)."""
+def projector_top_k(sketch: Sketch, k: int) -> np.ndarray:
+    """Orthonormal basis (n x k') of the sketch's top-k right singular vectors.
 
-    basis: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.basis.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    def matrix(self) -> np.ndarray:
-        return self.basis @ self.basis.T
-
-    def apply_to_rows(self, a) -> np.ndarray:
-        """Project each row of ``a``: returns a @ basis @ basis.T."""
-        arr = as_matrix(a, allow_empty=True)
-        if arr.shape[1] != self.dim:
-            raise ShapeMismatchError(
-                f"matrix has {arr.shape[1]} columns, projector lives in R^{self.dim}"
-            )
-        return (arr @ self.basis) @ self.basis.T
-
-
-def projector_top_k(sketch: Sketch, k: int) -> Projector:
-    """Projection onto the top-k right singular vectors of the sketch.
-
-    k = 0 is the zero map.  Directions with numerically zero singular value
-    are excluded, so the returned rank is min(k, rank of the sketch).  A
-    tall d x n sketch S = QR has the singular values and right singular
-    vectors of its n x n R, so only R is decomposed.  R is folded from
+    The projection onto their span is ``basis @ basis.T``; k = 0 gives an
+    n x 0 basis, the zero map.  Directions with numerically zero singular
+    value are excluded, so k' = min(k, rank of the sketch).  A tall d x n
+    sketch S = QR has the singular values and right singular vectors of
+    its n x n R, so only R is decomposed.  R is folded from
     ``sketch.blocks()``, whose rows have S's Gram matrix, so neither S nor
     any other d x n factor is formed.  A sketch with d <= n is decomposed
     directly, as its blocks stacked.  The cutoff stays relative to S's
     shape.
     """
     n = sketch.rows.shape[1]
-    _check_k(k, n)
+    check_k(k, n)
     if k == 0:
-        return Projector(basis=np.zeros((n, 0)))
+        return np.zeros((n, 0))
     blocks = sketch.blocks()
     factor = _r_factor(blocks, n) if sketch.d > n else np.vstack(list(blocks))
     _, s, vh = np.linalg.svd(factor, full_matrices=False)
     cutoff = s[0] * max(sketch.d, n) * np.finfo(np.float64).eps if s.size else 0.0
     effective = min(k, int(np.count_nonzero(s > cutoff)))
-    return Projector(basis=vh[:effective].T.copy())
+    return vh[:effective].T.copy()
 
 
 def _r_factor(blocks, n: int) -> np.ndarray:
@@ -105,16 +81,20 @@ def _r_factor(blocks, n: int) -> np.ndarray:
     return r
 
 
-def _check_k(k: int, n: int) -> None:
+def check_k(k: int, n: int) -> None:
     """ShapeMismatchError unless 0 <= k <= n."""
     if k < 0 or k > n:
         raise ShapeMismatchError(f"k must lie in [0, {n}], got {k}")
 
 
-def approximation_error(a, projector: Projector) -> float:
-    """Spectral norm of a - a P."""
+def approximation_error(a, basis: np.ndarray) -> float:
+    """Spectral norm of a - a P, P = basis @ basis.T the projection onto its columns."""
     arr = as_matrix(a)
-    return spectral_norm(arr - projector.apply_to_rows(arr))
+    if arr.shape[1] != basis.shape[0]:
+        raise ShapeMismatchError(
+            f"matrix has {arr.shape[1]} columns, projector lives in R^{basis.shape[0]}"
+        )
+    return spectral_norm(arr - (arr @ basis) @ basis.T)
 
 
 class BoundCheck(NamedTuple):
@@ -138,8 +118,7 @@ def projection_error_bound(a, sketch: Sketch, k: int) -> BoundCheck:
         raise ShapeMismatchError(
             f"sketch has {sketch.rows.shape[1]} columns, matrix has {arr.shape[1]}"
         )
-    projector = projector_top_k(sketch, k)
-    lhs = approximation_error(arr, projector) ** 2
+    lhs = approximation_error(arr, projector_top_k(sketch, k)) ** 2
     values = np.linalg.svd(arr, compute_uv=False)
     sigma_next = float(values[k]) if k < values.size else 0.0
     gram_gap = sym_spectral_norm(arr.T @ arr - sketch.gram())
@@ -182,8 +161,8 @@ def low_rank_approximate(
     c_constant: float = 1.0,
     seed: int = 0,
     d: int | None = None,
-) -> tuple[Projector, ApproxReport]:
-    """Sample a sketch sized by the numerical rank; build and certify its projector.
+) -> tuple[np.ndarray, ApproxReport]:
+    """Sample a sketch sized by the numerical rank; return its projector's basis and the report.
 
     ``source`` is a dense matrix, run as a ``MatrixRowStream``, or a
     RowStream.  For a replayable source ``stream_weights`` forms the Gram
@@ -201,15 +180,15 @@ def low_rank_approximate(
     stream = source if isinstance(source, RowStream) else MatrixRowStream(source)
     if d is not None:
         _check_size(d, stream.n_cols)
-    _check_k(k, stream.n_cols)
+    check_k(k, stream.n_cols)
     if not stream.replayable:
         if d is None:
             raise OutOfRangeError(
                 "single-shot streams need an explicit sketch size d; "
                 "the sample-size formula requires a replayable source"
             )
-        projector = projector_top_k(sample_sketch_one_pass(stream, d, seed), k)
-        return projector, ApproxReport(
+        basis = projector_top_k(sample_sketch_one_pass(stream, d, seed), k)
+        return basis, ApproxReport(
             k=int(k), d=int(d), epsilon=float(epsilon), delta=float(delta), numerical_rank=None
         )
     weights, total_sq, gram = stream_weights(stream, accumulate_gram=True)
@@ -219,9 +198,9 @@ def low_rank_approximate(
         # the Gram ratio of a rank-one matrix can round to just below 1
         d = required_sample_size(max(1.0, rank), epsilon, delta, c_constant)
     sketch = draw_sketch(stream, weights, total_sq, d, seed)
-    projector = projector_top_k(sketch, k)
+    basis = projector_top_k(sketch, k)
     sigma_next, error, gram_deviation = _certify(
-        replay(stream, weights), gram, eigenvalues, sketch, projector, k
+        replay(stream, weights), gram, eigenvalues, sketch, basis, k
     )
     top = math.sqrt(float(eigenvalues[-1]))
     bound = sigma_next + epsilon * top
@@ -232,19 +211,19 @@ def low_rank_approximate(
             f"error {error!r} exceeds the bound {bound!r} although the Gram deviation "
             f"{gram_deviation!r} is at most (epsilon * |A|_2)^2 / 2"
         )
-    return projector, ApproxReport(
+    return basis, ApproxReport(
         k=int(k), d=int(d), epsilon=float(epsilon), delta=float(delta), numerical_rank=rank,
         sigma_kplus1=sigma_next, error_spectral=error, bound=bound,
         gram_deviation=gram_deviation, satisfied=satisfied,
     )
 
 
-def _certify(blocks, gram, lam, sketch, projector, k) -> tuple[float, float, float]:
+def _certify(blocks, gram, lam, sketch, basis, k) -> tuple[float, float, float]:
     """sigma_{k+1}, |A - AP|_2 and |A^T A - S^T S|_2 from the Gram matrix G.
 
     ``blocks`` yields the row blocks of A, ``lam`` holds the
     eigenvalues of G = ``gram`` in ascending order, S is ``sketch`` and P is
-    ``projector``.  Squared values read off G carry an absolute error of
+    ``basis @ basis.T``.  Squared values read off G carry an absolute error of
     order n * eps * |G|_2 (the condition number is squared).  So sigma_{k+1}
     and the error are recomputed exactly when either squared value falls
     below ``_GRAM_FLOOR * n * eps * |G|_2``, or when the Gram values break
@@ -254,7 +233,6 @@ def _certify(blocks, gram, lam, sketch, projector, k) -> tuple[float, float, flo
     Comput. 34, 2012).  Q has orthonormal columns, so sigma(R) = sigma(A)
     and |A - AP|_2 = |R - RP|_2.  Only the fallback reads ``blocks``.
     """
-    basis = projector.basis
     n = gram.shape[0]
     lam_next = float(lam[n - 1 - k]) if k < n else 0.0
     # (I - P) G (I - P) with P = basis @ basis.T
@@ -268,7 +246,7 @@ def _certify(blocks, gram, lam, sketch, projector, k) -> tuple[float, float, flo
         r = _r_factor(blocks, n)
         values = np.linalg.svd(r, compute_uv=False)
         sigma_next = float(values[k]) if k < values.size else 0.0
-        return sigma_next, approximation_error(r, projector), gram_deviation
+        return sigma_next, approximation_error(r, basis), gram_deviation
     return math.sqrt(lam_next), math.sqrt(error_sq), gram_deviation
 
 

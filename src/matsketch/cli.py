@@ -16,8 +16,9 @@ violation under --strict, 64 usage error, 65 data error (including an
 input or a generated witness too large to allocate, a cut-decay witness
 larger than the exact oracle takes, and a linear-algebra routine that
 fails to converge: numpy's ``LinAlgError`` is mapped to 65 in ``main``
-alone).  ``decay`` and ``lln`` check their numbers before they build a
-witness or read ``--input``.
+alone).  Every command checks its numbers before it builds a witness or
+reads the rows of ``--input``; a number bounded by the input's width is
+checked against the width that the file's header or first line gives.
 """
 
 from __future__ import annotations
@@ -112,13 +113,14 @@ def _cmd_approx_svd(args, digest):
     """Run ``approx.low_rank_approximate`` on the input, read whole or streamed.
 
     ``--epsilon``, ``--delta``, ``--c-const`` and ``--d`` are checked before
-    the input is opened, by the library's own ``check_parameters``.  ``--k``
-    is checked against the width, so with ``--stream none`` only after the
-    whole matrix is read.
+    the input is opened, by the library's own ``check_parameters``, and
+    ``--k`` by its ``check_k`` against the width that the file's header or
+    first line gives, before any row is read.
     """
     if args.stream == "one-pass" and args.d is None:
         raise UsageError("--stream one-pass requires an explicit --d")
     sampling.check_parameters(args.epsilon, args.delta, args.c_const, args.d)
+    approx.check_k(args.k, matio.read_width(args.input, args.format))
     if args.stream == "none":
         source = matio.read_matrix(args.input, args.format, digest)
     else:
@@ -126,7 +128,7 @@ def _cmd_approx_svd(args, digest):
         if args.stream == "one-pass":
             # one traversal of the file's blocks, refused a second time
             source = RowStream(iter(source), source.n_cols)
-    projector, report = approx.low_rank_approximate(
+    basis, report = approx.low_rank_approximate(
         source,
         k=args.k,
         epsilon=args.epsilon,
@@ -147,7 +149,7 @@ def _cmd_approx_svd(args, digest):
     }
     exit_code = EXIT_VIOLATION if args.strict and report.satisfied is False else EXIT_OK
     # decided by the drawn sample in every mode, streams included
-    projector_sha256 = hashlib.sha256(projector.basis.tobytes()).hexdigest()
+    projector_sha256 = hashlib.sha256(basis.tobytes()).hexdigest()
     results = {"d": report.d, "satisfied": report.satisfied, "projector_sha256": projector_sha256}
     return [trial], results, exit_code
 
@@ -155,16 +157,15 @@ def _cmd_approx_svd(args, digest):
 def _witness_matrix(args, digest) -> np.ndarray:
     """The input matrix, or the generated n x n witness.
 
-    The decay's arguments are checked before a witness is built, and before
-    a cut decay reads its input, with n the width that the file's header or
-    first line gives; a spectral decay checks its input after the read.
+    The decay's arguments are checked before a witness is built or the
+    input is read, with n = ``--n`` or the width that the file's header or
+    first line gives.
     """
     if args.witness == "file":
         if args.input is None:
             raise UsageError("--witness file requires --input")
-        if args.norm == "cut":
-            n = matio.open_stream(args.input, args.format).n_cols
-            cutnorm.check_decay_arguments(args.norm, n, args.q, args.trials)
+        n = matio.read_width(args.input, args.format)
+        cutnorm.check_decay_arguments(args.norm, n, args.q, args.trials)
         return matio.read_matrix(args.input, args.format, digest)
     cutnorm.check_decay_arguments(args.norm, args.n, args.q, args.trials)
     if args.witness == "all-ones":

@@ -90,17 +90,19 @@ class InputDigest:
     ``update`` queues a chunk and returns, so hashing overlaps the reader's
     caller; ``hexdigest`` waits for the queue.  A chunk must stay unchanged
     until it is hashed.  Small chunks (a text reader's 64 KiB chunks) are
-    batched into ``_BATCH_BYTES`` pieces; chunks passed with ``wait=False``
-    are views the caller keeps and are queued as they are, never copied.
-    Use as a context manager: leaving the block drops what is still queued
-    and joins the worker.
+    batched into ``_BATCH_BYTES`` pieces (one handoff to the worker a
+    megabyte); chunks passed with ``wait=False`` are views the caller keeps
+    and are queued as they are, never copied.  The one worker hashes in
+    order, so waiting for the piece queued last waits for all.  Use as a
+    context manager: leaving the block drops what is still queued and joins
+    the worker.
     """
 
     def __init__(self):
         self.size = 0  # bytes fed
         self._hash = hashlib.sha256()
         self._pool = ThreadPoolExecutor(max_workers=1)  # sha256 is sequential
-        self._queued = []
+        self._last = None  # future of the piece queued last
         self._batch = bytearray()
 
     def __enter__(self):
@@ -133,17 +135,16 @@ class InputDigest:
 
     def _submit(self, data, wait: bool) -> None:
         if wait:
-            self._drain()
-        self._queued.append(self._pool.submit(self._hash.update, data))
+            self._wait()
+        self._last = self._pool.submit(self._hash.update, data)
 
-    def _drain(self) -> None:
-        for future in self._queued:
-            future.result()
-        self._queued.clear()
+    def _wait(self) -> None:
+        if self._last is not None:
+            self._last.result()
 
     def hexdigest(self) -> str:
         self._flush(wait=False)
-        self._drain()
+        self._wait()
         return self._hash.hexdigest()
 
 
@@ -185,6 +186,21 @@ def read_matrix(path, fmt: str = "auto", digest: InputDigest | None = None) -> n
     return _read_binary(path, digest)
 
 
+def read_width(path, fmt: str = "auto") -> int:
+    """The number of columns of a matrix file, from a binary header (size
+    checked), a CSV's first line or a MatrixMarket header and size line,
+    reading no further.  Feeds no digest."""
+    fmt = _resolve(path, fmt)
+    if fmt == "matrixmarket":
+        return _matrixmarket_header(path)[1][1]
+    if fmt == "csv":
+        for lineno, line in _text_lines(path):
+            return _parse_csv_line(line, path, lineno).size
+        raise ParseError("empty CSV file", path=path)
+    with open(path, "rb") as fh:
+        return _binary_shape(fh, path)[1]
+
+
 def open_stream(path, fmt: str = "auto", digest: InputDigest | None = None) -> RowStream:
     """Replayable stream of row blocks over a matrix file.
 
@@ -196,7 +212,7 @@ def open_stream(path, fmt: str = "auto", digest: InputDigest | None = None) -> R
     if fmt == "matrixmarket":
         return MatrixRowStream(_read_matrixmarket(path, digest))
     if fmt == "csv":
-        n_cols = _csv_width(path)
+        n_cols = read_width(path, fmt)
         feeds = iter([digest])  # next(feeds, None): the digest, then None on later traversals
         return RowStream(lambda: _iter_csv_blocks(path, n_cols, next(feeds, None)), n_cols)
     with open(path, "rb") as fh:
@@ -280,14 +296,8 @@ def _iter_csv_blocks(path, n_cols: int, digest: InputDigest | None = None):
         yield np.array(block)
 
 
-def _csv_width(path) -> int:
-    for lineno, line in _text_lines(path):
-        return _parse_csv_line(line, path, lineno).size
-    raise ParseError("empty CSV file", path=path)
-
-
 def _read_csv(path, digest: InputDigest | None = None) -> np.ndarray:
-    blocks = _iter_csv_blocks(path, _csv_width(path), digest)
+    blocks = _iter_csv_blocks(path, read_width(path, "csv"), digest)
     return np.concatenate(list(blocks))
 
 
@@ -301,7 +311,10 @@ def write_csv(path, a) -> None:
 # --- MatrixMarket ------------------------------------------------------
 
 
-def _read_matrixmarket(path, digest: InputDigest | None = None) -> np.ndarray:
+def _matrixmarket_header(path, digest: InputDigest | None = None):
+    """``(layout, dims, entries)`` of a MatrixMarket file: dims ``[m, n]``
+    (array) or ``[m, n, nnz]`` (coordinate), entries the ``(line number,
+    line)`` pairs after the size line, comments skipped, read lazily."""
     lines = _text_lines(path, digest)
     lineno, header = next(lines, (None, ""))
     if lineno != 1 or not header.startswith(_MM_MAGIC):
@@ -321,17 +334,22 @@ def _read_matrixmarket(path, digest: InputDigest | None = None) -> np.ndarray:
     size_lineno, size_line = next(entries, (None, None))
     if size_line is None:
         raise ParseError("missing size line", path=path)
-
-    def ints(tokens, lineno):
-        try:
-            return [int(t) for t in tokens]
-        except ValueError:
-            raise ParseError(f"invalid integer in {tokens!r}", path=path, line=lineno)
-
     # array: "m n"; coordinate: "m n nnz"
-    dims = ints(size_line.split(), size_lineno)
+    dims = _ints(size_line.split(), path, size_lineno)
     if len(dims) != (2 if layout == "array" else 3) or dims[0] < 1 or dims[1] < 1 or dims[-1] < 0:
         raise ParseError(f"bad size line {size_line!r}", path=path, line=size_lineno)
+    return layout, dims, entries
+
+
+def _ints(tokens, path, lineno) -> list[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise ParseError(f"invalid integer in {tokens!r}", path=path, line=lineno)
+
+
+def _read_matrixmarket(path, digest: InputDigest | None = None) -> np.ndarray:
+    layout, dims, entries = _matrixmarket_header(path, digest)
     m, n = dims[:2]
     require_allocatable(m, n)
     if layout == "array":
@@ -358,7 +376,7 @@ def _read_matrixmarket(path, digest: InputDigest | None = None) -> np.ndarray:
             tokens = line.split()
             if len(tokens) != 3:
                 raise ParseError(f"expected 'i j value', got {line!r}", path=path, line=lineno)
-            i, j = ints(tokens[:2], lineno)
+            i, j = _ints(tokens[:2], path, lineno)
             try:
                 v = float(tokens[2])
             except ValueError:

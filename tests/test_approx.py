@@ -68,21 +68,20 @@ class TestProjector:
             d=4,
         )
         p = projector_top_k(sketch, 1)
-        assert np.allclose(p.matrix(), np.diag([1.0, 0.0, 0.0]), atol=1e-12)
+        assert np.allclose(p @ p.T, np.diag([1.0, 0.0, 0.0]), atol=1e-12)
 
     def test_full_rank_projector_is_identity(self, rng):
         a = rng.normal(size=(30, 6))
         sketch = sample_sketch(a, 40, seed=0)
         p = projector_top_k(sketch, 6)
-        assert np.allclose(p.matrix(), np.eye(6), atol=1e-10)
+        assert np.allclose(p @ p.T, np.eye(6), atol=1e-10)
         assert approximation_error(a, p) <= 1e-8
 
     def test_is_orthonormal_and_idempotent(self, rng):
         a = rng.normal(size=(20, 8))
-        p = projector_top_k(sample_sketch(a, 10, seed=1), 3)
-        basis = p.basis
+        basis = projector_top_k(sample_sketch(a, 10, seed=1), 3)
         assert np.allclose(basis.T @ basis, np.eye(3), atol=1e-8)
-        proj = p.matrix()
+        proj = basis @ basis.T
         assert np.allclose(proj @ proj, proj, atol=1e-8)
 
     def test_converges_to_top_subspace(self):
@@ -91,13 +90,13 @@ class TestProjector:
         p = projector_top_k(sketch, 2)
         target = np.zeros((3, 2))
         target[0, 0] = target[1, 1] = 1.0
-        angle = spectral_norm(target - p.matrix() @ target)
+        angle = spectral_norm(target - p @ p.T @ target)
         assert angle <= 1e-2
 
     def test_k_zero_is_zero_map(self, rng):
         a = rng.normal(size=(5, 4))
         p = projector_top_k(sample_sketch(a, 6, seed=0), 0)
-        assert p.k == 0
+        assert p.shape[1] == 0
         assert approximation_error(a, p) == pytest.approx(spectral_norm(a))
 
     def test_k_too_large(self, rng):
@@ -115,7 +114,7 @@ class TestProjector:
             d=2,
         )
         p = projector_top_k(deficient, 3)
-        assert p.k == 2
+        assert p.shape[1] == 2
 
     @pytest.mark.parametrize(
         "d, rank",
@@ -138,12 +137,13 @@ class TestProjector:
         effective = min(k, int(np.count_nonzero(s > s[0] * max(d, n) * np.finfo(float).eps)))
         reference = vh[:effective].T @ vh[:effective]
         p = projector_top_k(sketch, k)
-        assert p.k == effective == min(k, rank)
-        assert spectral_norm(p.matrix() - reference) <= 1e-12
+        assert p.shape[1] == effective == min(k, rank)
+        assert spectral_norm(p @ p.T - reference) <= 1e-12
 
     def test_dimension_mismatch(self, rng):
         p = projector_top_k(sample_sketch(rng.normal(size=(6, 4)), 5, seed=0), 2)
-        with pytest.raises(ShapeMismatchError):
+        message = r"matrix has 5 columns, projector lives in R\^4"
+        with pytest.raises(ShapeMismatchError, match=message):
             approximation_error(rng.normal(size=(3, 5)), p)
 
 
@@ -151,9 +151,7 @@ class TestApproximationError:
     def test_sigma3_of_diagonal(self):
         a = np.diag([3.0, 2.0, 1.0])
         basis = np.eye(3)[:, :2]
-        from matsketch import Projector
-
-        assert approximation_error(a, Projector(basis=basis)) == pytest.approx(1.0)
+        assert approximation_error(a, basis) == pytest.approx(1.0)
 
     def test_best_approximation_floor(self, rng):
         # no rank-k projector beats sigma_{k+1}
@@ -163,9 +161,7 @@ class TestApproximationError:
             values = svd(a).values
             k = int(rng.integers(0, n + 1))
             basis = random_orthonormal(rng, n, k) if k else np.zeros((n, 0))
-            from matsketch import Projector
-
-            err = approximation_error(a, Projector(basis=basis))
+            err = approximation_error(a, basis)
             sigma_next = values[k] if k < values.size else 0.0
             assert err >= sigma_next - 1e-8
 
@@ -219,7 +215,7 @@ class TestLowRankApproximate:
         for name in ("sigma_kplus1", "error_spectral", "bound"):
             scaled = getattr(r1, name) * factor
             assert getattr(r2, name) == pytest.approx(scaled, rel=1e-12), name
-        assert np.allclose(p1.matrix(), p2.matrix(), atol=1e-8)
+        assert np.allclose(p1 @ p1.T, p2 @ p2.T, atol=1e-8)
 
     def test_gram_deviation_implies_satisfied(self, rng):
         a = matrix_with_singular_values(rng, 100, 20, [5.0, 4.0, 3.0, 1.0])
@@ -238,7 +234,7 @@ class TestLowRankApproximate:
         )
         assert r_str == r_mem
         assert r_mem.satisfied is not None
-        assert np.array_equal(p_str.basis, p_mem.basis)
+        assert np.array_equal(p_str, p_mem)
 
     @pytest.mark.parametrize("d", [None, 37], ids=["formula", "explicit"])
     @pytest.mark.parametrize("kind", ["matrix", "matrix-stream", "binary-stream"])
@@ -255,7 +251,7 @@ class TestLowRankApproximate:
         projector, report = low_rank_approximate(source, k=3, epsilon=0.6, delta=0.5, seed=5, d=d)
         assert d is None or report.d == d
         expected = projector_top_k(sample_sketch(a, report.d, seed=5), 3)
-        assert np.array_equal(projector.basis, expected.basis)
+        assert np.array_equal(projector, expected)
 
     def test_gram_certificate_matches_exact_values(self, rng, monkeypatch):
         # spectra within [1e-2, 1] * sigma_1, so every error is far above
@@ -314,7 +310,7 @@ class TestLowRankApproximate:
         for source in (MatrixRowStream(a), open_stream(tmp_path / "a.bin")):
             p_str, r_str = low_rank_approximate(source, k=k, epsilon=0.5, delta=0.5, seed=3)
             assert r_str == r_mem
-            assert np.array_equal(p_str.basis, p_mem.basis)
+            assert np.array_equal(p_str, p_mem)
 
     def test_fallback_traversal_that_differs_raises(self, rng):
         # rank 3 at k = 3 takes the fallback: its (third) traversal is checked too
@@ -441,7 +437,8 @@ class TestDistinctRowSketch:
         _, _, vh = np.linalg.svd(full, full_matrices=False)
         for k in (1, 3, 8):
             reference = vh[:k].T @ vh[:k]
-            assert spectral_norm(projector_top_k(sketch, k).matrix() - reference) <= 1e-12
+            p = projector_top_k(sketch, k)
+            assert spectral_norm(p @ p.T - reference) <= 1e-12
 
     def test_two_pass_memory_does_not_grow_with_d(self, rng):
         # at d = 4m a d x n sketch alone would take four copies of the input;

@@ -274,6 +274,23 @@ class TestApproxSvd:
         assert main(argv) == 65
         assert capsys.readouterr().err == streamed
 
+    @pytest.mark.parametrize(
+        "stream", [[], ["--stream", "two-pass"], ["--stream", "one-pass", "--d", "5"]]
+    )
+    def test_k_refused_before_the_matrix_is_read(self, tmp_path, monkeypatch, capsys, stream):
+        # the width comes from a binary header, a CSV's first line or a MatrixMarket size line
+        files = _matrix_files(tmp_path)
+
+        def no_read(*args, **kwargs):
+            pytest.fail("the matrix was read")
+
+        for name in ("read_matrix", "open_stream", "_read_matrixmarket"):
+            monkeypatch.setattr(matio, name, no_read)
+        for path in files:
+            argv = ["approx-svd", "--input", str(path), "--k", "13", "--out", "-", *stream]
+            assert main(argv) == 65
+            assert capsys.readouterr().err == "matsketch: k must lie in [0, 12], got 13\n"
+
     def test_one_pass_with_d(self, tmp_path, rank3_file):
         out = tmp_path / "one.json"
         code = main(
@@ -483,14 +500,23 @@ class TestDecay:
              "q must lie in [0, 10], got 12.0"),
             (["--norm", "cut", "--witness", "file", "--input", "{small}", "--q", "4",
               "--trials", "0"], "trials must be >= 1, got 0"),
+            (["--norm", "cut", "--witness", "file", "--input", "{wide_mtx}", "--q", "4"],
+             "cut decay needs n <= 24 for the exact oracle, got 30"),
+            (["--norm", "spectral", "--witness", "file", "--input", "{small}", "--q", "50"],
+             "q must lie in [1, 10], got 50.0"),
+            (["--norm", "spectral", "--witness", "file", "--input", "{wide}", "--q", "0.5"],
+             "q must lie in [1, 30], got 0.5"),
+            (["--norm", "spectral", "--witness", "file", "--input", "{wide_mtx}", "--q", "3",
+              "--trials", "0"], "trials must be >= 1, got 0"),
         ],
     )
     def test_numbers_checked_before_any_matrix_exists(
         self, tmp_path, rng, monkeypatch, capsys, argv, message
     ):
-        # a cut decay reads only the width of its input file before the check
+        # a decay reads only the width of its input file before the check
         write_binary(tmp_path / "wide.bin", rng.normal(size=(30, 30)))
         write_csv(tmp_path / "small.csv", rng.normal(size=(10, 10)))
+        matio.write_matrixmarket(tmp_path / "wide.mtx", rng.normal(size=(30, 30)))
 
         def not_built(*args):
             pytest.fail("a matrix was built or read")
@@ -498,10 +524,32 @@ class TestDecay:
         for name in ("witness_all_ones", "witness_identity", "witness_random_sign"):
             monkeypatch.setattr(cutnorm, name, not_built)
         monkeypatch.setattr(matio, "read_matrix", not_built)
-        paths = {"{wide}": str(tmp_path / "wide.bin"), "{small}": str(tmp_path / "small.csv")}
+        monkeypatch.setattr(matio, "_read_matrixmarket", not_built)
+        paths = {
+            "{wide}": str(tmp_path / "wide.bin"),
+            "{small}": str(tmp_path / "small.csv"),
+            "{wide_mtx}": str(tmp_path / "wide.mtx"),
+        }
         argv = ["decay", *(paths.get(a, a) for a in argv), "--out", "-"]
         assert main(argv) == 65
         assert capsys.readouterr().err == f"matsketch: {message}\n"
+
+
+    def test_matrixmarket_witness_is_parsed_once(self, tmp_path, rng, monkeypatch):
+        path = tmp_path / "a.mtx"
+        matio.write_matrixmarket(path, rng.normal(size=(8, 8)))
+        parse = matio._read_matrixmarket
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(matio, "_read_matrixmarket", counted)
+        argv = ["decay", "--norm", "cut", "--witness", "file", "--input", str(path),
+                "--q", "4", "--trials", "5", "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 0
+        assert len(calls) == 1
 
 
 class TestLln:
