@@ -16,9 +16,9 @@ violation under --strict, 64 usage error, 65 data error (including an
 input or a generated witness too large to allocate, a cut-decay witness
 larger than the exact oracle takes, and a linear-algebra routine that
 fails to converge: numpy's ``LinAlgError`` is mapped to 65 in ``main``
-alone).  Every command checks its numbers before it builds a witness or
-reads the rows of ``--input``; a number bounded by the input's width is
-checked against the width that the file's header or first line gives.
+alone).  ``approx-svd``, ``decay`` and ``lln`` check their numbers before
+they build a witness or read the rows of ``--input``, a number bounded by
+the input's width against the width its header or first line gives.
 """
 
 from __future__ import annotations

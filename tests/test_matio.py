@@ -480,6 +480,23 @@ class TestDetectAndIngest:
         assert detect_format(path) == "binary"
         assert np.array_equal(read_matrix(path), np.zeros(shape))
 
+    @pytest.mark.parametrize(
+        "name, data",
+        [
+            ("a.csv", b"1,2,3\nnot a row\n"),
+            ("a.mtx", b"%%MatrixMarket matrix array real general\n% c\n2 3\nnot a value\n"),
+            ("a.mtx", b"%%MatrixMarket matrix coordinate real general\n2 3 9\n1 1\n"),
+            ("a.bin", struct.pack("<QQ", 2, 3) + b"\xff" * 48),
+        ],
+    )
+    def test_read_width_reads_no_row(self, tmp_path, name, data):
+        # each file's rows are malformed: only the header or first line is read
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert matio.read_width(path) == 3
+        with pytest.raises(ParseError):
+            read_matrix(path)
+
     def test_read_matrix_matches_open_stream(self, tmp_path, random_matrix):
         path = tmp_path / "a.csv"
         write_csv(path, random_matrix)
