@@ -9,9 +9,10 @@
 
 ``read_matrix`` reads a file as a dense matrix; ``open_stream`` opens it
 as a replayable stream of plain row blocks (see ``streams``), in file
-order; ``read_width`` reads no more than its width.  CSV and binary streams re-read the file lazily on each traversal:
-CSV with the per-line parser (so errors name the line) grouped into
-blocks, which ``read_matrix`` joins.  One block loop reads binary data for
+order; ``read_width`` reads no more than its width.  CSV and binary
+streams re-read the file lazily on each traversal: CSV with the per-line
+parser (so errors name the line) grouped into blocks, which
+``read_matrix`` joins.  One block loop reads binary data for
 both: a stream gets a fresh array per block, ``read_matrix`` has each
 block read into its place in the result, so a truncated file fails with
 the same "truncated at row R" either way.  MatrixMarket sources are parsed
