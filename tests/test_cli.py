@@ -700,6 +700,7 @@ class TestReportBytesPinned:
         "approx-two-pass": "d778b197b79e2796b672eacb0b95f32b87f5ca76d77cad885db6590009fd438d",
         "approx-one-pass": "8bb94e3fb7b652654807c5728c4a12ab4e61401eb193d661aa01a70181313536",
         "optimality": "9e622b5ab51b915e4f616aacaec65bc40bbd7f4686e8a17d7cfee0ab28b18f80",
+        "lln": "0077a82b6142702729f6b10177ef61132fdcdee36f7e1eca302749f26f985e55",
     }
     APPROX = ["approx-svd", "--input", "{input}", "--k", "3", "--seed", "7"]
     ARGV = {
@@ -708,6 +709,8 @@ class TestReportBytesPinned:
         "approx-one-pass": [*APPROX, "--stream", "one-pass", "--d", "40"],
         "optimality": ["optimality", "--n", "4", "--m", "16", "--d", "6", "--trials", "20",
                        "--seed", "3"],
+        "lln": ["lln", "--ensemble", "matrix-rows", "--input", "{input}", "--d", "30",
+                "--trials", "6", "--c-const", "2.5", "--seed", "5"],
     }
 
     @pytest.mark.parametrize("run", sorted(ARGV))
