@@ -26,7 +26,6 @@ from .linalg import as_matrix, spectral_norm, sym_spectral_norm
 from .parallel import run_trials
 from .sampling import (
     Sketch,
-    _check_size,
     check_parameters,
     draw_sketch,
     replay,
@@ -47,21 +46,16 @@ def projector_top_k(sketch: Sketch, k: int) -> np.ndarray:
 
     The projection onto their span is ``basis @ basis.T``; k = 0 gives an
     n x 0 basis, the zero map.  Directions with numerically zero singular
-    value are excluded, so k' = min(k, rank of the sketch).  A tall d x n
+    value are excluded, so k' = min(k, rank of the sketch).  A d x n
     sketch S = QR has the singular values and right singular vectors of
-    its n x n R, so only R is decomposed.  R is folded from
+    its R, at most n x n, so only R is decomposed.  R is folded from
     ``sketch.blocks()``, whose rows have S's Gram matrix, so neither S nor
-    any other d x n factor is formed.  A sketch with d <= n is decomposed
-    directly, as its blocks stacked.  The cutoff stays relative to S's
+    any other d x n factor is formed.  The cutoff stays relative to S's
     shape.
     """
     n = sketch.rows.shape[1]
     check_k(k, n)
-    if k == 0:
-        return np.zeros((n, 0))
-    blocks = sketch.blocks()
-    factor = _r_factor(blocks, n) if sketch.d > n else np.vstack(list(blocks))
-    _, s, vh = np.linalg.svd(factor, full_matrices=False)
+    _, s, vh = np.linalg.svd(_r_factor(sketch.blocks(), n), full_matrices=False)
     cutoff = s[0] * max(sketch.d, n) * np.finfo(np.float64).eps if s.size else 0.0
     effective = min(k, int(np.count_nonzero(s > cutoff)))
     return vh[:effective].T.copy()
@@ -178,8 +172,6 @@ def low_rank_approximate(
     """
     check_parameters(epsilon, delta, c_constant, d)
     stream = source if isinstance(source, RowStream) else MatrixRowStream(source)
-    if d is not None:
-        _check_size(d, stream.n_cols)
     check_k(k, stream.n_cols)
     if not stream.replayable:
         if d is None:

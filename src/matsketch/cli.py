@@ -192,10 +192,10 @@ def _cmd_decay(args, digest):
 
 
 def _cmd_lln(args, digest):
-    """``--d`` and ``--trials`` are checked before the ensemble is built."""
+    """``--d``, ``--trials`` and ``--c-const`` are checked before the ensemble is built."""
     if args.ensemble == "matrix-rows" and args.input is None:
         raise UsageError("--ensemble matrix-rows requires --input")
-    lln.check_deviation_arguments(args.d, args.trials)
+    lln.check_deviation_arguments(args.d, args.trials, args.c_const)
     if args.ensemble == "scaled-basis":
         ensemble = lln.scaled_basis_ensemble(args.n)
     else:

@@ -97,11 +97,13 @@ class DeviationStats:
     a_value: float
 
 
-def check_deviation_arguments(d: int, trials: int) -> None:
-    """OutOfRangeError unless d >= 2 and trials >= 1; ``lln_deviation``'s first check."""
+def check_deviation_arguments(d: int, trials: int, c_constant: float = 1.0) -> None:
+    """OutOfRangeError unless d >= 2, trials >= 1, 0 < c_constant < inf; ``lln_deviation``'s first check."""
     if d < 2:
         raise OutOfRangeError(f"d must be >= 2, got {d}")
     check_trials(trials)
+    if not 0 < c_constant < math.inf:
+        raise OutOfRangeError(f"c_constant must be positive and finite, got {c_constant}")
 
 
 def lln_deviation(
@@ -115,7 +117,7 @@ def lln_deviation(
     count) and its deviation from the exact moment is read off a symmetric
     eigensolver.
     """
-    check_deviation_arguments(d, trials)
+    check_deviation_arguments(d, trials, c_constant)
     atoms = ensemble.atoms
     exact = ensemble.second_moment
 

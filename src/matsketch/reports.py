@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -89,8 +90,7 @@ class ExperimentReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(self.to_json())
+        Path(path).write_text(self.to_json(), encoding="ascii")  # serialized before it opens
 
 
 def load_schema() -> dict:

@@ -5,15 +5,14 @@ Euclidean length.  A drawn row x is stored as (1/sqrt(d)) * (F/|x|) * x,
 where F is the Frobenius norm of the source, so that the expected Gram
 matrix of the sketch equals the Gram matrix of the source and every sketch
 row has length F/sqrt(d).  A ``Sketch`` holds each distinct drawn row once,
-with the draws that took it, so a two-pass sketch never holds more rows
-than the source (a one-pass sketch holds its d reservoirs); the d x n
-sketch matrix is built only on request (``Sketch.matrix``).
+in traversal order, with the draws that took it, so it never holds more
+rows than the source or d; no mode builds the d x n sketch matrix.
 
 Three modes share this law and one block-based core.  Every traversal of
 every mode runs through ``_traverse``, the one traversal: it reads row
 blocks (see ``streams``), weighs each block with ``row_weights``' reduction
 and counts positions; a row's index, as in ``Sketch.chosen_indices``, is
-its position in the traversal.  ``_sketch`` alone rescales the chosen rows.
+its position in the traversal.  Every mode ends in ``_sketch``, which alone rescales rows.
 Non-finite entries give non-finite weights, which every pass rejects: the
 weight total is checked by ``total_weight``, and the weights of a replay
 or of gathered rows are compared bit for bit with the first pass's.
@@ -29,7 +28,7 @@ or of gathered rows are compared bit for bit with the first pass's.
   rows, any other stream is replayed in full and every row is checked;
 * ``sample_sketch_one_pass`` -- single traversal keeping d independent
   single-item weighted reservoirs, updated once per block.  Same occupant
-  law, its own index stream.
+  law, its own index stream; the reservoirs hold positions.
 
 Weights do not depend on the block size, so neither do the sketches of the
 in-memory and two-pass modes.
@@ -63,10 +62,9 @@ class Sketch:
     """The sketch S, held as its distinct rows, plus sampling metadata.
 
     S is the d x n matrix whose row i is the i-th drawn row, rescaled.
-    ``rows`` holds each distinct row of S once, and draw i is row
-    ``inverse[i]`` of ``rows``, so a row drawn c times has c draws.
-    ``blocks`` and ``gram`` read S^T S off ``rows`` and the multiplicities;
-    ``matrix`` builds S itself, on request.
+    ``rows`` holds each distinct row of S once, in position order, and draw
+    i is row ``inverse[i]`` of ``rows``, so S is ``rows[inverse]``.
+    ``blocks`` and ``gram`` read S^T S off ``rows`` and the multiplicities.
     """
 
     rows: np.ndarray
@@ -74,11 +72,6 @@ class Sketch:
     chosen_indices: np.ndarray
     frobenius_of_source: float
     d: int
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The d x n sketch S, built anew on each call."""
-        return self.rows[self.inverse]
 
     def blocks(self) -> Iterator[np.ndarray]:
         """Row blocks B_1, B_2, ... with sum B_j^T B_j = S^T S.
@@ -125,7 +118,7 @@ def required_sample_size(r, epsilon, delta, c_constant=1.0) -> int:
 
 
 def check_parameters(epsilon, delta, c_constant=1.0, d=None) -> None:
-    """OutOfRangeError unless epsilon and delta lie in (0, 1), c_constant > 0 and d >= 1.
+    """OutOfRangeError unless epsilon, delta lie in (0, 1) and 0 < c_constant < inf; d by ``_check_size``.
 
     None of these needs data, so they are checked before any row is read.
     ``d=None`` (the sample-size formula decides) passes.
@@ -134,8 +127,8 @@ def check_parameters(epsilon, delta, c_constant=1.0, d=None) -> None:
         raise OutOfRangeError(f"epsilon must lie in (0, 1), got {epsilon}")
     if not 0 < delta < 1:
         raise OutOfRangeError(f"delta must lie in (0, 1), got {delta}")
-    if not c_constant > 0:
-        raise OutOfRangeError(f"c_constant must be positive, got {c_constant}")
+    if not 0 < c_constant < math.inf:
+        raise OutOfRangeError(f"c_constant must be positive and finite, got {c_constant}")
     if d is not None:
         _check_size(d)
 
@@ -159,7 +152,7 @@ def _block_weights(block: np.ndarray) -> np.ndarray:
 def total_weight(weights) -> float:
     """Sum of row weights; InvalidMatrixError if it overflows float64 (or is NaN)."""
     with np.errstate(over="ignore"):
-        return _finite(float(np.sum(weights)))
+        return _finite(float(np.add.reduce(weights)))
 
 
 def _finite(total: float) -> float:
@@ -192,41 +185,37 @@ def draw_weighted_indices(weights, size: int, rng) -> np.ndarray:
         raise OutOfRangeError("weights must be a nonempty 1-d sequence")
     if (w < 0).any():
         raise OutOfRangeError("weights must be nonnegative")
-    cum = np.cumsum(w)
+    cum = w.cumsum()
     total = cum[-1]
     if not np.isfinite(total):
         raise OutOfRangeError(f"weights must be finite, their sum is {total}")
     if not total > 0:
         raise ZeroMatrixError("all weights are zero")
     u = np.asarray(rng.random(size), dtype=np.longdouble) * total
-    return np.searchsorted(cum, u, side="right").astype(np.int64)
+    return cum.searchsorted(u, side="right").astype(np.int64, copy=False)
 
 
-def _check_size(d: int, n_cols: int | None = None) -> None:
-    """OutOfRangeError if d < 1; given n_cols, TooLargeError if a d x n_cols array exceeds memory.
+def _check_size(d: int) -> None:
+    """OutOfRangeError if d < 1; TooLargeError if what grows per draw exceeds memory.
 
-    A two-pass sketch holds at most min(d, m) rows, but the one-pass
-    reservoirs, the positions, the draw's uniforms and ``Sketch.matrix``
-    grow with d, so a d that no d x n array could fit is refused before
-    the draw.
+    A sketch holds at most min(d, m) rows of an m-row source, but the int64
+    positions and ``inverse`` and the longdouble uniforms take 32 bytes, four
+    float64 words, a draw: d x 4 words beyond physical memory are refused.
     """
     if d < 1:
         raise OutOfRangeError(f"sketch size d must be >= 1, got {d}")
-    if n_cols is not None:
-        require_allocatable(d, n_cols)
+    require_allocatable(d, 4)
 
 
-def _sketch(
-    rows: np.ndarray, inverse: np.ndarray, positions: np.ndarray, weights: np.ndarray, total_sq: float
-) -> Sketch:
+def _sketch(rows: np.ndarray, inverse: np.ndarray, positions: np.ndarray, total_sq: float) -> Sketch:
     """The sketch whose draw i is row ``inverse[i]`` of ``rows``, scaled in place.
 
-    ``positions`` are the d draws' traversal positions and ``weights`` the
-    weights of ``rows``.  Each row x becomes (1/sqrt(d)) * (F/|x|) * x.
+    ``positions`` are the d draws' traversal positions.  Each row x becomes
+    (1/sqrt(d)) * (F/|x|) * x, |x|^2 by the weight pass's reduction.
     """
     d = positions.size
     f = math.sqrt(total_sq)
-    rows *= (f / (math.sqrt(d) * np.sqrt(weights)))[:, None]
+    rows *= (f / (math.sqrt(d) * np.sqrt(_block_weights(rows))))[:, None]
     return Sketch(rows=rows, inverse=inverse, chosen_indices=positions, frobenius_of_source=f, d=d)
 
 
@@ -325,12 +314,12 @@ def materialize_chosen(stream: RowStream, positions, weights, total_sq: float) -
         for start, block, _ in _traverse(stream, weights):
             lo, hi = np.searchsorted(wanted, (start, start + block.shape[0]))
             rows[lo:hi] = block[wanted[lo:hi] - start]
-    return _sketch(rows, inverse, positions, weights[wanted], total_sq)
+    return _sketch(rows, inverse, positions, total_sq)
 
 
 def draw_sketch(stream: RowStream, weights, total_sq: float, d: int, seed) -> Sketch:
     """Draw ``d`` positions by ``weights``, then gather them in ``materialize_chosen``'s pass."""
-    _check_size(d, stream.n_cols)
+    _check_size(d)
     positions = draw_weighted_indices(weights, d, as_generator(seed))
     return materialize_chosen(stream, positions, weights, total_sq)
 
@@ -339,7 +328,7 @@ def sample_sketch_two_pass(stream: RowStream, d: int, seed=0) -> Sketch:
     """Sketch a replayable stream: weight pass, then ``draw_sketch``."""
     if not stream.replayable:
         raise NotReplayableError("two-pass sampling requires a replayable stream")
-    _check_size(d, stream.n_cols)
+    _check_size(d)
     weights, total_sq, _ = stream_weights(stream)
     return draw_sketch(stream, weights, total_sq, d, seed)
 
@@ -354,15 +343,14 @@ def sample_sketch_one_pass(stream: RowStream, d: int, seed=0) -> Sketch:
     probability proportional to its weight within the block.  A row of
     weight w in block s thus ends as the occupant with probability
     (w/W_s) * prod_{u>s}(W_{u-1}/W_u) = w/W, the row distribution; the
-    reservoirs are mutually independent.  TooLargeError if the d x n
-    reservoir rows exceed physical memory, before they are allocated.
+    reservoirs are mutually independent.  A reservoir holds a position; a
+    pool holds each row some reservoir may hold once, at most d (``_held``).
     """
-    _check_size(d, stream.n_cols)
+    _check_size(d)
     rng = as_generator(seed)
     running = 0.0
-    rows = np.zeros((d, stream.n_cols))
-    occupant_index = np.full(d, -1, dtype=np.int64)
-    occupant_weight = np.zeros(d)
+    occupants = np.empty(d, dtype=np.int64)  # all set by the first block of positive weight
+    pool, pooled = [], 0  # (positions, rows) chunks, and their row count
     for start, block, w in _traverse(stream):
         block_total = total_weight(w)
         if block_total > 0.0:
@@ -371,8 +359,26 @@ def sample_sketch_one_pass(stream: RowStream, d: int, seed=0) -> Sketch:
             slots = np.flatnonzero(rng.random(d) < block_total / running)
             if slots.size:
                 picks = draw_weighted_indices(w, slots.size, rng)
-                rows[slots] = block[picks]
-                occupant_index[slots] = start + picks
-                occupant_weight[slots] = w[picks]
+                occupants[slots] = start + picks
+                new = np.bincount(picks).nonzero()[0]
+                if pooled + new.size > d:
+                    pool, pooled = _held(pool, occupants)
+                pool.append((start + new, block[new]))
+                pooled += new.size
     _check_nonzero(running)
-    return _sketch(rows, np.arange(d), occupant_index, occupant_weight, running)
+    [(positions, rows)], _ = _held(pool, occupants)
+    return _sketch(rows, positions.searchsorted(occupants), occupants, running)
+
+
+def _held(pool: list, occupants: np.ndarray) -> tuple[list, int]:
+    """``pool``'s (positions, rows) chunks cut to the rows some occupant holds, as one chunk,
+    and its size; each chunk is freed once copied, and a current-block occupant lies past the pool."""
+    positions = np.concatenate([at for at, _ in pool])
+    held = np.bincount(positions.searchsorted(occupants), minlength=positions.size + 1)[:-1].astype(bool)
+    rows = np.empty((np.count_nonzero(held), pool[0][1].shape[1]))
+    start = stop = 0
+    for i, (at, chunk) in enumerate(pool):
+        kept = chunk[held[start : start + at.size]]
+        rows[stop : stop + kept.shape[0]] = kept
+        start, stop, pool[i] = start + at.size, stop + kept.shape[0], None
+    return [(positions[held], rows)], rows.shape[0]

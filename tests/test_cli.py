@@ -258,7 +258,9 @@ class TestApproxSvd:
         assert main(argv + ["--input", str(path)]) == 64
 
     @pytest.mark.parametrize(
-        "flag", [["--epsilon", "1.5"], ["--delta", "0"], ["--c-const", "0"], ["--d", "0"]]
+        "flag",
+        [["--epsilon", "1.5"], ["--delta", "0"], ["--c-const", "0"], ["--c-const", "inf"],
+         ["--d", "0"]],
     )
     def test_bad_parameters_refused_before_the_matrix_is_read(
         self, monkeypatch, capsys, rank3_file, flag
@@ -590,7 +592,11 @@ class TestLln:
     @pytest.mark.parametrize(
         "argv, message",
         [(["--d", "1"], "d must be >= 2, got 1"),
-         (["--d", "4", "--trials", "0"], "trials must be >= 1, got 0")],
+         (["--d", "4", "--trials", "0"], "trials must be >= 1, got 0"),
+         (["--d", "4", "--c-const", "0"], "c_constant must be positive and finite, got 0.0"),
+         (["--d", "4", "--c-const", "-1"], "c_constant must be positive and finite, got -1.0"),
+         (["--d", "4", "--c-const", "nan"], "c_constant must be positive and finite, got nan"),
+         (["--d", "4", "--c-const", "inf"], "c_constant must be positive and finite, got inf")],
     )
     def test_numbers_checked_before_the_input_is_read(
         self, rank3_file, monkeypatch, capsys, argv, message
@@ -698,7 +704,7 @@ class TestReportBytesPinned:
     PINS = {
         "approx-none": "d778b197b79e2796b672eacb0b95f32b87f5ca76d77cad885db6590009fd438d",
         "approx-two-pass": "d778b197b79e2796b672eacb0b95f32b87f5ca76d77cad885db6590009fd438d",
-        "approx-one-pass": "8bb94e3fb7b652654807c5728c4a12ab4e61401eb193d661aa01a70181313536",
+        "approx-one-pass": "cb0483f01c43bdd98a4e7f8127cf2e97606013ce733272674a8da4fb52edef5f",
         "optimality": "9e622b5ab51b915e4f616aacaec65bc40bbd7f4686e8a17d7cfee0ab28b18f80",
         "lln": "0077a82b6142702729f6b10177ef61132fdcdee36f7e1eca302749f26f985e55",
     }
@@ -839,6 +845,39 @@ def test_every_choice_runs(tmp_path, command, flag, value):
     getattr(matio, f"write_{fmt}")(path, np.random.default_rng(4).standard_normal((4, 4)))
     argv = [command, *SMOKE_ARGV[command], "--input", str(path), flag, value]
     assert main(argv + ["--out", str(tmp_path / "r.json")]) == 0
+
+
+def _every_number():
+    """(command, flag, value) for each int and float flag of each subcommand and each edge value."""
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    values = {int: ["-1", "0"], float: ["nan", "inf", "-inf", "-1", "0", "1e300"]}
+    return [
+        (command, action.option_strings[0], value)
+        for command, sub in commands.choices.items()
+        for action in sub._actions
+        if action.type in values
+        for value in values[action.type]
+    ]
+
+
+# the smallest run of each command; the flag under test, given after these, overrides them
+TINY_ARGV = {
+    "approx-svd": ["--input", "{input}", "--k", "1", "--d", "4"],
+    "decay": ["--norm", "cut", "--witness", "identity", "--n", "4", "--q", "2", "--trials", "2"],
+    "lln": ["--ensemble", "scaled-basis", "--n", "4", "--d", "4", "--trials", "2"],
+    "optimality": ["--n", "4", "--m", "8", "--d", "2", "--trials", "2"],
+}
+
+
+@pytest.mark.parametrize("command,flag,value", _every_number())
+def test_every_number_exits_with_a_documented_code(tmp_path, command, flag, value):
+    path = tmp_path / "a.bin"
+    write_binary(path, np.random.default_rng(4).standard_normal((4, 4)))
+    argv = [str(path) if a == "{input}" else a for a in TINY_ARGV[command]]
+    # "--flag=value", or argparse would take "-inf" for an option
+    code = main([command, *argv, f"{flag}={value}", "--out", str(tmp_path / "r.json")])
+    assert code in (0, 64, 65)
 
 
 def test_console_entry_point_runs(tmp_path):

@@ -69,6 +69,15 @@ class TestSummary:
     def test_recomputable(self, sample_report):
         assert check_summary(sample_report.to_dict())
 
+    def test_write_serializes_before_opening(self, tmp_path, sample_report):
+        # a report that cannot be serialized leaves an earlier file as it was
+        path = tmp_path / "report.json"
+        path.write_bytes(b"an earlier report\n")
+        sample_report.results["fitted_constant"] = float("nan")
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            sample_report.write(path)
+        assert path.read_bytes() == b"an earlier report\n"
+
     def test_tampering_detected(self, sample_report):
         tampered = sample_report.to_dict()
         tampered["summary"]["value"]["mean"] += 1e-6

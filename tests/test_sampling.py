@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -107,13 +108,13 @@ class TestSampleSketch:
         sketch = sample_sketch(a, 7, seed=1)
         assert np.array_equal(sketch.chosen_indices, np.full(7, 1))
         target = np.array([3.0, 4.0, 0.0]) * (5.0 / (math.sqrt(7) * 5.0))
-        assert np.allclose(sketch.matrix, np.tile(target, (7, 1)))
+        assert np.allclose(sketch.rows[sketch.inverse], np.tile(target, (7, 1)))
 
     def test_equal_row_lengths(self, rng):
         a = rng.normal(size=(12, 5))
         sketch = sample_sketch(a, 30, seed=2)
         expected = sketch.frobenius_of_source / math.sqrt(30)
-        lengths = np.linalg.norm(sketch.matrix, axis=1)
+        lengths = np.linalg.norm(sketch.rows[sketch.inverse], axis=1)
         assert np.allclose(lengths, expected, rtol=1e-8)
 
     def test_index_frequencies(self):
@@ -143,7 +144,7 @@ class TestSampleSketch:
         s1 = sample_sketch(a, 6, seed=42)
         s2 = sample_sketch(a, 6, seed=42)
         assert np.array_equal(s1.chosen_indices, s2.chosen_indices)
-        assert s1.matrix.tobytes() == s2.matrix.tobytes()
+        assert s1.rows[s1.inverse].tobytes() == s2.rows[s2.inverse].tobytes()
 
     def test_zero_rows_never_chosen(self, rng):
         a = rng.normal(size=(6, 3))
@@ -170,12 +171,12 @@ class TestTwoPass:
         mem = sample_sketch(a, 25, seed=4)
         streamed = sample_sketch_two_pass(MatrixRowStream(a), 25, seed=4)
         assert np.array_equal(mem.chosen_indices, streamed.chosen_indices)
-        assert mem.matrix.tobytes() == streamed.matrix.tobytes()
+        assert mem.rows[mem.inverse].tobytes() == streamed.rows[streamed.inverse].tobytes()
         assert mem.frobenius_of_source == streamed.frobenius_of_source
 
     def test_identity_contract(self):
         sketch = sample_sketch_two_pass(MatrixRowStream(np.eye(5)), 12, seed=0)
-        assert np.allclose(np.linalg.norm(sketch.matrix, axis=1), math.sqrt(5) / math.sqrt(12))
+        assert np.allclose(np.linalg.norm(sketch.rows[sketch.inverse], axis=1), math.sqrt(5) / math.sqrt(12))
 
     @pytest.mark.parametrize(
         "sketch",
@@ -191,7 +192,7 @@ class TestTwoPass:
             pytest.fail("the sketch rows were drawn")
 
         monkeypatch.setattr(sampling, "draw_weighted_indices", no_draw)
-        with pytest.raises(TooLargeError, match="1000000000000x8"):
+        with pytest.raises(TooLargeError, match="1000000000000x4"):
             sketch(10**12)
 
     def test_single_shot_rejected(self, rng):
@@ -216,7 +217,7 @@ class TestTwoPass:
 
         stream = RowStream(factory, base.shape[1])
         sketch = sample_sketch_two_pass(stream, d, seed=7)
-        assert sketch.matrix.shape == (d, 200)
+        assert sketch.rows[sketch.inverse].shape == (d, 200)
         assert peak[0] <= d + 1
 
     @staticmethod
@@ -323,7 +324,7 @@ class TestBlockSize:
                 sample_sketch_two_pass(open_stream(tmp_path / "a.csv"), 300, seed=8),
                 sample_sketch_two_pass(open_stream(path), 300, seed=8),
             ]
-            results.extend((s.chosen_indices.tobytes(), s.matrix.tobytes()) for s in sources)
+            results.extend((s.chosen_indices.tobytes(), s.rows[s.inverse].tobytes()) for s in sources)
         assert all(r == results[0] for r in results)
 
     @pytest.mark.parametrize("block_rows", [1, 3, 7])
@@ -378,7 +379,7 @@ class TestSeedPinsBytes:
             "one-pass": lambda: sample_sketch_one_pass(MatrixRowStream(a), 40, seed=7),
         }[mode]
         sketch = sample()
-        assert (_sha256(sketch.chosen_indices), _sha256(sketch.matrix)) == self.SKETCH[mode]
+        assert (_sha256(sketch.chosen_indices), _sha256(sketch.rows[sketch.inverse])) == self.SKETCH[mode]
 
     def test_weights_and_gram(self, monkeypatch):
         monkeypatch.setattr(streams, "BLOCK_ROWS", 5)
@@ -393,7 +394,25 @@ class TestSeedPinsBytes:
         monkeypatch.setattr(streams, "BLOCK_ROWS", 5)
         write_binary(tmp_path / "a.bin", _pinned_matrix())
         sketch = sample_sketch_two_pass(open_stream(tmp_path / "a.bin"), 40, seed=7)
-        assert (_sha256(sketch.chosen_indices), _sha256(sketch.matrix)) == self.SKETCH["in-memory"]
+        assert (_sha256(sketch.chosen_indices), _sha256(sketch.rows[sketch.inverse])) == self.SKETCH["in-memory"]
+
+
+@pytest.mark.parametrize("d", [3, 9, 40])
+@pytest.mark.parametrize("mode", ["in-memory", "two-pass", "one-pass"])
+def test_sketch_holds_distinct_rows_in_position_order(monkeypatch, mode, d):
+    # 5-row blocks; at d = 3 and 9 the one-pass pool drops rows no reservoir holds
+    monkeypatch.setattr(streams, "BLOCK_ROWS", 5)
+    a = _pinned_matrix()
+    sketch = {
+        "in-memory": lambda: sample_sketch(a, d, seed=7),
+        "two-pass": lambda: sample_sketch_two_pass(MatrixRowStream(a), d, seed=7),
+        "one-pass": lambda: sample_sketch_one_pass(MatrixRowStream(a), d, seed=7),
+    }[mode]()
+    wanted = np.unique(sketch.chosen_indices)
+    assert sketch.rows.shape[0] == wanted.size
+    assert np.array_equal(wanted[sketch.inverse], sketch.chosen_indices)
+    scale = sketch.frobenius_of_source / (math.sqrt(d) * np.linalg.norm(a[wanted], axis=1))
+    assert np.allclose(sketch.rows, a[wanted] * scale[:, None], rtol=1e-14, atol=0)
 
 
 class TestGather:
@@ -427,7 +446,7 @@ class TestGather:
         assert len(traversals) == 1
         assert len(reads) == np.unique(sketch.chosen_indices).size < 60
         assert sketch.chosen_indices.tobytes() == reference.chosen_indices.tobytes()
-        assert sketch.matrix.tobytes() == reference.matrix.tobytes()
+        assert sketch.rows[sketch.inverse].tobytes() == reference.rows[reference.inverse].tobytes()
 
     @pytest.mark.parametrize("chosen", [True, False])
     def test_rewrite_under_an_unchanged_stamp(self, tmp_path, rng, monkeypatch, chosen, gather_always):
@@ -448,7 +467,7 @@ class TestGather:
         else:
             sketch = materialize_chosen(stream, positions, weights, total_sq)
             reference = materialize_chosen(MatrixRowStream(a), positions, weights, total_sq)
-            assert sketch.matrix.tobytes() == reference.matrix.tobytes()
+            assert sketch.rows[sketch.inverse].tobytes() == reference.rows[reference.inverse].tobytes()
 
     def test_gathers_only_while_cheaper_than_a_full_pass(self, tmp_path, rng, monkeypatch):
         a, path = rng.normal(size=(500, 200)), tmp_path / "wide.bin"
@@ -499,14 +518,27 @@ class TestOnePass:
 
         monkeypatch.setattr(np, "zeros", no_allocation)
         monkeypatch.setattr(np, "full", no_allocation)
-        with pytest.raises(TooLargeError, match="1000000000000x8"):
+        with pytest.raises(TooLargeError, match="1000000000000x4"):
             sample_sketch_one_pass(stream, 10**12, seed=0)
+
+    def test_memory_does_not_grow_with_d_times_n(self, rng):
+        # d x n float64 reservoirs would take 5000 * 1000 * 8 = 40 MB; the
+        # reservoirs hold positions and the pool at most the 50 source rows
+        stream = MatrixRowStream(rng.normal(size=(50, 1000)))
+        tracemalloc.start()
+        try:
+            sketch = sample_sketch_one_pass(stream, 5000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sketch.rows.shape[0] <= 50
+        assert peak < 5000 * 1000 * 8 / 10
 
     def test_deterministic(self):
         s1 = sample_sketch_one_pass(MatrixRowStream(FIXED_8ROW), 3, seed=5)
         s2 = sample_sketch_one_pass(MatrixRowStream(FIXED_8ROW), 3, seed=5)
         assert np.array_equal(s1.chosen_indices, s2.chosen_indices)
-        assert s1.matrix.tobytes() == s2.matrix.tobytes()
+        assert s1.rows[s1.inverse].tobytes() == s2.rows[s2.inverse].tobytes()
 
     def test_occupant_distribution_chi_square(self):
         trials = 20_000
@@ -565,7 +597,7 @@ def test_chosen_indices_are_traversal_positions():
         sample_sketch_two_pass(RowStream(blocks, 2), 50, seed=3),
         sample_sketch_one_pass(RowStream(blocks(), 2), 50, seed=3),
     ):
-        rows = sketch.matrix / np.linalg.norm(sketch.matrix, axis=1)[:, None]
+        rows = sketch.rows[sketch.inverse] / np.linalg.norm(sketch.rows[sketch.inverse], axis=1)[:, None]
         drawn = a[sketch.chosen_indices]
         assert np.allclose(rows, drawn / np.linalg.norm(drawn, axis=1)[:, None])
     assert np.array_equal(

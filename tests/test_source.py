@@ -176,3 +176,33 @@ print(json.dumps({{"exit": code, "layers": tracer.layer_metrics(rec)}}))
     assert outcome["exit"] == 0
     assert outcome["layers"]["streams.passes"] == 1
     assert outcome["layers"]["streams.rows"] > 0
+
+
+def test_runs_do_not_import_numpy_ma(tmp_path):
+    # plain np.unique and np.isin import numpy.ma on first call, about 14 ms;
+    # np.unique(..., return_inverse=True) does not
+    path = tmp_path / "a.bin"
+    matsketch.write_binary(path, np.random.default_rng(0).normal(size=(300, 6)))
+    script = f"""
+import sys
+from matsketch.cli import main
+approx = ["approx-svd", "--input", {str(path)!r}, "--k", "2", "--out", "-"]
+runs = [
+    approx,
+    approx + ["--stream", "two-pass"],
+    approx + ["--stream", "one-pass", "--d", "20"],
+    ["decay", "--norm", "cut", "--witness", "random-sign", "--n", "6", "--q", "3",
+     "--trials", "4", "--out", "-"],
+    ["decay", "--norm", "spectral", "--witness", "identity", "--n", "6", "--q", "3",
+     "--trials", "4", "--out", "-"],
+]
+codes = [main(argv) for argv in runs]
+print(codes, "numpy.ma" in sys.modules, file=sys.stderr)
+"""
+    package_root = str(Path(matsketch.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines()[-1] == "[0, 0, 0, 0, 0] False"
