@@ -90,7 +90,7 @@ class ExperimentReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def write(self, path) -> None:
-        Path(path).write_text(self.to_json(), encoding="ascii")  # serialized before it opens
+        Path(path).write_text(self.to_json(), encoding="ascii")  # to_json runs before the file opens
 
 
 def load_schema() -> dict:

@@ -400,7 +400,8 @@ class TestSeedPinsBytes:
 @pytest.mark.parametrize("d", [3, 9, 40])
 @pytest.mark.parametrize("mode", ["in-memory", "two-pass", "one-pass"])
 def test_sketch_holds_distinct_rows_in_position_order(monkeypatch, mode, d):
-    # 5-row blocks; at d = 3 and 9 the one-pass pool drops rows no reservoir holds
+    # 5-row blocks: the one-pass pool ends in several chunks, and at d = 3 it is
+    # cut to the rows a reservoir holds twice before the traversal ends
     monkeypatch.setattr(streams, "BLOCK_ROWS", 5)
     a = _pinned_matrix()
     sketch = {
