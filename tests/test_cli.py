@@ -707,6 +707,8 @@ class TestReportBytesPinned:
         "approx-one-pass": "cb0483f01c43bdd98a4e7f8127cf2e97606013ce733272674a8da4fb52edef5f",
         "optimality": "9e622b5ab51b915e4f616aacaec65bc40bbd7f4686e8a17d7cfee0ab28b18f80",
         "lln": "0077a82b6142702729f6b10177ef61132fdcdee36f7e1eca302749f26f985e55",
+        "decay-cut-file": "faba44c2c5b4c00aa69bd28e9969c40b6b66be525cd78379f63de16a80a3b294",
+        "decay-spectral-random-sign": "a232be8533a000aa88ef16fd285ad81fb05e834817030b9fc25c67a77e34f4dc",
     }
     APPROX = ["approx-svd", "--input", "{input}", "--k", "3", "--seed", "7"]
     ARGV = {
@@ -717,14 +719,21 @@ class TestReportBytesPinned:
                        "--seed", "3"],
         "lln": ["lln", "--ensemble", "matrix-rows", "--input", "{input}", "--d", "30",
                 "--trials", "6", "--c-const", "2.5", "--seed", "5"],
+        "decay-cut-file": ["decay", "--norm", "cut", "--witness", "file", "--input", "{signs}",
+                           "--q", "5", "--trials", "20", "--seed", "9"],
+        "decay-spectral-random-sign": ["decay", "--norm", "spectral", "--witness", "random-sign",
+                                       "--n", "16", "--q", "4", "--trials", "20", "--seed", "2"],
     }
 
     @pytest.mark.parametrize("run", sorted(ARGV))
     def test_seed_pins_report_bytes(self, tmp_path, run):
         path = tmp_path / "a.bin"
         write_binary(path, np.random.default_rng(11).standard_normal((300, 12)))
+        signs = tmp_path / "signs.bin"
+        write_binary(signs, np.where(np.random.default_rng(13).random((14, 14)) < 0.5, -1.0, 1.0))
         out = tmp_path / "report.json"
-        argv = [str(path) if a == "{input}" else a for a in self.ARGV[run]]
+        paths = {"{input}": str(path), "{signs}": str(signs)}
+        argv = [paths.get(a, a) for a in self.ARGV[run]]
         assert main([*argv, "--out", str(out)]) == 0
         report = read_report(out)
         pinned = json.dumps(
