@@ -311,8 +311,7 @@ def order_statistics_check(a, delta: float, trials: int, seed: int = 0):
     n = seq.size
     if not 2.0 / n < delta < 1:
         raise OutOfRangeError(f"delta must lie in (2/{n}, 1), got {delta}")
-    if trials < 1:
-        raise OutOfRangeError(f"trials must be >= 1, got {trials}")
+    check_trials(trials)
     rng = spawn(seed)
     values = np.empty(trials)
     batch = 20000

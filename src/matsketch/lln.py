@@ -17,7 +17,7 @@ import numpy as np
 from .errors import OutOfRangeError, ShapeMismatchError
 from .parallel import check_trials, run_trials
 from .rng import as_generator
-from .sampling import draw_weighted_indices, stream_weights
+from .sampling import check_c_constant, draw_weighted_indices, stream_weights
 from .streams import MatrixRowStream
 
 
@@ -102,8 +102,7 @@ def check_deviation_arguments(d: int, trials: int, c_constant: float = 1.0) -> N
     if d < 2:
         raise OutOfRangeError(f"d must be >= 2, got {d}")
     check_trials(trials)
-    if not 0 < c_constant < math.inf:
-        raise OutOfRangeError(f"c_constant must be positive and finite, got {c_constant}")
+    check_c_constant(c_constant)
 
 
 def lln_deviation(
@@ -147,8 +146,7 @@ def tail_bound_eval(a: float, t: float, c_constant: float = 1.0) -> float:
         raise OutOfRangeError(f"a must be positive, got {a}")
     if not 0 < t < 1:
         raise OutOfRangeError(f"t must lie in (0, 1), got {t}")
-    if not c_constant > 0:
-        raise OutOfRangeError(f"c_constant must be positive, got {c_constant}")
+    check_c_constant(c_constant)
     return min(1.0, 2.0 * math.exp(-c_constant * t**2 / a**2))
 
 
@@ -165,8 +163,7 @@ def rademacher_moment_check(vectors, p: float, trials: int, seed: int = 0):
         raise ShapeMismatchError("need a nonempty 2-d array of vectors")
     if p < 1:
         raise OutOfRangeError(f"p must be >= 1, got {p}")
-    if trials < 1:
-        raise OutOfRangeError(f"trials must be >= 1, got {trials}")
+    check_trials(trials)
     d, n = arr.shape
     rng = as_generator(seed)
     signs = rng.integers(0, 2, size=(trials, d)) * 2 - 1

@@ -127,10 +127,15 @@ def check_parameters(epsilon, delta, c_constant=1.0, d=None) -> None:
         raise OutOfRangeError(f"epsilon must lie in (0, 1), got {epsilon}")
     if not 0 < delta < 1:
         raise OutOfRangeError(f"delta must lie in (0, 1), got {delta}")
-    if not 0 < c_constant < math.inf:
-        raise OutOfRangeError(f"c_constant must be positive and finite, got {c_constant}")
+    check_c_constant(c_constant)
     if d is not None:
         _check_size(d)
+
+
+def check_c_constant(c_constant) -> None:
+    """OutOfRangeError unless 0 < c_constant < inf."""
+    if not 0 < c_constant < math.inf:
+        raise OutOfRangeError(f"c_constant must be positive and finite, got {c_constant}")
 
 
 def row_weights(a) -> np.ndarray:

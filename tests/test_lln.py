@@ -163,7 +163,11 @@ class TestTailBound:
         after = tail_bound_eval(a / 2, t)
         assert after == pytest.approx(min(1.0, 2.0 * (before / 2.0) ** 4), rel=1e-12)
 
-    @pytest.mark.parametrize("a,t,c", [(0.0, 0.5, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 1.0), (1.0, 0.5, 0.0)])
+    @pytest.mark.parametrize(
+        "a,t,c",
+        [(0.0, 0.5, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 1.0), (1.0, 0.5, 0.0),
+         (1.0, 0.5, math.inf), (1.0, 0.5, math.nan)],
+    )
     def test_out_of_range(self, a, t, c):
         with pytest.raises(OutOfRangeError):
             tail_bound_eval(a, t, c)
