@@ -135,10 +135,7 @@ class ApproxReport:
     form G, so they report None for the rank and every certificate field.
     """
 
-    k: int
     d: int
-    epsilon: float
-    delta: float
     numerical_rank: float | None
     sigma_kplus1: float | None = None
     error_spectral: float | None = None
@@ -180,9 +177,7 @@ def low_rank_approximate(
                 "the sample-size formula requires a replayable source"
             )
         basis = projector_top_k(sample_sketch_one_pass(stream, d, seed), k)
-        return basis, ApproxReport(
-            k=int(k), d=int(d), epsilon=float(epsilon), delta=float(delta), numerical_rank=None
-        )
+        return basis, ApproxReport(d=int(d), numerical_rank=None)
     weights, total_sq, gram = stream_weights(stream, accumulate_gram=True)
     eigenvalues = np.linalg.eigvalsh(gram)
     rank = total_sq / float(eigenvalues[-1])
@@ -204,8 +199,7 @@ def low_rank_approximate(
             f"{gram_deviation!r} is at most (epsilon * |A|_2)^2 / 2"
         )
     return basis, ApproxReport(
-        k=int(k), d=int(d), epsilon=float(epsilon), delta=float(delta), numerical_rank=rank,
-        sigma_kplus1=sigma_next, error_spectral=error, bound=bound,
+        d=int(d), numerical_rank=rank, sigma_kplus1=sigma_next, error_spectral=error, bound=bound,
         gram_deviation=gram_deviation, satisfied=satisfied,
     )
 
@@ -281,7 +275,8 @@ def optimality_experiment(n: int, m: int, d: int, trials: int, seed: int = 0) ->
 
     def run(rng):
         sketch = sample_sketch(arr, d, rng)
-        missed = n - np.unique(sketch.chosen_indices // (m // n)).size
+        drawn_per_block = np.bincount(sketch.chosen_indices // (m // n), minlength=n)
+        missed = n - np.count_nonzero(drawn_per_block)
         error = approximation_error(arr, projector_top_k(sketch, n))
         return missed, error
 

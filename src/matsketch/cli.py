@@ -24,6 +24,7 @@ the input's width against the width its header or first line gives.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import sys
 
@@ -51,25 +52,26 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="matsketch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = _Parser(add_help=False)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--out", default="report.json")
+    reads = _Parser(add_help=False, parents=[common])
+    reads.add_argument("--format", default="auto", choices=("auto",) + matio.FORMATS)
 
-    p = sub.add_parser("approx-svd", help="low-rank approximation from a row sketch")
+    p = sub.add_parser("approx-svd", parents=[reads], help="low-rank approximation from a row sketch")
     p.add_argument("--input", required=True, help="matrix file")
-    p.add_argument("--format", default="auto", choices=("auto",) + matio.FORMATS)
     p.add_argument("--k", type=int, required=True, help="projector rank")
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--delta", type=float, default=0.5)
     p.add_argument("--c-const", type=float, default=1.0, dest="c_const")
     p.add_argument("--d", type=int, default=None, help="override the sample-size formula")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stream", default="none", choices=("none", "one-pass", "two-pass"))
     p.add_argument("--strict", action="store_true", help="exit 2 if the error bound fails")
-    p.add_argument("--out", default="report.json")
 
-    p = sub.add_parser("decay", help="norm decay of random submatrices")
+    p = sub.add_parser("decay", parents=[reads], help="norm decay of random submatrices")
     p.add_argument("--norm", required=True, choices=("cut", "spectral"))
     p.add_argument("--q", type=float, required=True, help="expected subset size")
     p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--witness",
         default="identity",
@@ -77,27 +79,20 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--n", type=int, default=16, help="witness size")
     p.add_argument("--input", default=None, help="matrix file for --witness file")
-    p.add_argument("--format", default="auto", choices=("auto",) + matio.FORMATS)
-    p.add_argument("--out", default="report.json")
 
-    p = sub.add_parser("lln", help="empirical second-moment deviations")
+    p = sub.add_parser("lln", parents=[reads], help="empirical second-moment deviations")
     p.add_argument("--ensemble", required=True, choices=("scaled-basis", "matrix-rows"))
     p.add_argument("--n", type=int, default=16, help="dimension for scaled-basis")
     p.add_argument("--input", default=None, help="matrix file for matrix-rows")
-    p.add_argument("--format", default="auto", choices=("auto",) + matio.FORMATS)
     p.add_argument("--d", type=int, required=True, help="samples per trial")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--c-const", type=float, default=1.0, dest="c_const")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="report.json")
 
-    p = sub.add_parser("optimality", help="block-identity sample-size experiment")
+    p = sub.add_parser("optimality", parents=[common], help="block-identity sample-size experiment")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="report.json")
 
     return parser
 
@@ -137,21 +132,16 @@ def _cmd_approx_svd(args, digest):
         seed=args.seed,
         d=args.d,
     )
-    trial = {
-        "trial": 0,
-        "d": report.d,
-        "numerical_rank": report.numerical_rank,
-        "sigma_kplus1": report.sigma_kplus1,
-        "error_spectral": report.error_spectral,
-        "bound": report.bound,
-        "gram_deviation": report.gram_deviation,
-        "satisfied": report.satisfied,
-    }
     exit_code = EXIT_VIOLATION if args.strict and report.satisfied is False else EXIT_OK
     # decided by the drawn sample in every mode, streams included
     projector_sha256 = hashlib.sha256(basis.tobytes()).hexdigest()
     results = {"d": report.d, "satisfied": report.satisfied, "projector_sha256": projector_sha256}
-    return [trial], results, exit_code
+    return [{"trial": 0, **dataclasses.asdict(report)}], results, exit_code
+
+
+def _trials(**columns) -> list[dict]:
+    """One row per trial: ``{"trial": i, name: column[i], ...}``; the report converts numpy values."""
+    return [{"trial": i, **dict(zip(columns, row))} for i, row in enumerate(zip(*columns.values()))]
 
 
 def _witness_matrix(args, digest) -> np.ndarray:
@@ -179,11 +169,7 @@ def _cmd_decay(args, digest):
     matrix = _witness_matrix(args, digest)
     estimator = cutnorm.cut_decay_estimate if args.norm == "cut" else cutnorm.spectral_decay_estimate
     estimate = estimator(matrix, args.q, args.trials, args.seed)
-    per_trial = [
-        {"trial": i, "subset_size": int(s), "value": float(v)}
-        for i, (s, v) in enumerate(zip(estimate.subset_sizes, estimate.samples))
-    ]
-    return per_trial, {
+    return _trials(subset_size=estimate.subset_sizes, value=estimate.samples), {
         "norm": args.norm,
         "mean": estimate.mean,
         "bound_terms": list(estimate.bound_terms),
@@ -201,8 +187,7 @@ def _cmd_lln(args, digest):
     else:
         ensemble = lln.matrix_rows_ensemble(matio.read_matrix(args.input, args.format, digest))
     stats = lln.lln_deviation(ensemble, args.d, args.trials, args.seed, args.c_const)
-    per_trial = [{"trial": i, "deviation": float(v)} for i, v in enumerate(stats.deviations)]
-    return per_trial, {
+    return _trials(deviation=stats.deviations), {
         "a_value": stats.a_value,
         "mean_deviation": stats.mean,
         "max_deviation": stats.max,
@@ -211,15 +196,9 @@ def _cmd_lln(args, digest):
 
 def _cmd_optimality(args, digest):
     result = approx.optimality_experiment(args.n, args.m, args.d, args.trials, args.seed)
-    per_trial = [
-        {
-            "trial": i,
-            "missed_blocks": int(mb),
-            "error_spectral": float(err),
-            "failed": bool(fl),
-        }
-        for i, (mb, err, fl) in enumerate(zip(result.missed_blocks, result.errors, result.failed))
-    ]
+    per_trial = _trials(
+        missed_blocks=result.missed_blocks, error_spectral=result.errors, failed=result.failed
+    )
     return per_trial, {
         "failure_fraction": result.failure_fraction,
         "missed_block_fraction": result.missed_block_fraction,

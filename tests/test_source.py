@@ -120,7 +120,10 @@ def test_names_the_benchmark_tracer_binds_exist():
 
 def test_traced_two_pass_run_counts_both_passes(tmp_path):
     # the benchmark's traced mode subclasses the stream open_stream returns;
-    # ``install`` rebinds module globals, so the traced run gets its own process
+    # ``install`` rebinds module globals, so the traced run gets its own process.
+    # Its hooks also read result fields: ``chosen_indices`` and ``d`` of the
+    # sketch ``materialize_chosen`` returns, ``error_spectral`` and ``bound`` of
+    # the report ``low_rank_approximate`` returns second; the two ratios need all four
     path = tmp_path / "a.bin"
     matsketch.write_binary(path, np.random.default_rng(0).normal(size=(300, 6)))
     script = f"""
@@ -145,6 +148,8 @@ print(json.dumps({{"exit": code, "layers": tracer.layer_metrics(rec)}}))
     assert outcome["exit"] == 0
     assert outcome["layers"]["streams.passes"] == 2
     assert outcome["layers"]["streams.rows"] > 0
+    assert 0 < outcome["layers"]["sampling.distinct_ratio"] <= 1
+    assert 0 < outcome["layers"]["approx.bound_ratio"] <= 1
 
 
 def test_traced_gathered_two_pass_run_counts_one_pass(tmp_path):
@@ -195,6 +200,10 @@ runs = [
      "--trials", "4", "--out", "-"],
     ["decay", "--norm", "spectral", "--witness", "identity", "--n", "6", "--q", "3",
      "--trials", "4", "--out", "-"],
+    ["optimality", "--n", "4", "--m", "16", "--d", "6", "--trials", "4", "--out", "-"],
+    ["lln", "--ensemble", "scaled-basis", "--n", "6", "--d", "10", "--trials", "4", "--out", "-"],
+    ["lln", "--ensemble", "matrix-rows", "--input", {str(path)!r}, "--d", "10", "--trials", "4",
+     "--out", "-"],
 ]
 codes = [main(argv) for argv in runs]
 print(codes, "numpy.ma" in sys.modules, file=sys.stderr)
@@ -205,4 +214,4 @@ print(codes, "numpy.ma" in sys.modules, file=sys.stderr)
         env={**os.environ, "PYTHONPATH": package_root},
     )
     assert result.returncode == 0, result.stderr
-    assert result.stderr.splitlines()[-1] == "[0, 0, 0, 0, 0] False"
+    assert result.stderr.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0, 0] False"
