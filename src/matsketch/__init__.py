@@ -20,7 +20,6 @@ from .cutnorm import (
     cut_norm_exact,
     inf_to_one_norm_exact,
     order_statistics_check,
-    sign_matrix_lower_bound,
     spectral_decay_estimate,
     witness_all_ones,
     witness_identity,
@@ -31,7 +30,6 @@ from .errors import (
     InvalidMatrixError,
     InvariantError,
     NotReplayableError,
-    NotSignMatrixError,
     NotSortedError,
     NotSquareError,
     OutOfRangeError,
@@ -50,12 +48,9 @@ from .linalg import (
 from .lln import (
     DeviationStats,
     VectorEnsemble,
-    empirical_second_moment,
     lln_deviation,
     matrix_rows_ensemble,
-    rademacher_moment_check,
     scaled_basis_ensemble,
-    tail_bound_eval,
 )
 from .matio import open_stream, read_matrix, write_binary, write_csv, write_matrixmarket
 from .reports import ExperimentReport

@@ -13,8 +13,8 @@ Every command is deterministic given its flags and seed and writes a JSON
 report (see report_schema.json) whose ``config`` records every flag of the
 subcommand except ``--out``.  Exit codes: 0 success, 2 guarantee
 violation under --strict, 64 usage error, 65 data error (including an
-input or a generated witness too large to allocate, a cut-decay witness
-larger than the exact oracle takes, and a linear-algebra routine that
+input, its n x n Gram work or a generated witness too large to allocate,
+a cut-decay witness larger than the exact oracle takes, and a linear-algebra routine that
 fails to converge: numpy's ``LinAlgError`` is mapped to 65 in ``main``
 alone).  ``approx-svd``, ``decay`` and ``lln`` check their numbers before
 they build a witness or read the rows of ``--input``, a number bounded by
@@ -110,12 +110,16 @@ def _cmd_approx_svd(args, digest):
     ``--epsilon``, ``--delta``, ``--c-const`` and ``--d`` are checked before
     the input is opened, by the library's own ``check_parameters``, and
     ``--k`` by its ``check_k`` against the width that the file's header or
-    first line gives, before any row is read.
+    first line gives, before any row is read; so is the n x n Gram work of
+    every mode but one-pass, by ``sampling.check_gram_size``.
     """
     if args.stream == "one-pass" and args.d is None:
         raise UsageError("--stream one-pass requires an explicit --d")
     sampling.check_parameters(args.epsilon, args.delta, args.c_const, args.d)
-    approx.check_k(args.k, matio.read_width(args.input, args.format))
+    n = matio.read_width(args.input, args.format)
+    approx.check_k(args.k, n)
+    if args.stream != "one-pass":
+        sampling.check_gram_size(n)
     if args.stream == "none":
         source = matio.read_matrix(args.input, args.format, digest)
     else:
@@ -178,13 +182,15 @@ def _cmd_decay(args, digest):
 
 
 def _cmd_lln(args, digest):
-    """``--d``, ``--trials`` and ``--c-const`` are checked before the ensemble is built."""
+    """``--d``, ``--trials`` and ``--c-const`` are checked before the ensemble is built,
+    and a matrix-rows Gram's size by ``sampling.check_gram_size`` before ``--input`` is read."""
     if args.ensemble == "matrix-rows" and args.input is None:
         raise UsageError("--ensemble matrix-rows requires --input")
     lln.check_deviation_arguments(args.d, args.trials, args.c_const)
     if args.ensemble == "scaled-basis":
         ensemble = lln.scaled_basis_ensemble(args.n)
     else:
+        sampling.check_gram_size(matio.read_width(args.input, args.format))
         ensemble = lln.matrix_rows_ensemble(matio.read_matrix(args.input, args.format, digest))
     stats = lln.lln_deviation(ensemble, args.d, args.trials, args.seed, args.c_const)
     return _trials(deviation=stats.deviations), {

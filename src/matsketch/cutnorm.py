@@ -20,14 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvariantError,
-    NotSignMatrixError,
-    NotSortedError,
-    NotSquareError,
-    OutOfRangeError,
-    TooLargeError,
-)
+from .errors import NotSortedError, OutOfRangeError, TooLargeError
 from .linalg import as_matrix, require_allocatable, require_square, spectral_norm
 from .parallel import check_trials, run_trials
 from .rng import as_generator, spawn
@@ -198,8 +191,6 @@ def inf_to_one_norm_exact(a) -> float:
 class DecayEstimate:
     """Monte-Carlo norm decay under random restriction, with bound terms."""
 
-    q: float
-    trials: int
     samples: np.ndarray
     subset_sizes: np.ndarray
     mean: float
@@ -223,8 +214,6 @@ def _decay_estimate(arr, q, trials, seed, restricted_norm, bound_terms) -> Decay
     mean = float(samples.mean())
     total = float(sum(terms))
     return DecayEstimate(
-        q=float(q),
-        trials=samples.size,
         samples=samples,
         subset_sizes=np.asarray(sizes, dtype=np.int64),
         mean=mean,
@@ -350,24 +339,3 @@ def witness_random_sign(n: int, seed=0) -> np.ndarray:
     rng = as_generator(seed)
     return (rng.integers(0, 2, size=(n, n)) * 2 - 1).astype(np.float64)
 
-
-def sign_matrix_lower_bound(a) -> float:
-    """Exact infinity-to-one norm of a square +-1 matrix.
-
-    Every s x s sign matrix satisfies |a|_{inf->1} >= s^(3/2)/sqrt(2);
-    the computed value is checked against that floor before returning.
-    """
-    arr = as_matrix(a, allow_empty=True)
-    if arr.size == 0:
-        return 0.0
-    if arr.shape[0] != arr.shape[1]:
-        raise NotSquareError(f"expected a square restriction, got shape {arr.shape}")
-    if not np.isin(arr, (-1.0, 1.0)).all():
-        raise NotSignMatrixError("entries must all be +1 or -1")
-    value = inf_to_one_norm_exact(arr)
-    floor = arr.shape[0] ** 1.5 / math.sqrt(2)
-    if value < floor - 1e-9:
-        raise InvariantError(
-            f"infinity-to-one norm {value!r} is below the sign-matrix floor {floor!r}"
-        )
-    return value

@@ -45,10 +45,6 @@ class NotSortedError(Error, ValueError):
     """Sequence argument must be sorted nonincreasing."""
 
 
-class NotSignMatrixError(Error, ValueError):
-    """Matrix entries must all be +1 or -1."""
-
-
 class NotReplayableError(Error, RuntimeError):
     """A single-shot stream was traversed more than once."""
 

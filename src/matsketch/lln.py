@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRangeError, ShapeMismatchError
+from .errors import OutOfRangeError
 from .parallel import check_trials, run_trials
 from .rng import as_generator
 from .sampling import check_c_constant, draw_weighted_indices, stream_weights
@@ -59,15 +59,17 @@ def matrix_rows_ensemble(a) -> VectorEnsemble:
     The matrix is rescaled by its spectral norm first, so the exact second
     moment (the rescaled Gram matrix) has unit spectral norm.  The squared
     norm is the top eigenvalue of the Gram matrix that the weight pass
-    accumulates.  A zero matrix raises ZeroMatrixError in ``stream_weights``.
+    accumulates.  A zero matrix raises ZeroMatrixError, and a Gram matrix
+    beyond physical memory TooLargeError, in ``stream_weights``.
     """
     stream = MatrixRowStream(a)
     weights, total, gram = stream_weights(stream, accumulate_gram=True)
     top_sq = float(np.linalg.eigvalsh(gram)[-1])
     fro = math.sqrt(total / top_sq)
     keep = weights > 0
-    # each atom is its row rescaled to length fro; the spectral norm cancels
-    atoms = stream.matrix[keep] * (fro / np.sqrt(weights[keep]))[:, None]
+    # each atom is its row rescaled to length fro, in place; the spectral norm cancels
+    atoms = stream.matrix[keep]
+    atoms *= (fro / np.sqrt(weights[keep]))[:, None]
     return VectorEnsemble(
         bound=fro,
         second_moment=gram / top_sq,
@@ -76,21 +78,8 @@ def matrix_rows_ensemble(a) -> VectorEnsemble:
     )
 
 
-def empirical_second_moment(samples) -> np.ndarray:
-    """(1/d) sum of y y^T over the sample rows; symmetric PSD."""
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise ShapeMismatchError("need a nonempty 2-d array of sample rows")
-    if not np.isfinite(arr).all():
-        raise ShapeMismatchError("samples must be finite")
-    gram = arr.T @ arr / arr.shape[0]
-    return 0.5 * (gram + gram.T)
-
-
 @dataclass(frozen=True)
 class DeviationStats:
-    d: int
-    trials: int
     deviations: np.ndarray
     mean: float
     max: float
@@ -131,46 +120,9 @@ def lln_deviation(
     deviations = np.array(run_trials(run, trials, seed))
     a_value = c_constant * math.sqrt(math.log(d) / d) * ensemble.bound
     return DeviationStats(
-        d=int(d),
-        trials=int(trials),
         deviations=deviations,
         mean=float(deviations.mean()),
         max=float(deviations.max()),
         a_value=float(a_value),
     )
 
-
-def tail_bound_eval(a: float, t: float, c_constant: float = 1.0) -> float:
-    """Large-deviation tail value min(1, 2 exp(-c t^2 / a^2))."""
-    if not a > 0:
-        raise OutOfRangeError(f"a must be positive, got {a}")
-    if not 0 < t < 1:
-        raise OutOfRangeError(f"t must lie in (0, 1), got {t}")
-    check_c_constant(c_constant)
-    return min(1.0, 2.0 * math.exp(-c_constant * t**2 / a**2))
-
-
-def rademacher_moment_check(vectors, p: float, trials: int, seed: int = 0):
-    """Monte-Carlo p-th moment of |sum_i e_i y_i (x) y_i|_2 over random signs.
-
-    Returns (lhs_estimate, rhs_factor) where rhs_factor is the deterministic
-    comparison quantity sqrt(p + log k) * max_i |y_i| * |sum_i y_i (x) y_i|^(1/2)
-    with k = min(sample count, ambient dimension); callers divide to fit the
-    leading constant.
-    """
-    arr = np.asarray(vectors, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise ShapeMismatchError("need a nonempty 2-d array of vectors")
-    if p < 1:
-        raise OutOfRangeError(f"p must be >= 1, got {p}")
-    check_trials(trials)
-    d, n = arr.shape
-    rng = as_generator(seed)
-    signs = rng.integers(0, 2, size=(trials, d)) * 2 - 1
-    signed_sums = np.einsum("ti,ij,ik->tjk", signs, arr, arr, optimize=True)
-    norms = np.abs(np.linalg.eigvalsh(signed_sums)).max(axis=1)
-    lhs = float(np.mean(norms**p) ** (1.0 / p))
-    k = min(d, n)
-    unsigned = np.abs(np.linalg.eigvalsh(arr.T @ arr)).max()
-    rhs = math.sqrt(p + math.log(k)) * float(np.linalg.norm(arr, axis=1).max()) * math.sqrt(unsigned)
-    return lhs, float(rhs)

@@ -55,6 +55,7 @@ from .rng import as_generator
 from .streams import BLOCK_ROWS, MatrixRowStream, RowStream
 
 _CEIL_GUARD = 1e-9  # absorbs float noise so exact-integer products do not round up
+_GRAM_ARRAYS = 6  # n x n float64 arrays a certified run holds at once, the Gram's included
 
 
 @dataclass(frozen=True)
@@ -264,14 +265,30 @@ def _traverse(stream: RowStream, expected=None) -> Iterator[tuple[int, np.ndarra
         raise ShapeMismatchError(f"stream replay has {start} rows, the first pass had {expected.size}")
 
 
+def check_gram_size(n: int) -> None:
+    """TooLargeError if the n x n arrays of a Gram pass exceed physical memory.
+
+    The Gram matrix alone is checked first, so a refusal names its shape
+    where it cannot fit; then with the n x n arrays that ``approx._certify``
+    derives from it, six in all at once, as one 6n x n float64 array.
+    Needs only the width, so it runs before any row is read.
+    """
+    require_allocatable(n, n)
+    require_allocatable(_GRAM_ARRAYS * n, n)
+
+
 def stream_weights(stream: RowStream, accumulate_gram: bool = False):
     """One traversal collecting per-row weights (and optionally the Gram matrix).
 
     Returns (weights, total_sq, gram_or_None); total_sq is checked by
-    ``total_weight`` and a zero total raises ZeroMatrixError.
+    ``total_weight`` and a zero total raises ZeroMatrixError.  The Gram
+    matrix's size is checked by ``check_gram_size`` before the traversal.
     """
     weight_parts = [np.empty(0)]  # an empty stream has no weights
-    gram = np.zeros((stream.n_cols, stream.n_cols)) if accumulate_gram else None
+    gram = None
+    if accumulate_gram:
+        check_gram_size(stream.n_cols)
+        gram = np.zeros((stream.n_cols, stream.n_cols))
     for _, block, w in _traverse(stream):
         weight_parts.append(w)
         if gram is not None:

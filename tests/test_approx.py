@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -377,6 +378,17 @@ class TestLowRankApproximate:
         stream = RowStream(unread if replayable else unread(), 5)
         with pytest.raises(error, match=match):
             low_rank_approximate(stream, k=k, epsilon=0.5, delta=0.5, d=d)
+
+    def test_gram_beyond_memory_refused_before_reading(self, monkeypatch):
+        # 64 KiB of physical memory: an 80 x 80 Gram alone fits in 51.2 KB,
+        # but not with the certificate's five more 80 x 80 arrays
+        def unread():
+            pytest.fail("the stream was traversed")
+            yield
+
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}.__getitem__)
+        with pytest.raises(TooLargeError, match="480x80"):
+            low_rank_approximate(RowStream(unread, 80), k=2, epsilon=0.5, delta=0.5)
 
     @pytest.mark.parametrize(
         "changed, match",

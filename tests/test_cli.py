@@ -388,6 +388,37 @@ INPUT_COMMANDS = [
 ]
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["approx-svd", "--k", "2"], ["approx-svd", "--k", "2", "--stream", "two-pass"],
+     ["lln", "--ensemble", "matrix-rows", "--d", "20", "--trials", "3"]],
+    ids=["approx-none", "approx-two-pass", "lln-matrix-rows"],
+)
+@pytest.mark.parametrize("name", ["a.bin", "a.csv", "a.mtx"])
+def test_gram_beyond_memory_refused_before_any_row_is_read(
+    tmp_path, monkeypatch, capsys, command, name
+):
+    # 64 KiB of physical memory: a 200 x 200 Gram alone needs 320 KB; the
+    # width comes from a binary header, a CSV's first line or a MatrixMarket size line
+    a = np.random.default_rng(4).standard_normal((5, 200))
+    path = tmp_path / name
+    {"a.bin": write_binary, "a.csv": write_csv, "a.mtx": matio.write_matrixmarket}[name](path, a)
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}.__getitem__)
+    one_pass = ["approx-svd", "--input", str(path), "--k", "2", "--stream", "one-pass", "--d", "5"]
+    assert main([*one_pass, "--out", str(tmp_path / "one.json")]) == 0  # one pass forms no Gram
+
+    def no_read(*args, **kwargs):
+        pytest.fail("a row was read")
+
+    for reader in ("read_matrix", "open_stream", "_read_matrixmarket"):
+        monkeypatch.setattr(matio, reader, no_read)
+    assert main([*command, "--input", str(path), "--out", "-"]) == 65
+    assert capsys.readouterr().err == (
+        "matsketch: a 200x200 float64 array needs 320000 bytes, "
+        "more than the 65536 bytes of physical memory\n"
+    )
+
+
 class TestProvenance:
     """provenance.sha256 is hashed from the bytes the run read, on one worker thread."""
 

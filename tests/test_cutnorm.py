@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 from scipy import stats as scipy_stats
 
 from matsketch import (
-    NotSignMatrixError,
     NotSortedError,
     NotSquareError,
     OutOfRangeError,
@@ -22,7 +21,6 @@ from matsketch import (
     cutnorm,
     inf_to_one_norm_exact,
     order_statistics_check,
-    sign_matrix_lower_bound,
     spectral_decay_estimate,
     spectral_norm,
     witness_all_ones,
@@ -30,6 +28,7 @@ from matsketch import (
     witness_random_sign,
 )
 from matsketch.rng import spawn
+from lemmas import NotSignMatrixError, sign_matrix_lower_bound
 
 
 def decay_digests(est) -> dict:

@@ -1,5 +1,7 @@
 import itertools
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,16 +9,15 @@ import pytest
 from matsketch import (
     OutOfRangeError,
     ShapeMismatchError,
+    TooLargeError,
     ZeroMatrixError,
-    empirical_second_moment,
     lln_deviation,
     matrix_rows_ensemble,
-    rademacher_moment_check,
     scaled_basis_ensemble,
     spectral_norm,
-    tail_bound_eval,
 )
 from matsketch.rng import spawn
+from lemmas import empirical_second_moment, rademacher_moment_check, tail_bound_eval
 
 
 class TestEmpiricalSecondMoment:
@@ -88,6 +89,26 @@ class TestEnsembles:
     def test_zero_matrix(self):
         with pytest.raises(ZeroMatrixError):
             matrix_rows_ensemble(np.zeros((2, 2)))
+
+    def test_gram_beyond_memory_refused(self, monkeypatch, rng):
+        # 64 KiB of physical memory: a 200 x 200 Gram alone needs 320 KB
+        a = rng.normal(size=(5, 200))
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}.__getitem__)
+        with pytest.raises(TooLargeError, match="200x200"):
+            matrix_rows_ensemble(a)
+
+    def test_atoms_are_one_copy_of_the_rows(self, rng):
+        # the kept rows are scaled in place: an indexed copy times the
+        # scales would hold two 8 MB copies at once
+        a = rng.normal(size=(20000, 50))
+        tracemalloc.start()
+        try:
+            ens = matrix_rows_ensemble(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ens.atoms.shape == a.shape
+        assert peak < 1.5 * a.nbytes
 
 
 class TestLlnDeviation:

@@ -14,7 +14,8 @@ import matsketch
 import matsketch.cli  # noqa: F401  (loads every module the benchmark tracer reaches)
 
 SOURCES = sorted(Path(matsketch.__file__).parent.glob("*.py"))
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 # Names perfbench/tracer.py's ``install`` binds outside its TRACED table.
 TRACER_EXTRA = [
@@ -78,15 +79,16 @@ def test_module_constants_are_read():
 
 
 def test_class_fields_are_read():
-    # an annotated class field that no code reads as ``x.field`` is dead
-    root = Path(__file__).resolve().parents[1]
+    # an annotated class field that no code reads as ``x.field`` is dead; a
+    # read of the argparse namespace ``args`` reads a flag, not a field
     trees = ("src", "tests", "scripts", "perfbench")
-    readers = [path for tree in trees for path in (root / tree).rglob("*.py")]
+    readers = [path for tree in trees for path in (ROOT / tree).rglob("*.py")]
     read = {
         node.attr
         for path in readers
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and not (isinstance(node.value, ast.Name) and node.value.id == "args")
     }
     fields = [
         (path.name, cls.name, node.target.id)
@@ -98,6 +100,46 @@ def test_class_fields_are_read():
     ]
     unread = [f"{module}:{cls}.{name}" for module, cls, name in fields if name not in read]
     assert len(fields) > 10 and not unread, unread
+
+
+def _names(node) -> set:
+    """Every identifier ``node`` reads, imports or spells out in a string
+    (the benchmark tracer looks functions up by name)."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.split(".")[-1])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.update(sub.value.split("."))
+    return names
+
+
+def test_public_functions_have_a_caller():
+    # a public function that only unit tests call belongs in the tests; the
+    # writers are documented for users, and write_matrixmarket has no caller
+    documented = {"write_matrixmarket"}
+    named = set()
+    defined = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            used = _names(node)
+            if isinstance(node, ast.FunctionDef):
+                if not node.name.startswith("_"):
+                    defined.append((path.name, node.name))
+                used.discard(node.name)
+            named |= used
+    callers = [*(ROOT / "scripts").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py"),
+               ROOT / "tests" / "test_acceptance.py"]
+    for path in callers:
+        named |= _names(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    uncalled = [f"{module}:{name}" for module, name in defined if name not in named | documented]
+    assert len(defined) > 20 and not uncalled, uncalled
 
 
 def test_names_the_benchmark_tracer_binds_exist():
