@@ -8,6 +8,7 @@ per-trial miss probability 1 - (1 - (1 - 1/n)^d)^n.
 """
 
 import argparse
+import math
 
 from matsketch import optimality_experiment
 
@@ -24,8 +25,6 @@ def main():
     print(f"block-identity witness n={n}, m={args.m}, trials={args.trials}")
     print(f"{'d':>7} {'missed frac':>12} {'failure frac':>13} {'exact P(miss)':>14}")
     for factor in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
-        import math
-
         d = max(1, int(factor * n * math.log(n)))
         result = optimality_experiment(n, args.m, d, args.trials, seed=args.seed)
         exact = 1.0 - (1.0 - (1.0 - 1.0 / n) ** d) ** n

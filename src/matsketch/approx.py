@@ -221,11 +221,15 @@ def _certify(blocks, gram, lam, sketch, basis, k) -> tuple[float, float, float]:
     """
     n = gram.shape[0]
     lam_next = float(lam[n - 1 - k]) if k < n else 0.0
-    # (I - P) G (I - P) with P = basis @ basis.T
-    left = gram - basis @ (basis.T @ gram)
-    residual = left - (left @ basis) @ basis.T
-    error_sq = float(np.linalg.eigvalsh(0.5 * (residual + residual.T))[-1])
-    gram_deviation = sym_spectral_norm(gram - sketch.gram())
+    # (I - P) G (I - P) with P = basis @ basis.T, symmetrized, in one work array
+    work = gram - basis @ (basis.T @ gram)
+    work -= (work @ basis) @ basis.T
+    work += work.T
+    work *= 0.5
+    error_sq = float(np.linalg.eigvalsh(work)[-1])
+    del work  # freed before the sketch's Gram is formed
+    diff = sketch.gram()
+    gram_deviation = sym_spectral_norm(np.subtract(gram, diff, out=diff))
     floor = _GRAM_FLOOR * n * np.finfo(np.float64).eps * float(lam[-1])
     coarse = error_sq < floor or (k < n and lam_next < floor)
     if coarse or error_sq > lam_next + 2.0 * gram_deviation:

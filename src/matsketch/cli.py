@@ -55,10 +55,8 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default="report.json")
-    reads = _Parser(add_help=False, parents=[common])
-    reads.add_argument("--format", default="auto", choices=("auto",) + matio.FORMATS)
 
-    p = sub.add_parser("approx-svd", parents=[reads], help="low-rank approximation from a row sketch")
+    p = sub.add_parser("approx-svd", parents=[common], help="low-rank approximation from a row sketch")
     p.add_argument("--input", required=True, help="matrix file")
     p.add_argument("--k", type=int, required=True, help="projector rank")
     p.add_argument("--epsilon", type=float, default=0.5)
@@ -68,7 +66,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--stream", default="none", choices=("none", "one-pass", "two-pass"))
     p.add_argument("--strict", action="store_true", help="exit 2 if the error bound fails")
 
-    p = sub.add_parser("decay", parents=[reads], help="norm decay of random submatrices")
+    p = sub.add_parser("decay", parents=[common], help="norm decay of random submatrices")
     p.add_argument("--norm", required=True, choices=("cut", "spectral"))
     p.add_argument("--q", type=float, required=True, help="expected subset size")
     p.add_argument("--trials", type=int, default=500)
@@ -80,7 +78,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=16, help="witness size")
     p.add_argument("--input", default=None, help="matrix file for --witness file")
 
-    p = sub.add_parser("lln", parents=[reads], help="empirical second-moment deviations")
+    p = sub.add_parser("lln", parents=[common], help="empirical second-moment deviations")
     p.add_argument("--ensemble", required=True, choices=("scaled-basis", "matrix-rows"))
     p.add_argument("--n", type=int, default=16, help="dimension for scaled-basis")
     p.add_argument("--input", default=None, help="matrix file for matrix-rows")
@@ -116,14 +114,14 @@ def _cmd_approx_svd(args, digest):
     if args.stream == "one-pass" and args.d is None:
         raise UsageError("--stream one-pass requires an explicit --d")
     sampling.check_parameters(args.epsilon, args.delta, args.c_const, args.d)
-    n = matio.read_width(args.input, args.format)
+    n = matio.read_width(args.input)
     approx.check_k(args.k, n)
     if args.stream != "one-pass":
         sampling.check_gram_size(n)
     if args.stream == "none":
-        source = matio.read_matrix(args.input, args.format, digest)
+        source = matio.read_matrix(args.input, digest=digest)
     else:
-        source = matio.open_stream(args.input, args.format, digest)
+        source = matio.open_stream(args.input, digest=digest)
         if args.stream == "one-pass":
             # one traversal of the file's blocks, refused a second time
             source = RowStream(iter(source), source.n_cols)
@@ -158,9 +156,9 @@ def _witness_matrix(args, digest) -> np.ndarray:
     if args.witness == "file":
         if args.input is None:
             raise UsageError("--witness file requires --input")
-        n = matio.read_width(args.input, args.format)
+        n = matio.read_width(args.input)
         cutnorm.check_decay_arguments(args.norm, n, args.q, args.trials)
-        return matio.read_matrix(args.input, args.format, digest)
+        return matio.read_matrix(args.input, digest=digest)
     cutnorm.check_decay_arguments(args.norm, args.n, args.q, args.trials)
     if args.witness == "all-ones":
         return cutnorm.witness_all_ones(args.n)
@@ -190,8 +188,8 @@ def _cmd_lln(args, digest):
     if args.ensemble == "scaled-basis":
         ensemble = lln.scaled_basis_ensemble(args.n)
     else:
-        sampling.check_gram_size(matio.read_width(args.input, args.format))
-        ensemble = lln.matrix_rows_ensemble(matio.read_matrix(args.input, args.format, digest))
+        sampling.check_gram_size(matio.read_width(args.input))
+        ensemble = lln.matrix_rows_ensemble(matio.read_matrix(args.input, digest=digest))
     stats = lln.lln_deviation(ensemble, args.d, args.trials, args.seed, args.c_const)
     return _trials(deviation=stats.deviations), {
         "a_value": stats.a_value,

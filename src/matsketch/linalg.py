@@ -71,7 +71,8 @@ def sym_spectral_norm(a) -> float:
     arr = require_square(a, allow_empty=True)
     if arr.size == 0:
         return 0.0
-    sym = 0.5 * (arr + arr.T)
+    sym = arr + arr.T
+    sym *= 0.5
     return float(np.abs(np.linalg.eigvalsh(sym)).max())
 
 

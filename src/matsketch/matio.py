@@ -64,7 +64,6 @@ import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
-from pathlib import Path
 
 import numpy as np
 
@@ -150,23 +149,19 @@ class InputDigest:
 
 
 def detect_format(path) -> str:
-    """Guess the format from the leading bytes, falling back to the suffix."""
-    p = Path(path)
-    with open(p, "rb") as fh:
+    """The format of a matrix file, from its first 64 bytes alone.
+
+    ``%%MatrixMarket`` at the start means MatrixMarket.  A NUL byte means
+    binary: a binary header always holds one, since the top byte of its
+    u64 row count is 0 for any file under 512 PiB, and a valid CSV never
+    does.  Anything else is CSV, so text with a non-ASCII byte gets the CSV
+    reader's error naming its line.  The file's name is not read.
+    """
+    with open(path, "rb") as fh:
         head = fh.read(64)
     if head.startswith(_MM_MAGIC.encode()):
         return "matrixmarket"
-    suffix = p.suffix.lower()
-    if suffix in (".mtx", ".mm"):
-        return "matrixmarket"
-    if suffix == ".csv":
-        return "csv"
-    if suffix == ".bin":
-        return "binary"
-    # a binary header's u64 row count has a zero top byte; text holds no NUL
-    if b"\0" in head:
-        return "binary"
-    return "csv" if head.isascii() else "binary"
+    return "binary" if b"\0" in head else "csv"
 
 
 def _resolve(path, fmt: str) -> str:

@@ -55,7 +55,7 @@ from .rng import as_generator
 from .streams import BLOCK_ROWS, MatrixRowStream, RowStream
 
 _CEIL_GUARD = 1e-9  # absorbs float noise so exact-integer products do not round up
-_GRAM_ARRAYS = 6  # n x n float64 arrays a certified run holds at once, the Gram's included
+_GRAM_ARRAYS = 5  # n x n float64 arrays a certified run holds at once, the Gram's included
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,6 @@ class Sketch:
     rows: np.ndarray
     inverse: np.ndarray
     chosen_indices: np.ndarray
-    frobenius_of_source: float
     d: int
 
     def blocks(self) -> Iterator[np.ndarray]:
@@ -222,7 +221,7 @@ def _sketch(rows: np.ndarray, inverse: np.ndarray, positions: np.ndarray, total_
     d = positions.size
     f = math.sqrt(total_sq)
     rows *= (f / (math.sqrt(d) * np.sqrt(_block_weights(rows))))[:, None]
-    return Sketch(rows=rows, inverse=inverse, chosen_indices=positions, frobenius_of_source=f, d=d)
+    return Sketch(rows=rows, inverse=inverse, chosen_indices=positions, d=d)
 
 
 def sample_sketch(a, d: int, seed=0) -> Sketch:
@@ -270,8 +269,9 @@ def check_gram_size(n: int) -> None:
 
     The Gram matrix alone is checked first, so a refusal names its shape
     where it cannot fit; then with the n x n arrays that ``approx._certify``
-    derives from it, six in all at once, as one 6n x n float64 array.
-    Needs only the width, so it runs before any row is read.
+    derives from it and the eigensolver's copy of one, five in all at once,
+    as one 5n x n float64 array.  Needs only the width, so it runs before
+    any row is read.
     """
     require_allocatable(n, n)
     require_allocatable(_GRAM_ARRAYS * n, n)

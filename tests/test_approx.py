@@ -54,7 +54,6 @@ def identity_sketch(n: int) -> Sketch:
         rows=np.eye(n),
         inverse=np.arange(n),
         chosen_indices=np.arange(n),
-        frobenius_of_source=math.sqrt(n),
         d=n,
     )
 
@@ -65,7 +64,6 @@ class TestProjector:
             rows=np.tile([2.0, 0.0, 0.0], (4, 1)),
             inverse=np.arange(4),
             chosen_indices=np.zeros(4, dtype=np.int64),
-            frobenius_of_source=4.0,
             d=4,
         )
         p = projector_top_k(sketch, 1)
@@ -111,7 +109,6 @@ class TestProjector:
             rows=sketch.rows[sketch.inverse][:2],  # spans only e1, e2
             inverse=np.arange(2),
             chosen_indices=np.arange(2),
-            frobenius_of_source=sketch.frobenius_of_source,
             d=2,
         )
         p = projector_top_k(deficient, 3)
@@ -131,8 +128,7 @@ class TestProjector:
         n = 20
         matrix = matrix_with_singular_values(rng, d, n, 0.8 ** np.arange(rank))
         sketch = Sketch(
-            rows=matrix, inverse=np.arange(d), chosen_indices=np.arange(d),
-            frobenius_of_source=1.0, d=d,
+            rows=matrix, inverse=np.arange(d), chosen_indices=np.arange(d), d=d,
         )
         _, s, vh = np.linalg.svd(matrix, full_matrices=False)
         effective = min(k, int(np.count_nonzero(s > s[0] * max(d, n) * np.finfo(float).eps)))
@@ -381,13 +377,13 @@ class TestLowRankApproximate:
 
     def test_gram_beyond_memory_refused_before_reading(self, monkeypatch):
         # 64 KiB of physical memory: an 80 x 80 Gram alone fits in 51.2 KB,
-        # but not with the certificate's five more 80 x 80 arrays
+        # but not with the certificate's four more 80 x 80 arrays
         def unread():
             pytest.fail("the stream was traversed")
             yield
 
         monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}.__getitem__)
-        with pytest.raises(TooLargeError, match="480x80"):
+        with pytest.raises(TooLargeError, match="400x80"):
             low_rank_approximate(RowStream(unread, 80), k=2, epsilon=0.5, delta=0.5)
 
     @pytest.mark.parametrize(
@@ -465,6 +461,22 @@ class TestDistinctRowSketch:
         finally:
             tracemalloc.stop()
         assert peak < 2 * m * n * 8
+
+    def test_certificate_memory_is_covered_by_the_gram_check(self, rng):
+        # the Gram, then one work array for (I - P) G (I - P), then the
+        # sketch's Gram, formed into G - S^T S in place, with one block
+        # product or the symmetrized copy: 3.2 n x n arrays at the peak,
+        # and the eigensolver's own copy, untraced, makes one more
+        m, n = 100, 800
+        a = rng.normal(size=(m, n))
+        tracemalloc.start()
+        try:
+            low_rank_approximate(a, 5, 0.5, 0.5, seed=0, d=200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * n * n * 8
+        assert peak + n * n * 8 <= sampling_module._GRAM_ARRAYS * n * n * 8
 
 
 class TestBlockIdentity:

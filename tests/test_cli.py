@@ -151,6 +151,28 @@ class TestApproxSvd:
         assert code == 65
         assert "bad.mtx:4: non-ASCII byte 0xff" in capsys.readouterr().err
 
+    def test_format_is_read_from_the_bytes_not_the_name(self, tmp_path, capsys, rng):
+        # each file is named for another format; each reference file for its own
+        a = rng.normal(size=(6, 4))
+        own = {write_csv: "a.csv", write_binary: "a.bin", matio.write_matrixmarket: "a.mtx"}
+
+        def argv(path):
+            return ["approx-svd", "--input", str(path), "--k", "1", "--d", "4", "--out", "-"]
+
+        def per_trial(path):
+            assert main(argv(path)) == 0
+            return json.loads(capsys.readouterr().out)["per_trial"]
+
+        for writer, name in [(write_csv, "csv.bin"), (write_csv, "csv.mtx"),
+                             (write_binary, "bin.csv"), (matio.write_matrixmarket, "mtx.bin")]:
+            writer(tmp_path / own[writer], a)
+            writer(tmp_path / name, a)
+            assert per_trial(tmp_path / name) == per_trial(tmp_path / own[writer])
+        bom = tmp_path / "bom"
+        bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "a.csv").read_bytes())
+        assert main(argv(bom)) == 65
+        assert "bom:1: non-ASCII byte 0xef" in capsys.readouterr().err
+
     def test_sample_size_beyond_float64_is_data_error(self, tmp_path, capsys, rng):
         path = tmp_path / "small.bin"
         write_binary(path, rng.normal(size=(20, 4)))
@@ -178,7 +200,7 @@ class TestApproxSvd:
             traversals.append(None)
             return iter([base if len(traversals) == 1 else base[::-1]])
 
-        monkeypatch.setattr(matio, "open_stream", lambda *args: RowStream(factory, 4))
+        monkeypatch.setattr(matio, "open_stream", lambda *args, **kwargs: RowStream(factory, 4))
         path = tmp_path / "a.bin"
         write_binary(path, base)
         code = main(["approx-svd", "--input", str(path), "--k", "1", "--d", "5",
@@ -208,7 +230,7 @@ class TestApproxSvd:
             rows = base if len(traversals) < 3 else base[:-1]
             return iter([rows])
 
-        monkeypatch.setattr(matio, "open_stream", lambda *args: RowStream(factory, 12))
+        monkeypatch.setattr(matio, "open_stream", lambda *args, **kwargs: RowStream(factory, 12))
         path = tmp_path / "a.bin"
         write_binary(path, base)
         code = main(["approx-svd", "--input", str(path), "--k", "3", "--stream", "two-pass",
@@ -879,12 +901,32 @@ SMOKE_ARGV = {
 
 @pytest.mark.parametrize("command,flag,value", _every_choice())
 def test_every_choice_runs(tmp_path, command, flag, value):
-    # square, for decay; in the format under test, binary for the others
-    fmt = value if flag == "--format" and value != "auto" else "binary"
-    path = tmp_path / f"a.{fmt}"
-    getattr(matio, f"write_{fmt}")(path, np.random.default_rng(4).standard_normal((4, 4)))
+    # square, for decay
+    path = tmp_path / "a.bin"
+    write_binary(path, np.random.default_rng(4).standard_normal((4, 4)))
     argv = [command, *SMOKE_ARGV[command], "--input", str(path), flag, value]
     assert main(argv + ["--out", str(tmp_path / "r.json")]) == 0
+
+
+@pytest.mark.parametrize("fmt", matio.FORMATS)
+@pytest.mark.parametrize("command", sorted(SMOKE_ARGV))
+def test_every_format_runs(tmp_path, command, fmt):
+    # square, for decay; a file with no suffix, told apart by its bytes
+    path = tmp_path / "a"
+    getattr(matio, f"write_{fmt}")(path, np.random.default_rng(4).standard_normal((4, 4)))
+    argv = [command, *SMOKE_ARGV[command], "--input", str(path)]
+    assert main(argv + ["--out", str(tmp_path / "r.json")]) == 0
+
+
+@pytest.mark.parametrize("command", sorted(SMOKE_ARGV))
+def test_format_flag_is_a_usage_error(tmp_path, capsys, command):
+    # the format is read from the file's bytes, with no flag to override it
+    path = tmp_path / "a.bin"
+    write_binary(path, np.random.default_rng(4).standard_normal((4, 4)))
+    argv = [command, *SMOKE_ARGV[command], "--input", str(path), "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    assert main([*argv, "--format", "binary"]) == 64
+    assert "unrecognized arguments: --format binary" in capsys.readouterr().err
 
 
 def _every_number():

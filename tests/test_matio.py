@@ -464,6 +464,30 @@ class TestDetectAndIngest:
         assert detect_format(csv) == "csv"
         assert detect_format(binary) == "binary"
 
+    @pytest.mark.parametrize(
+        "writer, name, fmt",
+        [
+            (write_csv, "csv.bin", "csv"),
+            (write_csv, "csv.mtx", "csv"),
+            (write_binary, "bin.csv", "binary"),
+            (write_matrixmarket, "mtx.bin", "matrixmarket"),
+        ],
+    )
+    def test_detection_reads_no_suffix(self, tmp_path, random_matrix, writer, name, fmt):
+        path = tmp_path / name
+        writer(path, random_matrix)
+        assert detect_format(path) == fmt
+        assert np.array_equal(read_matrix(path), random_matrix)
+
+    def test_bom_prefixed_csv_is_csv(self, tmp_path, random_matrix):
+        # CSV, so the CSV reader names the line of the non-ASCII byte
+        path = tmp_path / "bom"
+        write_csv(path, random_matrix)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert detect_format(path) == "csv"
+        with pytest.raises(ParseError, match=r"bom:1: non-ASCII byte 0xef"):
+            read_matrix(path)
+
     def test_one_column_csv_without_suffix(self, tmp_path):
         path = tmp_path / "column"
         path.write_text("1.5\n2.5\n3.5\n")
