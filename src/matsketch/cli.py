@@ -180,8 +180,9 @@ def _cmd_decay(args, digest):
 
 
 def _cmd_lln(args, digest):
-    """``--d``, ``--trials`` and ``--c-const`` are checked before the ensemble is built,
-    and a matrix-rows Gram's size by ``sampling.check_gram_size`` before ``--input`` is read."""
+    """``--d`` (its size in memory too), ``--trials`` and ``--c-const`` are checked before the
+    ensemble is built, and its Gram's size by ``sampling.check_gram_size`` before ``--input``
+    is read or the scaled basis built."""
     if args.ensemble == "matrix-rows" and args.input is None:
         raise UsageError("--ensemble matrix-rows requires --input")
     lln.check_deviation_arguments(args.d, args.trials, args.c_const)

@@ -1,10 +1,13 @@
-"""Empirical concentration of sums of rank-one outer products.
+"""Empirical concentration of sums of rank-one outer products, on the sampling core.
 
-A bounded random vector y with |E y (x) y|_2 <= 1 is modelled as a discrete
-ensemble of atoms with probabilities.  ``lln_deviation`` measures, per
-trial, the spectral-norm distance between the empirical second moment of d
-draws and the exact one.  The deviation scale to compare against is
-a = C * sqrt(log(d)/d) * M with M the norm bound of the ensemble.
+The random vector y is a row of a matrix A drawn with probability
+|a_i|^2 / |A|_F^2 and rescaled to length M = |A|_F / |A|_2, so that
+E y (x) y = A^T A / |A|_2^2 has spectral norm 1.  d draws of y are a
+sketch S of A (``sampling.draw_sketch``), and (1/d) sum y y^T is
+S^T S / |A|_2^2.  So ``lln_deviation`` measures, per trial, the spectral
+norm of G - S^T S over |A|_2^2, G = A^T A: the Gram deviation that
+``approx`` certifies, scaled.  The deviation scale to compare against is
+a = C * sqrt(log(d)/d) * M.
 """
 
 from __future__ import annotations
@@ -15,67 +18,52 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRangeError
+from .linalg import sym_spectral_norm
 from .parallel import check_trials, run_trials
-from .rng import as_generator
-from .sampling import check_c_constant, draw_weighted_indices, stream_weights
+from .sampling import check_c_constant, check_gram_size, check_sketch_size, draw_sketch, stream_weights
 from .streams import MatrixRowStream
 
 
 @dataclass(frozen=True)
 class VectorEnsemble:
-    """Discrete distribution over row vectors ("atoms") in R^n.
+    """The rows of a matrix A as a random vector, from one weight pass over ``stream``.
 
-    ``bound`` is the maximum atom length M and ``second_moment`` the exact
-    E y (x) y, normalized to spectral norm at most 1.
+    ``weights`` are the squared row lengths, ``total_sq`` their sum |A|_F^2,
+    ``gram`` is G = A^T A and ``top_sq`` its top eigenvalue |A|_2^2.
     """
 
-    bound: float
-    second_moment: np.ndarray
-    atoms: np.ndarray
-    probabilities: np.ndarray
+    stream: MatrixRowStream
+    weights: np.ndarray
+    total_sq: float
+    gram: np.ndarray
+    top_sq: float
 
-    def sample_counts(self, rng_or_seed, size: int) -> np.ndarray:
-        """Draw ``size`` atoms and return how often each atom occurred."""
-        rng = as_generator(rng_or_seed)
-        idx = draw_weighted_indices(self.probabilities, size, rng)
-        return np.bincount(idx, minlength=self.atoms.shape[0])
+    @property
+    def bound(self) -> float:
+        """The length M = |A|_F / |A|_2 of every rescaled row."""
+        return math.sqrt(self.total_sq / self.top_sq)
 
 
 def scaled_basis_ensemble(n: int) -> VectorEnsemble:
-    """Atoms sqrt(n) e_1 ... sqrt(n) e_n, uniform; second moment identity."""
+    """sqrt(n) e_1 ... sqrt(n) e_n, uniform, as the rows of the n x n identity; second moment I.
+
+    Its n x n arrays are checked by ``check_gram_size`` before the identity is built.
+    """
     if n < 1:
         raise OutOfRangeError(f"dimension must be >= 1, got {n}")
-    return VectorEnsemble(
-        bound=math.sqrt(n),
-        second_moment=np.eye(n),
-        atoms=math.sqrt(n) * np.eye(n),
-        probabilities=np.full(n, 1.0 / n),
-    )
+    check_gram_size(n)
+    return matrix_rows_ensemble(np.eye(n))
 
 
 def matrix_rows_ensemble(a) -> VectorEnsemble:
-    """Length-normalized rows of ``a`` weighted by squared length.
+    """The rows of ``a`` weighted by squared length, from ``stream_weights``' Gram pass.
 
-    The matrix is rescaled by its spectral norm first, so the exact second
-    moment (the rescaled Gram matrix) has unit spectral norm.  The squared
-    norm is the top eigenvalue of the Gram matrix that the weight pass
-    accumulates.  A zero matrix raises ZeroMatrixError, and a Gram matrix
-    beyond physical memory TooLargeError, in ``stream_weights``.
+    A zero matrix raises ZeroMatrixError, and a Gram matrix beyond physical
+    memory TooLargeError, in ``stream_weights``.
     """
     stream = MatrixRowStream(a)
-    weights, total, gram = stream_weights(stream, accumulate_gram=True)
-    top_sq = float(np.linalg.eigvalsh(gram)[-1])
-    fro = math.sqrt(total / top_sq)
-    keep = weights > 0
-    # each atom is its row rescaled to length fro, in place; the spectral norm cancels
-    atoms = stream.matrix[keep]
-    atoms *= (fro / np.sqrt(weights[keep]))[:, None]
-    return VectorEnsemble(
-        bound=fro,
-        second_moment=gram / top_sq,
-        atoms=atoms,
-        probabilities=weights[keep] / total,
-    )
+    weights, total_sq, gram = stream_weights(stream, accumulate_gram=True)
+    return VectorEnsemble(stream, weights, total_sq, gram, float(np.linalg.eigvalsh(gram)[-1]))
 
 
 @dataclass(frozen=True)
@@ -87,9 +75,14 @@ class DeviationStats:
 
 
 def check_deviation_arguments(d: int, trials: int, c_constant: float = 1.0) -> None:
-    """OutOfRangeError unless d >= 2, trials >= 1, 0 < c_constant < inf; ``lln_deviation``'s first check."""
+    """``lln_deviation``'s first check, which needs no data.
+
+    OutOfRangeError unless d >= 2, trials >= 1 and 0 < c_constant < inf;
+    TooLargeError if d draws exceed memory (``sampling.check_sketch_size``).
+    """
     if d < 2:
         raise OutOfRangeError(f"d must be >= 2, got {d}")
+    check_sketch_size(d)
     check_trials(trials)
     check_c_constant(c_constant)
 
@@ -99,23 +92,14 @@ def lln_deviation(
 ) -> DeviationStats:
     """Per-trial spectral-norm deviation of the empirical second moment.
 
-    Trial t draws d atoms with the generator spawned from (seed, t).  The
-    empirical moment is accumulated over the atoms drawn (sum_i y_i y_i^T
-    equals sum_j count_j v_j v_j^T over the at most d atoms with a nonzero
-    count) and its deviation from the exact moment is read off a symmetric
-    eigensolver.
+    Trial t draws a sketch S of d rows with the generator spawned from
+    (seed, t) and returns |G - S^T S|_2 / |A|_2^2.
     """
     check_deviation_arguments(d, trials, c_constant)
-    atoms = ensemble.atoms
-    exact = ensemble.second_moment
 
     def run(rng) -> float:
-        counts = ensemble.sample_counts(rng, d)
-        drawn = np.flatnonzero(counts)
-        chosen = atoms[drawn]
-        empirical = chosen.T @ (counts[drawn, None] * chosen) / d
-        gap = 0.5 * (empirical + empirical.T) - exact
-        return float(np.abs(np.linalg.eigvalsh(gap)).max())
+        sketch = draw_sketch(ensemble.stream, ensemble.weights, ensemble.total_sq, d, rng)
+        return sym_spectral_norm(ensemble.gram - sketch.gram()) / ensemble.top_sq
 
     deviations = np.array(run_trials(run, trials, seed))
     a_value = c_constant * math.sqrt(math.log(d) / d) * ensemble.bound
@@ -125,4 +109,3 @@ def lln_deviation(
         max=float(deviations.max()),
         a_value=float(a_value),
     )
-

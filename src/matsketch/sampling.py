@@ -30,6 +30,8 @@ or of gathered rows are compared bit for bit with the first pass's.
   single-item weighted reservoirs, updated once per block.  Same occupant
   law, its own index stream; the reservoirs hold positions.
 
+Each ``lln`` trial is a ``draw_sketch`` draw, whose Gram deviation it measures.
+
 Weights do not depend on the block size, so neither do the sketches of the
 in-memory and two-pass modes.
 """
@@ -118,7 +120,8 @@ def required_sample_size(r, epsilon, delta, c_constant=1.0) -> int:
 
 
 def check_parameters(epsilon, delta, c_constant=1.0, d=None) -> None:
-    """OutOfRangeError unless epsilon, delta lie in (0, 1) and 0 < c_constant < inf; d by ``_check_size``.
+    """OutOfRangeError unless epsilon, delta lie in (0, 1) and 0 < c_constant < inf;
+    d by ``check_sketch_size``.
 
     None of these needs data, so they are checked before any row is read.
     ``d=None`` (the sample-size formula decides) passes.
@@ -129,7 +132,7 @@ def check_parameters(epsilon, delta, c_constant=1.0, d=None) -> None:
         raise OutOfRangeError(f"delta must lie in (0, 1), got {delta}")
     check_c_constant(c_constant)
     if d is not None:
-        _check_size(d)
+        check_sketch_size(d)
 
 
 def check_c_constant(c_constant) -> None:
@@ -200,7 +203,7 @@ def draw_weighted_indices(weights, size: int, rng) -> np.ndarray:
     return cum.searchsorted(u, side="right").astype(np.int64, copy=False)
 
 
-def _check_size(d: int) -> None:
+def check_sketch_size(d: int) -> None:
     """OutOfRangeError if d < 1; TooLargeError if what grows per draw exceeds memory.
 
     A sketch holds at most min(d, m) rows of an m-row source, but the int64
@@ -341,7 +344,7 @@ def materialize_chosen(stream: RowStream, positions, weights, total_sq: float) -
 
 def draw_sketch(stream: RowStream, weights, total_sq: float, d: int, seed) -> Sketch:
     """Draw ``d`` positions by ``weights``, then gather them in ``materialize_chosen``'s pass."""
-    _check_size(d)
+    check_sketch_size(d)
     positions = draw_weighted_indices(weights, d, as_generator(seed))
     return materialize_chosen(stream, positions, weights, total_sq)
 
@@ -350,7 +353,7 @@ def sample_sketch_two_pass(stream: RowStream, d: int, seed=0) -> Sketch:
     """Sketch a replayable stream: weight pass, then ``draw_sketch``."""
     if not stream.replayable:
         raise NotReplayableError("two-pass sampling requires a replayable stream")
-    _check_size(d)
+    check_sketch_size(d)
     weights, total_sq, _ = stream_weights(stream)
     return draw_sketch(stream, weights, total_sq, d, seed)
 
@@ -368,7 +371,7 @@ def sample_sketch_one_pass(stream: RowStream, d: int, seed=0) -> Sketch:
     reservoirs are mutually independent.  A reservoir holds a position; a
     pool holds each row some reservoir may hold once, at most d (``_held``).
     """
-    _check_size(d)
+    check_sketch_size(d)
     rng = as_generator(seed)
     running = 0.0
     occupants = np.empty(d, dtype=np.int64)  # all set by the first block of positive weight

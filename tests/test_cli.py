@@ -663,6 +663,34 @@ class TestLln:
         assert code == 65
         assert capsys.readouterr().err == f"matsketch: {message}\n"
 
+    def test_d_beyond_memory_refused_before_the_input_is_read(self, rank3_file, monkeypatch, capsys):
+        # 64 KiB of physical memory: 10000 draws take four words each, 320 KB
+        def not_read(*args):
+            pytest.fail("the input was read")
+
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}.__getitem__)
+        monkeypatch.setattr(matio, "read_matrix", not_read)
+        argv = ["lln", "--ensemble", "matrix-rows", "--input", str(rank3_file), "--d", "10000"]
+        assert main([*argv, "--out", "-"]) == 65
+        assert capsys.readouterr().err == (
+            "matsketch: a 10000x4 float64 array needs 320000 bytes, "
+            "more than the 65536 bytes of physical memory\n"
+        )
+
+    def test_scaled_basis_beyond_memory_refused_before_it_is_built(self, monkeypatch, capsys):
+        # 64 KiB of physical memory: the 200 x 200 identity alone needs 320 KB
+        def not_built(*args, **kwargs):
+            pytest.fail("the identity was built")
+
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}.__getitem__)
+        monkeypatch.setattr(np, "eye", not_built)
+        argv = ["lln", "--ensemble", "scaled-basis", "--n", "200", "--d", "8", "--out", "-"]
+        assert main(argv) == 65
+        assert capsys.readouterr().err == (
+            "matsketch: a 200x200 float64 array needs 320000 bytes, "
+            "more than the 65536 bytes of physical memory\n"
+        )
+
 
 class TestLapackFailure:
     # (numpy.linalg function, the call that fails, argv); "{input}" is a 150 x 30 CSV
@@ -675,8 +703,9 @@ class TestLapackFailure:
         "approx-certificate-eigvalsh": (
             "eigvalsh", 2, ["approx-svd", "--input", "{input}", "--k", "3"],
         ),
+        # call 1 is the ensemble's top eigenvalue, call 2 the first trial's deviation
         "lln-trial-eigvalsh": (
-            "eigvalsh", 1, ["lln", "--ensemble", "scaled-basis", "--n", "4", "--d", "8"],
+            "eigvalsh", 2, ["lln", "--ensemble", "scaled-basis", "--n", "4", "--d", "8"],
         ),
         "decay-spectral-svd": (
             "svd", 1,
@@ -759,7 +788,7 @@ class TestReportBytesPinned:
         "approx-two-pass": "d778b197b79e2796b672eacb0b95f32b87f5ca76d77cad885db6590009fd438d",
         "approx-one-pass": "cb0483f01c43bdd98a4e7f8127cf2e97606013ce733272674a8da4fb52edef5f",
         "optimality": "9e622b5ab51b915e4f616aacaec65bc40bbd7f4686e8a17d7cfee0ab28b18f80",
-        "lln": "0077a82b6142702729f6b10177ef61132fdcdee36f7e1eca302749f26f985e55",
+        "lln": "43f6ff7d93f7bb9149846ca1914c49f78b8ec186c733cb2ef907c7517828fd31",
         "decay-cut-file": "faba44c2c5b4c00aa69bd28e9969c40b6b66be525cd78379f63de16a80a3b294",
         "decay-spectral-random-sign": "a232be8533a000aa88ef16fd285ad81fb05e834817030b9fc25c67a77e34f4dc",
     }

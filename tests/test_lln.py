@@ -12,11 +12,13 @@ from matsketch import (
     TooLargeError,
     ZeroMatrixError,
     lln_deviation,
+    low_rank_approximate,
     matrix_rows_ensemble,
     scaled_basis_ensemble,
     spectral_norm,
 )
 from matsketch.rng import spawn
+from matsketch.sampling import draw_sketch, draw_weighted_indices
 from lemmas import empirical_second_moment, rademacher_moment_check, tail_bound_eval
 
 
@@ -49,42 +51,60 @@ class TestEmpiricalSecondMoment:
             empirical_second_moment(np.zeros((0, 3)))
 
 
+def drawn_rows(ens, d, rng):
+    """The rows ``draw_weighted_indices`` picks from the ensemble, each rescaled to length M."""
+    picked = ens.stream.matrix[draw_weighted_indices(ens.weights, d, rng)]
+    return picked * (ens.bound / np.linalg.norm(picked, axis=1))[:, None]
+
+
+def naive_deviation(ens, d, rng) -> float:
+    """|(1/d) sum y y^T - G / |A|_2^2|_2 from the drawn rows, by a dense SVD."""
+    gap = empirical_second_moment(drawn_rows(ens, d, rng)) - ens.gram / ens.top_sq
+    return float(np.linalg.svd(gap, compute_uv=False)[0])
+
+
 class TestEnsembles:
     def test_scaled_basis_fields(self):
         ens = scaled_basis_ensemble(9)
         assert ens.bound == pytest.approx(3.0)
-        assert np.allclose(ens.second_moment, np.eye(9))
-        assert np.allclose(ens.atoms, 3.0 * np.eye(9))
-        assert np.allclose(ens.probabilities, 1 / 9)
+        assert np.array_equal(ens.stream.matrix, np.eye(9))
+        assert np.array_equal(ens.weights, np.ones(9))
+        assert np.allclose(ens.gram / ens.top_sq, np.eye(9))
 
     def test_matrix_rows_second_moment(self, rng):
         a = rng.normal(size=(7, 4))
         ens = matrix_rows_ensemble(a)
-        # oracle: probability-weighted sum of atom outer products
+        # oracle: probability-weighted sum of the outer products of the rows rescaled to length M
         expected = np.zeros((4, 4))
-        for prob, atom in zip(ens.probabilities, ens.atoms):
-            expected += prob * np.outer(atom, atom)
-        assert np.allclose(ens.second_moment, expected, atol=1e-10)
-        assert np.abs(np.linalg.eigvalsh(ens.second_moment)).max() == pytest.approx(1.0)
+        for weight, row in zip(ens.weights, a):
+            y = ens.bound * row / np.linalg.norm(row)
+            expected += weight / ens.total_sq * np.outer(y, y)
+        assert np.allclose(ens.gram / ens.top_sq, expected, atol=1e-10)
+        assert np.abs(np.linalg.eigvalsh(ens.gram / ens.top_sq)).max() == pytest.approx(1.0)
 
     def test_matrix_rows_scale_from_gram_matches_svd(self, rng):
         a = rng.normal(size=(40, 6)) * rng.lognormal(size=(40, 1))
         ens = matrix_rows_ensemble(a)
         top = spectral_norm(a)
         assert ens.bound == pytest.approx(np.linalg.norm(a) / top, rel=1e-12)
-        assert np.allclose(ens.second_moment, a.T @ a / top**2, rtol=0, atol=1e-12)
+        assert ens.top_sq == pytest.approx(top**2, rel=1e-12)
+        assert np.allclose(ens.gram / ens.top_sq, a.T @ a / top**2, rtol=0, atol=1e-12)
 
     def test_matrix_rows_bound(self, rng):
-        a = rng.normal(size=(6, 3))
-        ens = matrix_rows_ensemble(a)
-        lengths = np.linalg.norm(ens.atoms, axis=1)
+        # every row of a sketch, scaled by sqrt(d) / |A|_2, has length M
+        ens = matrix_rows_ensemble(rng.normal(size=(6, 3)))
+        d = 40
+        sketch = draw_sketch(ens.stream, ens.weights, ens.total_sq, d, spawn(0, 0))
+        lengths = np.linalg.norm(sketch.rows, axis=1) * math.sqrt(d / ens.top_sq)
         assert np.allclose(lengths, ens.bound)
 
     def test_matrix_rows_drops_zero_rows(self):
-        a = np.array([[2.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+        a = np.array([[2.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         ens = matrix_rows_ensemble(a)
-        assert ens.atoms.shape[0] == 2
-        assert ens.probabilities.sum() == pytest.approx(1.0)
+        assert ens.weights.tolist() == [4.0, 0.0, 1.0, 0.0]
+        for t in range(20):
+            sketch = draw_sketch(ens.stream, ens.weights, ens.total_sq, 50, spawn(1, t))
+            assert set(sketch.chosen_indices.tolist()) == {0, 2}
 
     def test_zero_matrix(self):
         with pytest.raises(ZeroMatrixError):
@@ -97,18 +117,28 @@ class TestEnsembles:
         with pytest.raises(TooLargeError, match="200x200"):
             matrix_rows_ensemble(a)
 
-    def test_atoms_are_one_copy_of_the_rows(self, rng):
-        # the kept rows are scaled in place: an indexed copy times the
-        # scales would hold two 8 MB copies at once
+    def test_scaled_basis_beyond_memory_refused_before_the_identity_exists(self, monkeypatch):
+        def not_built(*args, **kwargs):
+            pytest.fail("the identity was built")
+
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}.__getitem__)
+        monkeypatch.setattr(np, "eye", not_built)
+        with pytest.raises(TooLargeError, match="200x200"):
+            scaled_basis_ensemble(200)
+
+    def test_ensemble_and_trial_copy_no_rows(self, rng):
+        # the ensemble wraps the matrix and a trial holds only its distinct
+        # drawn rows: a copy of the 8 MB input would show in the peak
         a = rng.normal(size=(20000, 50))
         tracemalloc.start()
         try:
             ens = matrix_rows_ensemble(a)
+            lln_deviation(ens, d=500, trials=1, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert ens.atoms.shape == a.shape
-        assert peak < 1.5 * a.nbytes
+        assert ens.stream.matrix is a
+        assert peak < 0.25 * a.nbytes
 
 
 class TestLlnDeviation:
@@ -134,26 +164,32 @@ class TestLlnDeviation:
         d, trials, seed = 50, 20, 3
         stats = lln_deviation(ens, d=d, trials=trials, seed=seed)
         for t in range(trials):
-            counts = ens.sample_counts(spawn(seed, t), d)
+            counts = np.bincount(draw_weighted_indices(ens.weights, d, spawn(seed, t)), minlength=8)
             formula = np.abs((8 / d) * counts - 1.0).max()
             assert stats.deviations[t] == pytest.approx(formula, abs=1e-10)
-            samples = np.repeat(ens.atoms, counts, axis=0)
-            gap = empirical_second_moment(samples) - ens.second_moment
-            dense = np.linalg.svd(gap, compute_uv=False)[0]
+            dense = naive_deviation(ens, d, spawn(seed, t))
             assert stats.deviations[t] == pytest.approx(dense, abs=1e-10)
 
     def test_few_draws_from_many_atoms_match_naive_route(self, rng):
-        # d << m: most atoms are never drawn in a trial
+        # d << m: most rows are never drawn in a trial
         ens = matrix_rows_ensemble(rng.normal(size=(5000, 20)))
         d, trials, seed = 50, 4, 7
         stats = lln_deviation(ens, d=d, trials=trials, seed=seed)
         for t in range(trials):
-            counts = ens.sample_counts(spawn(seed, t), d)
-            assert np.count_nonzero(counts) <= d
-            samples = np.repeat(ens.atoms, counts, axis=0)
-            gap = empirical_second_moment(samples) - ens.second_moment
-            dense = np.linalg.svd(gap, compute_uv=False)[0]
+            dense = naive_deviation(ens, d, spawn(seed, t))
             assert stats.deviations[t] == pytest.approx(dense, abs=1e-10)
+
+    def test_trial_is_the_certificate_gram_deviation(self, rng):
+        # trial t draws the sketch low_rank_approximate draws from spawn(seed, t),
+        # and its deviation is the certificate's over |A|_2^2, bit for bit
+        a = rng.normal(size=(60, 8)) * rng.lognormal(size=(60, 1))
+        a[::4] = 0.0
+        ens = matrix_rows_ensemble(a)
+        d, trials, seed = 40, 8, 5
+        stats = lln_deviation(ens, d=d, trials=trials, seed=seed)
+        for t in range(trials):
+            _, report = low_rank_approximate(a, 2, 0.5, 0.5, d=d, seed=spawn(seed, t))
+            assert stats.deviations[t] == report.gram_deviation / ens.top_sq
 
     def test_log_factor_is_necessary(self):
         # d = n draws miss some coordinate almost surely, deviation stays ~1
