@@ -22,11 +22,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvariantError, OutOfRangeError, ShapeMismatchError
-from .linalg import as_matrix, spectral_norm, sym_spectral_norm
-from .parallel import run_trials
+from .linalg import as_matrix, require_allocatable, spectral_norm, sym_spectral_norm
+from .parallel import check_trials, run_trials
 from .sampling import (
     Sketch,
     check_parameters,
+    check_sketch_size,
     draw_sketch,
     replay,
     required_sample_size,
@@ -245,10 +246,11 @@ def block_identity_matrix(n: int, m: int) -> np.ndarray:
 
     Row i (0-based) has a single entry sqrt(n/m) in column i // (m/n), the
     block it lies in; each column carries m/n such entries, so spectral norm
-    is 1 and the squared Frobenius norm is n.
+    is 1 and the squared Frobenius norm is n.  Its memory is checked first.
     """
     if n < 1 or m <= n or m % n != 0:
         raise ShapeMismatchError(f"need n < m with n dividing m, got n={n}, m={m}")
+    require_allocatable(m, n)
     arr = np.zeros((m, n))
     rows = np.arange(m)
     arr[rows, rows // (m // n)] = math.sqrt(n / m)
@@ -271,10 +273,11 @@ def optimality_experiment(n: int, m: int, d: int, trials: int, seed: int = 0) ->
 
     A trial "misses a block" when none of its rows is drawn; the witness
     column of that block then lies in the projector kernel and the
-    approximation error is at least 1.
+    approximation error is at least 1.  ``d`` and ``trials`` are checked
+    first.
     """
-    if d < 1:
-        raise OutOfRangeError(f"d must be >= 1, got {d}")
+    check_sketch_size(d)
+    check_trials(trials)
     arr = block_identity_matrix(n, m)
 
     def run(rng):

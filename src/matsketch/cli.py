@@ -13,12 +13,13 @@ Every command is deterministic given its flags and seed and writes a JSON
 report (see report_schema.json) whose ``config`` records every flag of the
 subcommand except ``--out``.  Exit codes: 0 success, 2 guarantee
 violation under --strict, 64 usage error, 65 data error (including an
-input, its n x n Gram work or a generated witness too large to allocate,
-a cut-decay witness larger than the exact oracle takes, and a linear-algebra routine that
-fails to converge: numpy's ``LinAlgError`` is mapped to 65 in ``main``
-alone).  ``approx-svd``, ``decay`` and ``lln`` check their numbers before
-they build a witness or read the rows of ``--input``, a number bounded by
-the input's width against the width its header or first line gives.
+input that is not a regular file, an input, its n x n Gram work or a
+generated witness too large to allocate, a cut-decay witness larger than
+the exact oracle takes, and a linear-algebra routine that fails to
+converge: numpy's ``LinAlgError`` is mapped to 65 in ``main`` alone).
+``approx-svd``, ``decay`` and ``lln`` check their numbers before they build a
+witness or read the rows of ``--input``, a number bounded by the input's width
+against the width its header or first line gives.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@
 
 ``read_matrix`` reads a file as a dense matrix; ``open_stream`` opens it
 as a replayable stream of plain row blocks (see ``streams``), in file
-order; ``read_width`` reads no more than its width.  CSV and binary
+order; ``read_width`` reads no more than its width.  Each starts with
+``detect_format``, so the file's bytes alone choose its reader.  CSV and binary
 streams re-read the file lazily on each traversal: CSV with the per-line
 parser (so errors name the line) grouped into blocks, which
 ``read_matrix`` joins.  One block loop reads binary data for
@@ -61,6 +62,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import stat
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
@@ -80,8 +82,6 @@ _TEXT_CHUNK_BYTES = 1 << 16  # text files are read in chunks of this size
 # and weigh _PREAD_BYTES + 2w bytes of rows: a bound on the side of the
 # traversal for rows of 16 B to 32 KB (see _gather_binary_rows)
 _PREAD_BYTES = 8192
-
-FORMATS = ("matrixmarket", "csv", "binary")
 
 
 class InputDigest:
@@ -155,8 +155,11 @@ def detect_format(path) -> str:
     binary: a binary header always holds one, since the top byte of its
     u64 row count is 0 for any file under 512 PiB, and a valid CSV never
     does.  Anything else is CSV, so text with a non-ASCII byte gets the CSV
-    reader's error naming its line.  The file's name is not read.
+    reader's error naming its line.  The file's name is not read.  Not a
+    regular file (a pipe loses what each earlier open read): ParseError.
     """
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise ParseError("not a regular file", path=path)
     with open(path, "rb") as fh:
         head = fh.read(64)
     if head.startswith(_MM_MAGIC.encode()):
@@ -164,17 +167,9 @@ def detect_format(path) -> str:
     return "binary" if b"\0" in head else "csv"
 
 
-def _resolve(path, fmt: str) -> str:
-    if fmt == "auto":
-        return detect_format(path)
-    if fmt not in FORMATS:
-        raise ParseError(f"unknown format {fmt!r}; expected one of {FORMATS} or 'auto'", path=path)
-    return fmt
-
-
-def read_matrix(path, fmt: str = "auto", digest: InputDigest | None = None) -> np.ndarray:
+def read_matrix(path, digest: InputDigest | None = None) -> np.ndarray:
     """Read a matrix file; ``digest`` is fed every byte of it."""
-    fmt = _resolve(path, fmt)
+    fmt = detect_format(path)
     if fmt == "matrixmarket":
         return _read_matrixmarket(path, digest)
     if fmt == "csv":
@@ -182,33 +177,31 @@ def read_matrix(path, fmt: str = "auto", digest: InputDigest | None = None) -> n
     return _read_binary(path, digest)
 
 
-def read_width(path, fmt: str = "auto") -> int:
+def read_width(path) -> int:
     """The number of columns of a matrix file, from a binary header (size
     checked), a CSV's first line or a MatrixMarket header and size line,
     reading no further.  Feeds no digest."""
-    fmt = _resolve(path, fmt)
+    fmt = detect_format(path)
     if fmt == "matrixmarket":
         return _matrixmarket_header(path)[1][1]
     if fmt == "csv":
-        for lineno, line in _text_lines(path):
-            return _parse_csv_line(line, path, lineno).size
-        raise ParseError("empty CSV file", path=path)
+        return next(_iter_csv_rows(path, None)).size
     with open(path, "rb") as fh:
         return _binary_shape(fh, path)[1]
 
 
-def open_stream(path, fmt: str = "auto", digest: InputDigest | None = None) -> RowStream:
+def open_stream(path, digest: InputDigest | None = None) -> RowStream:
     """Replayable stream of row blocks over a matrix file.
 
     ``digest`` is fed every byte of the file during the first traversal.
     A binary file is scanned for non-finite entries on that traversal only.
     A binary stream's ``gather`` is ``_gather_binary_rows``.
     """
-    fmt = _resolve(path, fmt)
+    fmt = detect_format(path)
     if fmt == "matrixmarket":
         return MatrixRowStream(_read_matrixmarket(path, digest))
     if fmt == "csv":
-        n_cols = read_width(path, fmt)
+        n_cols = read_width(path)
         feeds = iter([digest])  # next(feeds, None): the digest, then None on later traversals
         return RowStream(lambda: _iter_csv_blocks(path, n_cols, next(feeds, None)), n_cols)
     with open(path, "rb") as fh:
@@ -275,17 +268,21 @@ def _parse_csv_line(line: str, path, lineno: int) -> np.ndarray:
     return row
 
 
-def _iter_csv_rows(path, n_cols: int, digest: InputDigest | None = None):
+def _iter_csv_rows(path, n_cols: int | None, digest: InputDigest | None = None):
+    """A CSV file's rows, each ``n_cols`` wide (None: the first row's, and no row is a ParseError)."""
     for lineno, line in _text_lines(path, digest):
         row = _parse_csv_line(line, path, lineno)
+        n_cols = n_cols or row.size
         if row.size != n_cols:
             raise ParseError(
                 f"expected {n_cols} fields, got {row.size}", path=path, line=lineno
             )
         yield row
+    if n_cols is None:
+        raise ParseError("empty CSV file", path=path)
 
 
-def _iter_csv_blocks(path, n_cols: int, digest: InputDigest | None = None):
+def _iter_csv_blocks(path, n_cols: int | None, digest: InputDigest | None = None):
     """Yield blocks of at most ``BLOCK_ROWS`` CSV rows."""
     rows = _iter_csv_rows(path, n_cols, digest)
     while block := list(islice(rows, streams.BLOCK_ROWS)):
@@ -293,8 +290,7 @@ def _iter_csv_blocks(path, n_cols: int, digest: InputDigest | None = None):
 
 
 def _read_csv(path, digest: InputDigest | None = None) -> np.ndarray:
-    blocks = _iter_csv_blocks(path, read_width(path, "csv"), digest)
-    return np.concatenate(list(blocks))
+    return np.concatenate(list(_iter_csv_blocks(path, None, digest)))  # one read of the file
 
 
 def write_csv(path, a) -> None:

@@ -3,8 +3,8 @@
 A report records the command, full configuration (seed included), per-trial
 measurements, and summary statistics.  Re-running with the same config and
 seed reproduces the ``per_trial`` section byte for byte; only the
-timestamps differ.  The JSON layout is described by ``report_schema.json``
-shipped inside the package.
+timestamps differ.  ``report_schema.json``, shipped inside the package,
+describes the JSON layout of version ``SCHEMA_VERSION``, the one written.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ class ExperimentReport:
     provenance: dict = field(default_factory=lambda: {"input": None, "sha256": None})
     started_at: str = ""
     finished_at: str = ""
-    schema_version: int = SCHEMA_VERSION
     summary: dict = field(init=False)
 
     def __post_init__(self):
@@ -75,7 +74,7 @@ class ExperimentReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "command": self.command,
             "config": self.config,
             "started_at": self.started_at,
@@ -98,14 +97,14 @@ def load_schema() -> dict:
     return json.loads(text)
 
 
-def check_summary(report: dict, tol: float = 1e-12) -> bool:
-    """Recompute the summary from per_trial and compare within ``tol``."""
+def check_summary(report: dict) -> bool:
+    """Recompute the summary from per_trial and compare within 1e-12 (relative or absolute)."""
     fresh = summarize(report["per_trial"])
     stored = report["summary"]
     if fresh.keys() != stored.keys():
         return False
     for key, stats in fresh.items():
         for name, value in stats.items():
-            if not math.isclose(value, stored[key][name], rel_tol=tol, abs_tol=tol):
+            if not math.isclose(value, stored[key][name], rel_tol=1e-12, abs_tol=1e-12):
                 return False
     return True

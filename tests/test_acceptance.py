@@ -264,7 +264,7 @@ def test_ac10_determinism_and_round_trip(tmp_path):
     original = rng.normal(size=(100, 50))
     ms.write_binary(binary_path, original)
     digest_one = sha256_file(binary_path)
-    read_back = ms.read_matrix(binary_path, "binary")
+    read_back = ms.read_matrix(binary_path)
     ms.write_binary(binary_path, read_back)
     round_trip = (
         sha256_file(binary_path) == digest_one and read_back.tobytes() == original.tobytes()

@@ -747,6 +747,25 @@ class TestOptimality:
         assert report["results"]["missed_block_fraction"] >= 0.99
         assert report["summary"]["failed"]["mean"] >= 0.99
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--m", "16", "--d", "0"], "sketch size d must be >= 1, got 0"),
+         (["--m", "16", "--d", "4", "--trials", "0"], "trials must be >= 1, got 0"),
+         (["--m", "4096", "--d", "5", "--trials", "2"],
+          "a 4096x4 float64 array needs 131072 bytes, more than the 65536 bytes of physical memory")],
+    )
+    def test_numbers_and_memory_checked_before_the_witness_is_built(
+        self, monkeypatch, capsys, argv, message
+    ):
+        # 64 KiB of physical memory: the 4096 x 4 witness needs 128 KiB
+        def not_built(*args, **kwargs):
+            pytest.fail("the witness was built")
+
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}.__getitem__)
+        monkeypatch.setattr(np, "zeros", not_built)
+        assert main(["optimality", "--n", "4", *argv, "--out", "-"]) == 65
+        assert capsys.readouterr().err == f"matsketch: {message}\n"
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -937,7 +956,7 @@ def test_every_choice_runs(tmp_path, command, flag, value):
     assert main(argv + ["--out", str(tmp_path / "r.json")]) == 0
 
 
-@pytest.mark.parametrize("fmt", matio.FORMATS)
+@pytest.mark.parametrize("fmt", ["matrixmarket", "csv", "binary"])
 @pytest.mark.parametrize("command", sorted(SMOKE_ARGV))
 def test_every_format_runs(tmp_path, command, fmt):
     # square, for decay; a file with no suffix, told apart by its bytes
@@ -945,6 +964,29 @@ def test_every_format_runs(tmp_path, command, fmt):
     getattr(matio, f"write_{fmt}")(path, np.random.default_rng(4).standard_normal((4, 4)))
     argv = [command, *SMOKE_ARGV[command], "--input", str(path)]
     assert main(argv + ["--out", str(tmp_path / "r.json")]) == 0
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_piped_input_is_refused_and_redirected_input_is_read(tmp_path):
+    # each reader opens the input again, so a pipe would be read from where
+    # the last open left it; a redirect from a file is that regular file
+    path = tmp_path / "a.csv"
+    write_csv(path, np.random.default_rng(4).standard_normal((200, 4)))
+    argv = [sys.executable, "-m", "matsketch.cli", "approx-svd", "--k", "1", "--out", "-",
+            "--input"]
+    env = {**os.environ, "PYTHONPATH": str(Path(matsketch.__file__).parents[1])}
+    piped = subprocess.run([*argv, "/dev/stdin"], input=path.read_bytes(), capture_output=True,
+                           env=env, timeout=120)
+    assert piped.returncode == 65
+    assert piped.stderr == b"matsketch: /dev/stdin: not a regular file\n"
+    with open(path, "rb") as fh:
+        redirected = subprocess.run([*argv, "/dev/stdin"], stdin=fh, capture_output=True,
+                                    env=env, timeout=120)
+    by_path = subprocess.run([*argv, str(path)], capture_output=True, env=env, timeout=120)
+    assert redirected.returncode == by_path.returncode == 0
+    report, expected = json.loads(redirected.stdout), json.loads(by_path.stdout)
+    assert report["per_trial"] == expected["per_trial"]
+    assert report["provenance"]["sha256"] == expected["provenance"]["sha256"]
 
 
 @pytest.mark.parametrize("command", sorted(SMOKE_ARGV))

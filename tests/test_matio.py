@@ -43,51 +43,67 @@ class TestCsv:
     def test_identity_literal(self, tmp_path):
         path = tmp_path / "id.csv"
         path.write_text("1,0\n0,1\n")
-        assert np.array_equal(read_matrix(path, "csv"), np.eye(2))
+        assert np.array_equal(read_matrix(path), np.eye(2))
 
     def test_round_trip(self, tmp_path, random_matrix):
         path = tmp_path / "a.csv"
         write_csv(path, random_matrix)
-        assert np.array_equal(read_matrix(path, "csv"), random_matrix)
+        assert np.array_equal(read_matrix(path), random_matrix)
 
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2,3\n4,5\n")
         with pytest.raises(ParseError, match="line 2|:2"):
-            read_matrix(path, "csv")
+            read_matrix(path)
 
     def test_bad_token(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,two\n")
         with pytest.raises(ParseError):
-            read_matrix(path, "csv")
+            read_matrix(path)
 
     def test_non_finite(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,nan\n")
         with pytest.raises(ParseError):
-            read_matrix(path, "csv")
+            read_matrix(path)
 
     def test_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(ParseError):
-            read_matrix(path, "csv")
+            read_matrix(path)
 
     def test_non_ascii_byte_names_its_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"1,2\n3,\xe94\n")
         with pytest.raises(ParseError, match=r":2: non-ASCII byte 0xe9"):
-            read_matrix(path, "csv")
+            read_matrix(path)
         with pytest.raises(ParseError, match=r":2: non-ASCII"):
-            list(open_stream(path, "csv"))
+            list(open_stream(path))
+
+    def test_file_emptied_before_its_rows_are_read(self, tmp_path, monkeypatch, capsys, random_matrix):
+        # the width is read, then the file empties before the read the digest
+        # is fed: a ParseError (exit 65), not numpy's "need at least one array"
+        path = tmp_path / "a.csv"
+        write_csv(path, random_matrix)
+        lines = matio._text_lines
+
+        def empty_then_read(name, digest=None):
+            if digest is not None:
+                path.write_bytes(b"")
+            return lines(name, digest)
+
+        monkeypatch.setattr(matio, "_text_lines", empty_then_read)
+        assert main(["approx-svd", "--input", str(path), "--k", "1", "--out", "-"]) == 65
+        assert capsys.readouterr().err == f"matsketch: {path}: empty CSV file\n"
 
     @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
     def test_crlf_and_cr_line_ends(self, tmp_path, random_matrix, newline):
         path = tmp_path / "a.csv"
         write_csv(path, random_matrix)
         path.write_bytes(path.read_bytes().replace(b"\n", newline))
-        assert np.array_equal(read_matrix(path, "csv"), random_matrix)
+        assert np.array_equal(read_matrix(path), random_matrix)
 
 
 class TestMatrixMarket:
@@ -100,12 +116,12 @@ class TestMatrixMarket:
             "1\n2\n3\n4\n5\n6\n"
         )
         expected = np.array([[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
-        assert np.array_equal(read_matrix(path, "matrixmarket"), expected)
+        assert np.array_equal(read_matrix(path), expected)
 
     def test_round_trip(self, tmp_path, random_matrix):
         path = tmp_path / "a.mtx"
         write_matrixmarket(path, random_matrix)
-        assert np.array_equal(read_matrix(path, "matrixmarket"), random_matrix)
+        assert np.array_equal(read_matrix(path), random_matrix)
 
     def test_coordinate(self, tmp_path):
         path = tmp_path / "c.mtx"
@@ -118,7 +134,7 @@ class TestMatrixMarket:
         expected = np.zeros((3, 3))
         expected[0, 0] = 5.0
         expected[2, 1] = -1.5
-        assert np.array_equal(read_matrix(path, "matrixmarket"), expected)
+        assert np.array_equal(read_matrix(path), expected)
 
     @pytest.mark.parametrize(
         "layout, size", [("coordinate", "100000000 100000000 1"), ("array", "100000000 100000000")]
@@ -145,13 +161,13 @@ class TestMatrixMarket:
             "1 1 2.0\n"
         )
         with pytest.raises(ParseError, match="duplicate"):
-            read_matrix(path, "matrixmarket")
+            read_matrix(path)
 
     def test_array_with_too_many_values_names_the_line(self, tmp_path):
         path = tmp_path / "long.mtx"
         path.write_text("%%MatrixMarket matrix array real general\n2 1\n1\n2\n3\n4\n")
         with pytest.raises(ParseError, match=r"long\.mtx:5: more than the 2 values declared"):
-            read_matrix(path, "matrixmarket")
+            read_matrix(path)
 
     def test_coordinate_out_of_range(self, tmp_path):
         path = tmp_path / "oob.mtx"
@@ -161,25 +177,25 @@ class TestMatrixMarket:
             "3 1 1.0\n"
         )
         with pytest.raises(ParseError, match="out of range"):
-            read_matrix(path, "matrixmarket")
+            read_matrix(path)
 
     def test_unsupported_symmetry(self, tmp_path):
         path = tmp_path / "sym.mtx"
         path.write_text("%%MatrixMarket matrix array real symmetric\n1 1\n1.0\n")
         with pytest.raises(ParseError, match="symmetry"):
-            read_matrix(path, "matrixmarket")
+            read_matrix(path)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "x.mtx"
         path.write_text("1 1\n1.0\n")
         with pytest.raises(ParseError, match="header"):
-            read_matrix(path, "matrixmarket")
+            read_matrix(path)
 
     def test_non_ascii_byte_names_its_line(self, tmp_path):
         path = tmp_path / "bad.mtx"
         path.write_bytes(b"%%MatrixMarket matrix array real general\n2 1\n1\n\xff\n")
         with pytest.raises(ParseError, match=r":4: non-ASCII byte 0xff"):
-            read_matrix(path, "matrixmarket")
+            read_matrix(path)
 
 
 class TestBinary:
@@ -187,7 +203,7 @@ class TestBinary:
         path = tmp_path / "a.bin"
         write_binary(path, random_matrix)
         digest_before = sha256_file(path)
-        read_back = read_matrix(path, "binary")
+        read_back = read_matrix(path)
         assert read_back.tobytes() == random_matrix.tobytes()
         write_binary(path, read_back)
         assert sha256_file(path) == digest_before
@@ -198,13 +214,13 @@ class TestBinary:
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(ParseError):
-            read_matrix(path, "binary")
+            read_matrix(path)
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "a.bin"
-        path.write_bytes(b"\x01\x02")
-        with pytest.raises(ParseError):
-            read_matrix(path, "binary")
+        path.write_bytes(b"\x01\x00")  # the NUL marks it binary
+        with pytest.raises(ParseError, match="truncated header"):
+            read_matrix(path)
 
     @pytest.mark.parametrize("extra", [8, 24])
     def test_trailing_bytes(self, tmp_path, extra):
@@ -213,9 +229,9 @@ class TestBinary:
         with open(path, "ab") as fh:
             fh.write(bytes(extra))
         with pytest.raises(ParseError, match="bytes"):
-            read_matrix(path, "binary")
+            read_matrix(path)
         with pytest.raises(ParseError, match="bytes"):
-            open_stream(path, "binary")
+            open_stream(path)
 
     def test_size_beyond_memory_refused_before_allocating(self, tmp_path, monkeypatch):
         path = tmp_path / "big.bin"
@@ -230,7 +246,7 @@ class TestBinary:
         monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}.__getitem__)
         monkeypatch.setattr(np, "empty", no_allocation)
         with pytest.raises(TooLargeError, match="1024x1024"):
-            read_matrix(path, "binary")
+            read_matrix(path)
 
     def test_file_shrinking_after_the_size_check(self, tmp_path, monkeypatch, random_matrix):
         path = tmp_path / "a.bin"
@@ -244,7 +260,7 @@ class TestBinary:
 
         monkeypatch.setattr(matio, "_binary_shape", check_then_shrink)
         with pytest.raises(ParseError, match="truncated at row 99"):
-            read_matrix(path, "binary")
+            read_matrix(path)
 
     def test_nan_entry_in_a_later_chunk(self, tmp_path, monkeypatch):
         monkeypatch.setattr(streams, "BLOCK_ROWS", 3)  # the last block is short
@@ -254,7 +270,7 @@ class TestBinary:
         data[-16:-8] = struct.pack("<d", float("inf"))  # entry (9, 2)
         path.write_bytes(bytes(data))
         with pytest.raises(ParseError, match="non-finite value in row 9"):
-            read_matrix(path, "binary")
+            read_matrix(path)
 
     def test_stream_names_non_finite_row_in_a_later_block(self, tmp_path, monkeypatch):
         # a binary stream scans each block it reads: entry (9, 2) is in the third block
@@ -311,25 +327,25 @@ class TestBinary:
     def test_nan_entry(self, tmp_path):
         path = write_binary_with_nan(tmp_path / "a.bin")
         with pytest.raises(ParseError, match="non-finite"):
-            read_matrix(path, "binary")
+            read_matrix(path)
 
     def test_short_file_rejected_when_opened(self, tmp_path, random_matrix):
         path = tmp_path / "a.bin"
         write_binary(path, random_matrix)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ParseError, match="bytes"):
-            open_stream(path, "binary")
+            open_stream(path)
 
 
 class TestTruncatedText:
     """A text file cut short is refused, never read as a smaller matrix."""
 
     @staticmethod
-    def _refused(path, fmt, match=None):
+    def _refused(path, match=None):
         with pytest.raises(ParseError, match=match):
-            read_matrix(path, fmt)
+            read_matrix(path)
         with pytest.raises(ParseError, match=match):
-            list(open_stream(path, fmt))
+            list(open_stream(path))
 
     @pytest.mark.parametrize(
         "fmt, a, line", [("csv", [[1.5, 2.25], [3.0, 4.75]], 2), ("matrixmarket", [[1.5], [4.75]], 4)]
@@ -340,7 +356,7 @@ class TestTruncatedText:
         (write_csv if fmt == "csv" else write_matrixmarket)(path, np.array(a))
         path.write_bytes(path.read_bytes()[:-2])
         assert path.read_bytes().endswith(b"4.7")
-        self._refused(path, fmt, match=rf"a\.txt:{line}: last line has no line end")
+        self._refused(path, match=rf"a\.txt:{line}: last line has no line end")
 
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
     @pytest.mark.parametrize("fmt", ["csv", "matrixmarket"])
@@ -348,8 +364,8 @@ class TestTruncatedText:
         path = tmp_path / "a.txt"
         (write_csv if fmt == "csv" else write_matrixmarket)(path, random_matrix)
         path.write_bytes(path.read_bytes().replace(b"\n", newline))
-        assert np.array_equal(read_matrix(path, fmt), random_matrix)
-        assert np.array_equal(np.concatenate(list(open_stream(path, fmt))), random_matrix)
+        assert np.array_equal(read_matrix(path), random_matrix)
+        assert np.array_equal(np.concatenate(list(open_stream(path))), random_matrix)
 
     @pytest.mark.parametrize("layout", ["array", "coordinate"])
     def test_matrixmarket_cut_at_a_line_boundary(self, tmp_path, layout):
@@ -365,7 +381,7 @@ class TestTruncatedText:
         assert len(cuts) == 7  # after the header, the size line and five of six entries
         for cut in cuts:
             path.write_bytes(data[:cut])
-            self._refused(path, "matrixmarket")
+            self._refused(path)
 
     def test_csv_cut_mid_line(self, tmp_path):
         path = tmp_path / "a.csv"
@@ -375,7 +391,7 @@ class TestTruncatedText:
         # a cut before the last comma leaves the line short of fields
         for cut in range(last + 1, data.rindex(b",") + 1):
             path.write_bytes(data[:cut])
-            self._refused(path, "csv")
+            self._refused(path)
 
 
 class TestLineSource:
@@ -392,17 +408,17 @@ class TestLineSource:
 
     @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
     @pytest.mark.parametrize(
-        "fmt, data",
+        "data",
         [
-            ("csv", b"1,2\n\n3,4\n5,\xe96\n"),
-            ("matrixmarket", b"%%MatrixMarket matrix array real general\n2 1\n1\n\xff\n"),
+            b"1,2\n\n3,4\n5,\xe96\n",
+            b"%%MatrixMarket matrix array real general\n2 1\n1\n\xff\n",
         ],
         ids=["csv", "matrixmarket"],
     )
-    def test_non_ascii_byte_names_its_line(self, tmp_path, fmt, data, newline):
+    def test_non_ascii_byte_names_its_line(self, tmp_path, data, newline):
         path = tmp_path / "bad.txt"
         path.write_bytes(data.replace(b"\n", newline))
-        for read in (lambda: read_matrix(path, fmt), lambda: list(open_stream(path, fmt))):
+        for read in (lambda: read_matrix(path), lambda: list(open_stream(path))):
             with pytest.raises(ParseError, match=r"bad\.txt:4: non-ASCII byte"):
                 read()
 
@@ -447,9 +463,9 @@ class TestLineSource:
         lines.insert(3, b"  ")
         path.write_bytes(newline.join(lines))
         with InputDigest() as digest:
-            assert np.array_equal(read_matrix(path, fmt, digest=digest), a)
+            assert np.array_equal(read_matrix(path, digest=digest), a)
             assert digest.hexdigest() == sha256_file(path)
-        assert np.array_equal(np.concatenate(list(open_stream(path, fmt))), a)
+        assert np.array_equal(np.concatenate(list(open_stream(path))), a)
 
 
 class TestDetectAndIngest:
@@ -595,10 +611,10 @@ class TestInputDigest:
         assert threading.active_count() == baseline
 
 
-# one small seed file per reader; FUZZ_SEED has entries of several magnitudes
+# one small seed file per reader, each read through detection; FUZZ_SEED has
+# entries of several magnitudes
 FUZZ_SEED = np.array([[1.5, -2.0, 0.0], [3.0, 4.25, -1e-3], [0.0, 7.0, 8.0], [-9.0, 0.5, 2.0]])
-FUZZ_FORMATS = {"a.csv": "csv", "array.mtx": "matrixmarket", "coord.mtx": "matrixmarket",
-                "a.bin": "binary"}
+FUZZ_NAMES = ("a.csv", "array.mtx", "coord.mtx", "a.bin")
 
 
 @functools.cache
@@ -612,7 +628,7 @@ def _fuzz_seeds(directory):
         f"% comment\n4 3 {len(entries)}\n" + "\n".join(entries) + "\n"
     )
     write_binary(directory / "a.bin", FUZZ_SEED)
-    return {name: (directory / name).read_bytes() for name in FUZZ_FORMATS}
+    return {name: (directory / name).read_bytes() for name in FUZZ_NAMES}
 
 
 def _mutate(data: bytes, kind: str, at: int, payload: bytes) -> bytes:
@@ -639,7 +655,7 @@ class TestFuzz:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        name=st.sampled_from(sorted(FUZZ_FORMATS)),
+        name=st.sampled_from(sorted(FUZZ_NAMES)),
         kind=st.sampled_from(["truncate", "delete", "overwrite", "insert"]),
         at=st.integers(0, 1 << 10),
         # one mutation of at most 4 bytes: a MatrixMarket size line then
@@ -652,9 +668,8 @@ class TestFuzz:
         seeds = _fuzz_seeds(directory)
         path = directory / f"mutated-{name}"
         path.write_bytes(_mutate(seeds[name], kind, at, payload))
-        fmt = FUZZ_FORMATS[name]
-        dense = _outcome(lambda: read_matrix(path, fmt))
-        streamed = _outcome(lambda: np.concatenate(list(open_stream(path, fmt))))
+        dense = _outcome(lambda: read_matrix(path))
+        streamed = _outcome(lambda: np.concatenate(list(open_stream(path))))
         assert (dense is None) == (streamed is None)
         if dense is not None:
             assert np.array_equal(dense, streamed)

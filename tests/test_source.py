@@ -142,6 +142,87 @@ def test_public_functions_have_a_caller():
     assert len(defined) > 20 and not uncalled, uncalled
 
 
+def _defaulted_options(tree):
+    """``(callee, name, position)`` for each defaulted parameter of a public
+    function or method, and each defaulted dataclass field but
+    ``field(init=False)``; an ``__init__`` and a dataclass are called by
+    their class name.  A keyword-only parameter has no position."""
+    options = []
+
+    def function(node, callee, offset):
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        options.extend((callee, a.arg, i - offset) for i, a in enumerate(positional) if i >= first)
+        options.extend(
+            (callee, a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+        )
+
+    def no_init(value):
+        return isinstance(value, ast.Call) and any(
+            k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+            for k in value.keywords
+        )
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            function(node, node.name, 0)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    function(item, node.name, 1)
+                elif isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    function(item, item.name, 1)
+            if "dataclass" in {n for d in node.decorator_list for n in _names(d)}:
+                fields = [
+                    item for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                    and not no_init(item.value)
+                ]
+                options.extend(
+                    (node.name, item.target.id, i)
+                    for i, item in enumerate(fields)
+                    if item.value is not None
+                )
+    return options
+
+
+def test_defaulted_parameters_are_set_by_a_caller():
+    # a default that no caller outside the unit tests overrides is a fixed
+    # value, not an option; a call sets it by keyword, by position, or by
+    # *args / **kwargs, and calls match by the name they spell
+    options = [
+        (path.name, *option)
+        for path in SOURCES
+        for option in _defaulted_options(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    ]
+    callers = [*(ROOT / "src").rglob("*.py"), *(ROOT / "scripts").rglob("*.py"),
+               *(ROOT / "perfbench").rglob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    calls = [
+        node
+        for path in callers
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Call)
+    ]
+
+    def sets(call, callee, name, position):
+        func = call.func
+        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != callee:
+            return False
+        return (
+            any(k.arg in (name, None) for k in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or (position is not None and len(call.args) > position)
+        )
+
+    unset = [
+        f"{module}:{callee}({name})"
+        for module, callee, name, position in options
+        if not any(sets(call, callee, name, position) for call in calls)
+    ]
+    assert len(options) > 20 and not unset, unset
+
+
 def test_names_the_benchmark_tracer_binds_exist():
     # the tracer looks each name up with a bare getattr, so a renamed function
     # breaks only the benchmark's traced mode; ``install`` is not called, since
