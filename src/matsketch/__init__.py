@@ -60,7 +60,6 @@ from .sampling import (
     row_distribution,
     sample_sketch,
     sample_sketch_one_pass,
-    sample_sketch_two_pass,
 )
 from .streams import MatrixRowStream, RowStream
 

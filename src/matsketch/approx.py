@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvariantError, OutOfRangeError, ShapeMismatchError
-from .linalg import as_matrix, require_allocatable, spectral_norm, sym_spectral_norm
+from .linalg import as_matrix, require_allocatable, spectral_norm
 from .parallel import check_trials, run_trials
 from .sampling import (
     Sketch,
@@ -116,7 +116,7 @@ def projection_error_bound(a, sketch: Sketch, k: int) -> BoundCheck:
     lhs = approximation_error(arr, projector_top_k(sketch, k)) ** 2
     values = np.linalg.svd(arr, compute_uv=False)
     sigma_next = float(values[k]) if k < values.size else 0.0
-    gram_gap = sym_spectral_norm(arr.T @ arr - sketch.gram())
+    gram_gap = sketch.deviation(arr.T @ arr)
     rhs = sigma_next**2 + 2.0 * gram_gap
     return BoundCheck(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + 1e-8))
 
@@ -156,17 +156,15 @@ def low_rank_approximate(
 ) -> tuple[np.ndarray, ApproxReport]:
     """Sample a sketch sized by the numerical rank; return its projector's basis and the report.
 
-    ``source`` is a dense matrix, run as a ``MatrixRowStream``, or a
-    RowStream.  For a replayable source ``stream_weights`` forms the Gram
-    matrix, whose top eigenvalue gives the rank and d, and rejects a zero
-    matrix; ``sampling.draw_sketch`` draws and gathers the rows, and
-    ``_certify`` certifies the projector.  A matrix and a stream of its rows
-    thus give the same report for the same seed.  Single-shot streams take
-    one traversal, need an explicit ``d`` (the reservoir count must be fixed
-    before the pass) and are not certified.  ``d`` overrides the sample-size
-    formula in every mode.  ``sampling.check_parameters`` refuses a bad
-    ``epsilon``, ``delta``, ``c_constant`` or ``d``, and a bad ``k`` is
-    refused too, before any row is read.
+    ``source`` is a matrix, run as a ``MatrixRowStream``, or a RowStream, so a
+    matrix and a stream of its rows give one report for one seed.  A
+    replayable source's Gram pass (``stream_weights``) gives the rank and d
+    and rejects a zero matrix; ``draw_sketch`` draws and gathers the rows and
+    ``_certify`` certifies the projector.  A single-shot stream takes one
+    traversal, needs ``d`` (it fixes the reservoir count) and is not
+    certified.  ``d`` overrides the sample-size formula in every mode.  A bad
+    ``epsilon``, ``delta``, ``c_constant``, ``d`` (``check_parameters``) or
+    ``k`` is refused before any row is read.
     """
     check_parameters(epsilon, delta, c_constant, d)
     stream = source if isinstance(source, RowStream) else MatrixRowStream(source)
@@ -229,8 +227,7 @@ def _certify(blocks, gram, lam, sketch, basis, k) -> tuple[float, float, float]:
     work *= 0.5
     error_sq = float(np.linalg.eigvalsh(work)[-1])
     del work  # freed before the sketch's Gram is formed
-    diff = sketch.gram()
-    gram_deviation = sym_spectral_norm(np.subtract(gram, diff, out=diff))
+    gram_deviation = sketch.deviation(gram)
     floor = _GRAM_FLOOR * n * np.finfo(np.float64).eps * float(lam[-1])
     coarse = error_sq < floor or (k < n and lam_next < floor)
     if coarse or error_sq > lam_next + 2.0 * gram_deviation:

@@ -181,17 +181,20 @@ def _cmd_decay(args, digest):
 
 
 def _cmd_lln(args, digest):
-    """``--d`` (its size in memory too), ``--trials`` and ``--c-const`` are checked before the
-    ensemble is built, and its Gram's size by ``sampling.check_gram_size`` before ``--input``
-    is read or the scaled basis built."""
+    """``--d`` (its memory too), ``--trials`` and ``--c-const`` are checked first, the Gram's size
+    (``sampling.check_gram_size``) before ``--input`` is read, and a trial's memory
+    (``lln.check_trial_size``) before the scaled basis is built or the input's Gram pass runs."""
     if args.ensemble == "matrix-rows" and args.input is None:
         raise UsageError("--ensemble matrix-rows requires --input")
     lln.check_deviation_arguments(args.d, args.trials, args.c_const)
     if args.ensemble == "scaled-basis":
+        lln.check_trial_size(args.n, args.n, args.d)
         ensemble = lln.scaled_basis_ensemble(args.n)
     else:
         sampling.check_gram_size(matio.read_width(args.input))
-        ensemble = lln.matrix_rows_ensemble(matio.read_matrix(args.input, digest=digest))
+        matrix = matio.read_matrix(args.input, digest=digest)
+        lln.check_trial_size(*matrix.shape, args.d)
+        ensemble = lln.matrix_rows_ensemble(matrix)
     stats = lln.lln_deviation(ensemble, args.d, args.trials, args.seed, args.c_const)
     return _trials(deviation=stats.deviations), {
         "a_value": stats.a_value,

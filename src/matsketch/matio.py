@@ -201,7 +201,7 @@ def open_stream(path, digest: InputDigest | None = None) -> RowStream:
     if fmt == "matrixmarket":
         return MatrixRowStream(_read_matrixmarket(path, digest))
     if fmt == "csv":
-        n_cols = read_width(path)
+        n_cols = next(_iter_csv_rows(path, None)).size
         feeds = iter([digest])  # next(feeds, None): the digest, then None on later traversals
         return RowStream(lambda: _iter_csv_blocks(path, n_cols, next(feeds, None)), n_cols)
     with open(path, "rb") as fh:

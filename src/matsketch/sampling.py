@@ -8,32 +8,27 @@ row has length F/sqrt(d).  A ``Sketch`` holds each distinct drawn row once,
 in traversal order, with the draws that took it, so it never holds more
 rows than the source or d; no mode builds the d x n sketch matrix.
 
-Three modes share this law and one block-based core.  Every traversal of
+Two samplers share this law and one block-based core.  Every traversal of
 every mode runs through ``_traverse``, the one traversal: it reads row
 blocks (see ``streams``), weighs each block with ``row_weights``' reduction
 and counts positions; a row's index, as in ``Sketch.chosen_indices``, is
-its position in the traversal.  Every mode ends in ``_sketch``, which alone rescales rows.
+its position in the traversal.  Both end in ``_sketch``, which alone rescales rows.
 Non-finite entries give non-finite weights, which every pass rejects: the
 weight total is checked by ``total_weight``, and the weights of a replay
 or of gathered rows are compared bit for bit with the first pass's.
 
-* ``sample_sketch``          -- in-memory matrix: two-pass sampling over the
-  matrix's blocks, so it is bit-identical to the two-pass mode by
-  construction;
-* ``sample_sketch_two_pass`` -- replayable stream: pass 1
-  (``stream_weights``) accumulates row weights and rejects a zero total,
-  then ``draw_sketch`` draws the positions and runs pass 2
-  (``materialize_chosen``), which keeps only the chosen rows and checks
-  their weights against pass 1's: a binary file's stream gathers just those
-  rows, any other stream is replayed in full and every row is checked;
+* ``sample_sketch``          -- a matrix (as a ``MatrixRowStream``, so it is
+  sketched as a stream of its rows) or a replayable stream: pass 1
+  (``stream_weights``) weighs the rows and rejects a zero total, then
+  ``draw_sketch`` draws the positions and gathers them in pass 2
+  (``materialize_chosen``);
 * ``sample_sketch_one_pass`` -- single traversal keeping d independent
   single-item weighted reservoirs, updated once per block.  Same occupant
   law, its own index stream; the reservoirs hold positions.
 
-Each ``lln`` trial is a ``draw_sketch`` draw, whose Gram deviation it measures.
-
-Weights do not depend on the block size, so neither do the sketches of the
-in-memory and two-pass modes.
+Weights do not depend on the block size, so neither do ``sample_sketch``'s
+sketches.  ``Sketch.deviation`` is the Gram deviation that ``approx``
+certifies and each ``lln`` trial, a ``draw_sketch`` draw, measures.
 """
 
 from __future__ import annotations
@@ -52,7 +47,7 @@ from .errors import (
     TooLargeError,
     ZeroMatrixError,
 )
-from .linalg import as_matrix, require_allocatable
+from .linalg import as_matrix, require_allocatable, sym_spectral_norm
 from .rng import as_generator
 from .streams import BLOCK_ROWS, MatrixRowStream, RowStream
 
@@ -67,7 +62,7 @@ class Sketch:
     S is the d x n matrix whose row i is the i-th drawn row, rescaled.
     ``rows`` holds each distinct row of S once, in position order, and draw
     i is row ``inverse[i]`` of ``rows``, so S is ``rows[inverse]``.
-    ``blocks`` and ``gram`` read S^T S off ``rows`` and the multiplicities.
+    ``blocks``, ``gram`` and ``deviation`` read S^T S off ``rows`` and the multiplicities.
     """
 
     rows: np.ndarray
@@ -100,6 +95,11 @@ class Sketch:
         for block in self.blocks():
             gram += block.T @ block
         return gram
+
+    def deviation(self, gram: np.ndarray) -> float:
+        """|gram - S^T S|_2; the difference overwrites S^T S, so no third n x n array is made."""
+        diff = self.gram()
+        return sym_spectral_norm(np.subtract(gram, diff, out=diff))
 
 
 def required_sample_size(r, epsilon, delta, c_constant=1.0) -> int:
@@ -227,22 +227,18 @@ def _sketch(rows: np.ndarray, inverse: np.ndarray, positions: np.ndarray, total_
     return Sketch(rows=rows, inverse=inverse, chosen_indices=positions, d=d)
 
 
-def sample_sketch(a, d: int, seed=0) -> Sketch:
-    """Sample ``d`` rescaled rows of an in-memory matrix.
+def sample_sketch(source, d: int, seed=0) -> Sketch:
+    """Draw ``d`` rescaled rows of a matrix or a replayable stream: weight pass, then ``draw_sketch``.
 
-    Two-pass sampling over the matrix's row blocks, so the in-memory and
-    two-pass modes agree bit for bit by construction.
-
-    Parameters
-    ----------
-    a : array_like
-        Source matrix with at least one nonzero row.
-    d : int
-        Number of rows to draw (with replacement).
-    seed : int or numpy Generator
-        Drives the draw; identical seeds give identical sketches.
+    A matrix runs as a ``MatrixRowStream``, so it gives the sketch of a stream of its rows bit for
+    bit; a single-shot stream raises NotReplayableError before any row is read.
     """
-    return sample_sketch_two_pass(MatrixRowStream(a), d, seed)
+    stream = source if isinstance(source, RowStream) else MatrixRowStream(source)
+    if not stream.replayable:
+        raise NotReplayableError("two-pass sampling requires a replayable stream")
+    check_sketch_size(d)
+    weights, total_sq, _ = stream_weights(stream)
+    return draw_sketch(stream, weights, total_sq, d, seed)
 
 
 def _traverse(stream: RowStream, expected=None) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -270,11 +266,9 @@ def _traverse(stream: RowStream, expected=None) -> Iterator[tuple[int, np.ndarra
 def check_gram_size(n: int) -> None:
     """TooLargeError if the n x n arrays of a Gram pass exceed physical memory.
 
-    The Gram matrix alone is checked first, so a refusal names its shape
-    where it cannot fit; then with the n x n arrays that ``approx._certify``
-    derives from it and the eigensolver's copy of one, five in all at once,
-    as one 5n x n float64 array.  Needs only the width, so it runs before
-    any row is read.
+    The Gram matrix alone first, so a refusal names its shape where it
+    cannot fit; then with ``approx._certify``'s arrays and the eigensolver's
+    copy, five at once, as one 5n x n array.  Runs before any row is read.
     """
     require_allocatable(n, n)
     require_allocatable(_GRAM_ARRAYS * n, n)
@@ -347,15 +341,6 @@ def draw_sketch(stream: RowStream, weights, total_sq: float, d: int, seed) -> Sk
     check_sketch_size(d)
     positions = draw_weighted_indices(weights, d, as_generator(seed))
     return materialize_chosen(stream, positions, weights, total_sq)
-
-
-def sample_sketch_two_pass(stream: RowStream, d: int, seed=0) -> Sketch:
-    """Sketch a replayable stream: weight pass, then ``draw_sketch``."""
-    if not stream.replayable:
-        raise NotReplayableError("two-pass sampling requires a replayable stream")
-    check_sketch_size(d)
-    weights, total_sq, _ = stream_weights(stream)
-    return draw_sketch(stream, weights, total_sq, d, seed)
 
 
 def sample_sketch_one_pass(stream: RowStream, d: int, seed=0) -> Sketch:

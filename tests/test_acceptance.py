@@ -211,7 +211,7 @@ def test_ac9_sampler_correctness():
     expected = ms.row_distribution(fixed) * seeds
     pvalue = float(scipy_stats.chisquare(counts, expected).pvalue)
     mem = ms.sample_sketch(fixed, 40, seed=123)
-    streamed = ms.sample_sketch_two_pass(ms.MatrixRowStream(fixed), 40, seed=123)
+    streamed = ms.sample_sketch(ms.MatrixRowStream(fixed), 40, seed=123)
     bit_identical = np.array_equal(
         mem.chosen_indices, streamed.chosen_indices
     ) and mem.rows[mem.inverse].tobytes() == streamed.rows[streamed.inverse].tobytes()

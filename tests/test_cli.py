@@ -691,6 +691,29 @@ class TestLln:
             "more than the 65536 bytes of physical memory\n"
         )
 
+    @pytest.mark.parametrize("ensemble", ["scaled-basis", "matrix-rows"])
+    def test_trial_beyond_memory_refused_before_the_ensemble_is_built(
+        self, tmp_path, monkeypatch, capsys, ensemble
+    ):
+        # 450,560 bytes hold the five 100 x 100 arrays the Gram check counts (400,000)
+        # but not a trial with d = 1000 on 100 rows: m + 3n + u + max(u, n) + (5m + 8d) // n + 1
+        # = 686 rows of 100 words.  The matrix-rows input is read, its Gram pass is not run
+        def not_built(*args, **kwargs):
+            pytest.fail("the ensemble was built")
+
+        path = tmp_path / "a.bin"
+        write_binary(path, np.eye(100))
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 110}.__getitem__)
+        monkeypatch.setattr(np, "eye", not_built)
+        monkeypatch.setattr(matsketch.lln, "stream_weights", not_built)
+        source = ["--n", "100"] if ensemble == "scaled-basis" else ["--input", str(path)]
+        argv = ["lln", "--ensemble", ensemble, *source, "--d", "1000", "--out", "-"]
+        assert main(argv) == 65
+        assert capsys.readouterr().err == (
+            "matsketch: a 686x100 float64 array needs 548800 bytes, "
+            "more than the 450560 bytes of physical memory\n"
+        )
+
 
 class TestLapackFailure:
     # (numpy.linalg function, the call that fails, argv); "{input}" is a 150 x 30 CSV

@@ -11,6 +11,7 @@ from matsketch import (
     ShapeMismatchError,
     TooLargeError,
     ZeroMatrixError,
+    lln,
     lln_deviation,
     low_rank_approximate,
     matrix_rows_ensemble,
@@ -139,6 +140,27 @@ class TestEnsembles:
             tracemalloc.stop()
         assert ens.stream.matrix is a
         assert peak < 0.25 * a.nbytes
+
+    @pytest.mark.parametrize(
+        "m, n, d",
+        [(120, 120, 400), (50, 50, 20000), (4000, 20, 500), (60, 80, 1000)],
+        ids=["basis", "basis-many-draws", "tall", "wide"],
+    )
+    def test_trial_check_counts_the_traced_peak(self, monkeypatch, rng, m, n, d):
+        # the input, the ensemble and one trial, against check_trial_size's count
+        counted = []
+        monkeypatch.setattr(lln, "require_allocatable", lambda rows, cols: counted.append(rows * cols))
+        lln.check_trial_size(m, n, d)
+        a = np.eye(n) if m == n else rng.normal(size=(m, n))
+        lln_deviation(scaled_basis_ensemble(2), d=4, trials=1)  # numpy.random imports first
+        tracemalloc.start()
+        try:
+            ens = scaled_basis_ensemble(n) if m == n else matrix_rows_ensemble(a)
+            lln_deviation(ens, d=d, trials=1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak + (0 if m == n else a.nbytes) <= 8 * counted[-1]
 
 
 class TestLlnDeviation:

@@ -18,7 +18,6 @@ from matsketch import (
     matio,
     read_matrix,
     sample_sketch,
-    sample_sketch_two_pass,
     streams,
 )
 from matsketch.cli import main
@@ -543,9 +542,27 @@ class TestDetectAndIngest:
         dense = read_matrix(path)
         stream = open_stream(path)
         mem = sample_sketch(dense, 17, seed=6)
-        streamed = sample_sketch_two_pass(stream, 17, seed=6)
+        streamed = sample_sketch(stream, 17, seed=6)
         assert np.array_equal(mem.chosen_indices, streamed.chosen_indices)
         assert mem.rows[mem.inverse].tobytes() == streamed.rows[streamed.inverse].tobytes()
+
+    @pytest.mark.parametrize("stream, opens", [("two-pass", 6), ("none", 4)])
+    def test_csv_run_opens_its_input(self, tmp_path, monkeypatch, rng, stream, opens):
+        # the CLI's width check opens the file twice (detection, first line), then
+        # two-pass: open_stream twice and one open per traversal; none: one
+        # detection and one read.  Each open is one more chance for the file to change
+        path = tmp_path / "a.csv"
+        write_csv(path, rng.normal(size=(300, 6)))
+        opened = []
+
+        def counted(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(matio, "open", counted, raising=False)
+        argv = ["approx-svd", "--input", str(path), "--k", "2", "--d", "20", "--stream", stream]
+        assert main([*argv, "--out", str(tmp_path / "r.json")]) == 0
+        assert opened == [str(path)] * opens
 
     def test_binary_stream_rows(self, tmp_path, random_matrix):
         path = tmp_path / "a.bin"

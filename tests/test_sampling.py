@@ -28,7 +28,6 @@ from matsketch import (
     row_distribution,
     sample_sketch,
     sample_sketch_one_pass,
-    sample_sketch_two_pass,
 )
 
 # eight rows with squared lengths 1,1,4,4,9,9,16,16: a small but non-uniform law
@@ -169,19 +168,19 @@ class TestTwoPass:
     def test_bit_identical_to_in_memory(self, rng):
         a = rng.normal(size=(40, 7))
         mem = sample_sketch(a, 25, seed=4)
-        streamed = sample_sketch_two_pass(MatrixRowStream(a), 25, seed=4)
+        streamed = sample_sketch(MatrixRowStream(a), 25, seed=4)
         assert np.array_equal(mem.chosen_indices, streamed.chosen_indices)
         assert mem.rows[mem.inverse].tobytes() == streamed.rows[streamed.inverse].tobytes()
 
     def test_identity_contract(self):
-        sketch = sample_sketch_two_pass(MatrixRowStream(np.eye(5)), 12, seed=0)
+        sketch = sample_sketch(MatrixRowStream(np.eye(5)), 12, seed=0)
         assert np.allclose(np.linalg.norm(sketch.rows[sketch.inverse], axis=1), math.sqrt(5) / math.sqrt(12))
 
     @pytest.mark.parametrize(
         "sketch",
         [
             lambda d: sample_sketch(FIXED_8ROW, d),
-            lambda d: sample_sketch_two_pass(MatrixRowStream(FIXED_8ROW), d),
+            lambda d: sample_sketch(MatrixRowStream(FIXED_8ROW), d),
             lambda d: low_rank_approximate(FIXED_8ROW, 2, 0.5, 0.5, d=d),
         ],
         ids=["in-memory", "two-pass", "low-rank"],
@@ -198,7 +197,7 @@ class TestTwoPass:
         a = rng.normal(size=(5, 3))
         stream = RowStream(iter([a]), 3)
         with pytest.raises(NotReplayableError):
-            sample_sketch_two_pass(stream, 3, seed=0)
+            sample_sketch(stream, 3, seed=0)
 
     def test_peak_resident_rows(self, rng):
         base = rng.normal(size=(2000, 200))
@@ -215,7 +214,7 @@ class TestTwoPass:
                 yield row[None]
 
         stream = RowStream(factory, base.shape[1])
-        sketch = sample_sketch_two_pass(stream, d, seed=7)
+        sketch = sample_sketch(stream, d, seed=7)
         assert sketch.rows[sketch.inverse].shape == (d, 200)
         assert peak[0] <= d + 1
 
@@ -239,25 +238,25 @@ class TestTwoPass:
             return rows
 
         with pytest.raises(ShapeMismatchError, match="differs"):
-            sample_sketch_two_pass(self._replay_differs(base, change_one), 5, seed=0)
+            sample_sketch(self._replay_differs(base, change_one), 5, seed=0)
 
     def test_replay_with_added_row_rejected(self, rng):
         base = rng.normal(size=(40, 7))
         stream = self._replay_differs(base, lambda rows: np.vstack([rows, rows[:1]]))
         with pytest.raises(ShapeMismatchError):
-            sample_sketch_two_pass(stream, 5, seed=0)
+            sample_sketch(stream, 5, seed=0)
 
     def test_replay_with_dropped_row_rejected(self, rng):
         base = rng.normal(size=(40, 7))
         stream = self._replay_differs(base, lambda rows: rows[:-1])
         with pytest.raises(ShapeMismatchError, match="39 rows"):
-            sample_sketch_two_pass(stream, 5, seed=0)
+            sample_sketch(stream, 5, seed=0)
 
     def test_matrix_changed_to_nan_after_wrapping_fails_weight_pass(self, rng):
         stream = MatrixRowStream(rng.normal(size=(40, 7)))
         stream.matrix[17, 3] = np.nan
         with pytest.raises(InvalidMatrixError, match="not a finite"):
-            sample_sketch_two_pass(stream, 5, seed=0)
+            sample_sketch(stream, 5, seed=0)
         with pytest.raises(InvalidMatrixError, match="not a finite"):
             sample_sketch_one_pass(stream, 5, seed=0)
 
@@ -319,9 +318,9 @@ class TestBlockSize:
             assert len(list(MatrixRowStream(a))) == -(-m // block_rows)
             sources = [
                 sample_sketch(a, 300, seed=8),
-                sample_sketch_two_pass(MatrixRowStream(a), 300, seed=8),
-                sample_sketch_two_pass(open_stream(tmp_path / "a.csv"), 300, seed=8),
-                sample_sketch_two_pass(open_stream(path), 300, seed=8),
+                sample_sketch(MatrixRowStream(a), 300, seed=8),
+                sample_sketch(open_stream(tmp_path / "a.csv"), 300, seed=8),
+                sample_sketch(open_stream(path), 300, seed=8),
             ]
             results.extend((s.chosen_indices.tobytes(), s.rows[s.inverse].tobytes()) for s in sources)
         assert all(r == results[0] for r in results)
@@ -374,7 +373,7 @@ class TestSeedPinsBytes:
         a = _pinned_matrix()
         sample = {
             "in-memory": lambda: sample_sketch(a, 40, seed=7),
-            "two-pass": lambda: sample_sketch_two_pass(MatrixRowStream(a), 40, seed=7),
+            "two-pass": lambda: sample_sketch(MatrixRowStream(a), 40, seed=7),
             "one-pass": lambda: sample_sketch_one_pass(MatrixRowStream(a), 40, seed=7),
         }[mode]
         sketch = sample()
@@ -392,7 +391,7 @@ class TestSeedPinsBytes:
         # pass two gathers the chosen rows of the file: the in-memory bytes still
         monkeypatch.setattr(streams, "BLOCK_ROWS", 5)
         write_binary(tmp_path / "a.bin", _pinned_matrix())
-        sketch = sample_sketch_two_pass(open_stream(tmp_path / "a.bin"), 40, seed=7)
+        sketch = sample_sketch(open_stream(tmp_path / "a.bin"), 40, seed=7)
         assert (_sha256(sketch.chosen_indices), _sha256(sketch.rows[sketch.inverse])) == self.SKETCH["in-memory"]
 
 
@@ -405,7 +404,7 @@ def test_sketch_holds_distinct_rows_in_position_order(monkeypatch, mode, d):
     a = _pinned_matrix()
     sketch = {
         "in-memory": lambda: sample_sketch(a, d, seed=7),
-        "two-pass": lambda: sample_sketch_two_pass(MatrixRowStream(a), d, seed=7),
+        "two-pass": lambda: sample_sketch(MatrixRowStream(a), d, seed=7),
         "one-pass": lambda: sample_sketch_one_pass(MatrixRowStream(a), d, seed=7),
     }[mode]()
     wanted = np.unique(sketch.chosen_indices)
@@ -442,7 +441,7 @@ class TestGather:
         monkeypatch.setattr(matio, "_iter_binary_blocks", counted_blocks)
         monkeypatch.setattr(os, "preadv", counted_preadv)
         monkeypatch.setattr(streams, "BLOCK_ROWS", block_rows)
-        sketch = sample_sketch_two_pass(open_stream(path), 60, seed=4)
+        sketch = sample_sketch(open_stream(path), 60, seed=4)
         assert len(traversals) == 1
         assert len(reads) == np.unique(sketch.chosen_indices).size < 60
         assert sketch.chosen_indices.tobytes() == reference.chosen_indices.tobytes()
@@ -581,7 +580,7 @@ def test_non_finite_stream_fails_both_passes(bad):
     block = np.ones((3, 2))
     block[1, 0] = bad
     with pytest.raises(InvalidMatrixError, match="not a finite"):
-        sample_sketch_two_pass(RowStream(lambda: iter([np.ones((2, 2)), block]), 2), 4)
+        sample_sketch(RowStream(lambda: iter([np.ones((2, 2)), block]), 2), 4)
     with pytest.raises(InvalidMatrixError, match="not a finite"):
         sample_sketch_one_pass(RowStream(iter([np.ones((2, 2)), block]), 2), 4)
 
@@ -594,14 +593,14 @@ def test_chosen_indices_are_traversal_positions():
         return iter(np.split(a, [3, 4]))
 
     for sketch in (
-        sample_sketch_two_pass(RowStream(blocks, 2), 50, seed=3),
+        sample_sketch(RowStream(blocks, 2), 50, seed=3),
         sample_sketch_one_pass(RowStream(blocks(), 2), 50, seed=3),
     ):
         rows = sketch.rows[sketch.inverse] / np.linalg.norm(sketch.rows[sketch.inverse], axis=1)[:, None]
         drawn = a[sketch.chosen_indices]
         assert np.allclose(rows, drawn / np.linalg.norm(drawn, axis=1)[:, None])
     assert np.array_equal(
-        sample_sketch_two_pass(RowStream(blocks, 2), 50, seed=3).chosen_indices,
+        sample_sketch(RowStream(blocks, 2), 50, seed=3).chosen_indices,
         sample_sketch(a, 50, seed=3).chosen_indices,
     )
 
