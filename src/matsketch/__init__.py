@@ -47,7 +47,6 @@ from .linalg import (
 )
 from .lln import (
     DeviationStats,
-    VectorEnsemble,
     lln_deviation,
     matrix_rows_ensemble,
     scaled_basis_ensemble,
@@ -56,6 +55,7 @@ from .matio import open_stream, read_matrix, write_binary, write_csv, write_matr
 from .reports import ExperimentReport
 from .sampling import (
     Sketch,
+    WeightPass,
     required_sample_size,
     row_distribution,
     sample_sketch,

@@ -28,10 +28,7 @@ from .sampling import (
     Sketch,
     check_parameters,
     check_sketch_size,
-    draw_sketch,
-    replay,
     required_sample_size,
-    sample_sketch,
     sample_sketch_one_pass,
     stream_weights,
 )
@@ -159,8 +156,8 @@ def low_rank_approximate(
     ``source`` is a matrix, run as a ``MatrixRowStream``, or a RowStream, so a
     matrix and a stream of its rows give one report for one seed.  A
     replayable source's Gram pass (``stream_weights``) gives the rank and d
-    and rejects a zero matrix; ``draw_sketch`` draws and gathers the rows and
-    ``_certify`` certifies the projector.  A single-shot stream takes one
+    and rejects a zero matrix; its ``WeightPass.draw`` draws and gathers the
+    rows and ``_certify`` certifies the projector.  A single-shot stream takes one
     traversal, needs ``d`` (it fixes the reservoir count) and is not
     certified.  ``d`` overrides the sample-size formula in every mode.  A bad
     ``epsilon``, ``delta``, ``c_constant``, ``d`` (``check_parameters``) or
@@ -177,17 +174,15 @@ def low_rank_approximate(
             )
         basis = projector_top_k(sample_sketch_one_pass(stream, d, seed), k)
         return basis, ApproxReport(d=int(d), numerical_rank=None)
-    weights, total_sq, gram = stream_weights(stream, accumulate_gram=True)
-    eigenvalues = np.linalg.eigvalsh(gram)
-    rank = total_sq / float(eigenvalues[-1])
+    first = stream_weights(stream, accumulate_gram=True)
+    eigenvalues = np.linalg.eigvalsh(first.gram)
+    rank = first.total_sq / float(eigenvalues[-1])
     if d is None:
         # the Gram ratio of a rank-one matrix can round to just below 1
         d = required_sample_size(max(1.0, rank), epsilon, delta, c_constant)
-    sketch = draw_sketch(stream, weights, total_sq, d, seed)
+    sketch = first.draw(d, seed)
     basis = projector_top_k(sketch, k)
-    sigma_next, error, gram_deviation = _certify(
-        replay(stream, weights), gram, eigenvalues, sketch, basis, k
-    )
+    sigma_next, error, gram_deviation = _certify(first, eigenvalues, sketch, basis, k)
     top = math.sqrt(float(eigenvalues[-1]))
     bound = sigma_next + epsilon * top
     satisfied = bool(error <= bound * (1.0 + 1e-12))
@@ -203,11 +198,11 @@ def low_rank_approximate(
     )
 
 
-def _certify(blocks, gram, lam, sketch, basis, k) -> tuple[float, float, float]:
+def _certify(first, lam, sketch, basis, k) -> tuple[float, float, float]:
     """sigma_{k+1}, |A - AP|_2 and |A^T A - S^T S|_2 from the Gram matrix G.
 
-    ``blocks`` yields the row blocks of A, ``lam`` holds the
-    eigenvalues of G = ``gram`` in ascending order, S is ``sketch`` and P is
+    ``first`` is the weight pass over A that carries G = ``first.gram``,
+    ``lam`` holds the eigenvalues of G in ascending order, S is ``sketch`` and P is
     ``basis @ basis.T``.  Squared values read off G carry an absolute error of
     order n * eps * |G|_2 (the condition number is squared).  So sigma_{k+1}
     and the error are recomputed exactly when either squared value falls
@@ -216,22 +211,23 @@ def _certify(blocks, gram, lam, sketch, basis, k) -> tuple[float, float, float]:
     satisfy (see ``projection_error_bound``): from the R of A = QR, folded
     block by block (TSQR; Demmel, Grigori, Hoemmen, Langou, SIAM J. Sci.
     Comput. 34, 2012).  Q has orthonormal columns, so sigma(R) = sigma(A)
-    and |A - AP|_2 = |R - RP|_2.  Only the fallback reads ``blocks``.
+    and |A - AP|_2 = |R - RP|_2.  Only the fallback reads A again, through
+    ``first.replay()``, which checks each row against the weight pass.
     """
-    n = gram.shape[0]
+    n = first.gram.shape[0]
     lam_next = float(lam[n - 1 - k]) if k < n else 0.0
     # (I - P) G (I - P) with P = basis @ basis.T, symmetrized, in one work array
-    work = gram - basis @ (basis.T @ gram)
+    work = first.gram - basis @ (basis.T @ first.gram)
     work -= (work @ basis) @ basis.T
     work += work.T
     work *= 0.5
     error_sq = float(np.linalg.eigvalsh(work)[-1])
     del work  # freed before the sketch's Gram is formed
-    gram_deviation = sketch.deviation(gram)
+    gram_deviation = sketch.deviation(first.gram)
     floor = _GRAM_FLOOR * n * np.finfo(np.float64).eps * float(lam[-1])
     coarse = error_sq < floor or (k < n and lam_next < floor)
     if coarse or error_sq > lam_next + 2.0 * gram_deviation:
-        r = _r_factor(blocks, n)
+        r = _r_factor(first.replay(), n)
         values = np.linalg.svd(r, compute_uv=False)
         sigma_next = float(values[k]) if k < values.size else 0.0
         return sigma_next, approximation_error(r, basis), gram_deviation
@@ -271,14 +267,15 @@ def optimality_experiment(n: int, m: int, d: int, trials: int, seed: int = 0) ->
     A trial "misses a block" when none of its rows is drawn; the witness
     column of that block then lies in the projector kernel and the
     approximation error is at least 1.  ``d`` and ``trials`` are checked
-    first.
+    first.  One weight pass over the witness serves every trial's draw.
     """
     check_sketch_size(d)
     check_trials(trials)
     arr = block_identity_matrix(n, m)
+    first = stream_weights(MatrixRowStream(arr))
 
     def run(rng):
-        sketch = sample_sketch(arr, d, rng)
+        sketch = first.draw(d, rng)
         drawn_per_block = np.bincount(sketch.chosen_indices // (m // n), minlength=n)
         missed = n - np.count_nonzero(drawn_per_block)
         error = approximation_error(arr, projector_top_k(sketch, n))

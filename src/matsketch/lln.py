@@ -2,12 +2,13 @@
 
 The random vector y is a row of a matrix A drawn with probability
 |a_i|^2 / |A|_F^2 and rescaled to length M = |A|_F / |A|_2, so that
-E y (x) y = A^T A / |A|_2^2 has spectral norm 1.  d draws of y are a
-sketch S of A (``sampling.draw_sketch``), and (1/d) sum y y^T is
+E y (x) y = A^T A / |A|_2^2 has spectral norm 1.  An ensemble is the
+``sampling.WeightPass`` over A's rows that carries G = A^T A; d draws of y
+are a sketch S of A (``WeightPass.draw``), and (1/d) sum y y^T is
 S^T S / |A|_2^2.  So each ``lln_deviation`` trial is ``Sketch.deviation``,
-|G - S^T S|_2 with G = A^T A, over |A|_2^2: the Gram deviation that
-``approx`` certifies, by the same code, scaled.  The deviation scale to
-compare against is a = C * sqrt(log(d)/d) * M.
+|G - S^T S|_2 over |A|_2^2: the Gram deviation that ``approx`` certifies,
+by the same code, scaled.  The deviation scale to compare against is
+a = C * sqrt(log(d)/d) * M.
 """
 
 from __future__ import annotations
@@ -20,31 +21,13 @@ import numpy as np
 from .errors import OutOfRangeError
 from .linalg import require_allocatable
 from .parallel import check_trials, run_trials
-from .sampling import check_c_constant, check_gram_size, check_sketch_size, draw_sketch, stream_weights
+from .sampling import (
+    DRAW_WORDS, WeightPass, check_c_constant, check_gram_size, check_sketch_size, stream_weights,
+)
 from .streams import MatrixRowStream
 
 
-@dataclass(frozen=True)
-class VectorEnsemble:
-    """The rows of a matrix A as a random vector, from one weight pass over ``stream``.
-
-    ``weights`` are the squared row lengths, ``total_sq`` their sum |A|_F^2,
-    ``gram`` is G = A^T A and ``top_sq`` its top eigenvalue |A|_2^2.
-    """
-
-    stream: MatrixRowStream
-    weights: np.ndarray
-    total_sq: float
-    gram: np.ndarray
-    top_sq: float
-
-    @property
-    def bound(self) -> float:
-        """The length M = |A|_F / |A|_2 of every rescaled row."""
-        return math.sqrt(self.total_sq / self.top_sq)
-
-
-def scaled_basis_ensemble(n: int) -> VectorEnsemble:
+def scaled_basis_ensemble(n: int) -> WeightPass:
     """sqrt(n) e_1 ... sqrt(n) e_n, uniform, as the rows of the n x n identity; second moment I.
 
     Its n x n arrays are checked by ``check_gram_size`` before the identity is built.
@@ -55,15 +38,13 @@ def scaled_basis_ensemble(n: int) -> VectorEnsemble:
     return matrix_rows_ensemble(np.eye(n))
 
 
-def matrix_rows_ensemble(a) -> VectorEnsemble:
-    """The rows of ``a`` weighted by squared length, from ``stream_weights``' Gram pass.
+def matrix_rows_ensemble(a) -> WeightPass:
+    """The rows of ``a`` weighted by squared length: ``stream_weights``' Gram pass.
 
     A zero matrix raises ZeroMatrixError, and a Gram matrix beyond physical
     memory TooLargeError, in ``stream_weights``.
     """
-    stream = MatrixRowStream(a)
-    weights, total_sq, gram = stream_weights(stream, accumulate_gram=True)
-    return VectorEnsemble(stream, weights, total_sq, gram, float(np.linalg.eigvalsh(gram)[-1]))
+    return stream_weights(MatrixRowStream(a), accumulate_gram=True)
 
 
 @dataclass(frozen=True)
@@ -92,32 +73,36 @@ def check_trial_size(m: int, n: int, d: int) -> None:
 
     After ``check_gram_size``, in rows of n words: the input's m, G and two n x n work
     arrays, the sketch's u = min(d, m) distinct rows, the larger of its copy of up to u
-    repeated rows and the eigensolver's n x n copy, and 5m + 8d words of weights, the draw's
-    extended-precision sums and the draws: 6.1 n^2 for the scaled basis at n = 300, d = 1000,
-    where tracemalloc measures 5.85 n^2 without the eigensolver's copy.
+    repeated rows and the eigensolver's n x n copy, 5m words of weights and the draw's
+    extended-precision sums, and ``DRAW_WORDS`` a draw: 6.1 n^2 for the scaled basis at
+    n = 300, d = 1000, where tracemalloc measures 5.85 n^2 without the eigensolver's copy.
     """
     n = max(n, 1)  # a smaller width is refused where the ensemble is built
     u = min(d, m)
     check_gram_size(n)
-    require_allocatable(m + 3 * n + u + max(u, n) + (5 * m + 8 * d) // n + 1, n)
+    require_allocatable(m + 3 * n + u + max(u, n) + (5 * m + DRAW_WORDS * d) // n + 1, n)
 
 
 def lln_deviation(
-    ensemble: VectorEnsemble, d: int, trials: int, seed: int = 0, c_constant: float = 1.0
+    ensemble: WeightPass, d: int, trials: int, seed: int = 0, c_constant: float = 1.0
 ) -> DeviationStats:
     """Per-trial spectral-norm deviation of the empirical second moment.
 
+    ``ensemble`` is a weight pass that carries its Gram matrix G; one without
+    raises OutOfRangeError before any draw.  |A|_2^2 is G's top eigenvalue.
     Trial t draws a sketch S of d rows with the generator spawned from
     (seed, t) and returns |G - S^T S|_2 / |A|_2^2.
     """
     check_deviation_arguments(d, trials, c_constant)
+    if ensemble.gram is None:
+        raise OutOfRangeError("an ensemble needs the Gram matrix of its weight pass")
+    top_sq = float(np.linalg.eigvalsh(ensemble.gram)[-1])
 
     def run(rng) -> float:
-        sketch = draw_sketch(ensemble.stream, ensemble.weights, ensemble.total_sq, d, rng)
-        return sketch.deviation(ensemble.gram) / ensemble.top_sq
+        return ensemble.draw(d, rng).deviation(ensemble.gram) / top_sq
 
     deviations = np.array(run_trials(run, trials, seed))
-    a_value = c_constant * math.sqrt(math.log(d) / d) * ensemble.bound
+    a_value = c_constant * math.sqrt(math.log(d) / d) * math.sqrt(ensemble.total_sq / top_sq)
     return DeviationStats(
         deviations=deviations,
         mean=float(deviations.mean()),

@@ -29,7 +29,7 @@ parsers as they parse, the binary block loop per block (every block of
 ``read_matrix``, a stream's first traversal only), naming the first bad
 row.  A binary stream's later traversals are not scanned again: the
 library replays a stream only through ``sampling._traverse`` given the
-first pass's weights (which ``sampling.replay`` wraps), whose bitwise
+first pass's weights (which ``sampling.WeightPass.replay`` wraps), whose bitwise
 weight test rejects any entry that is no longer finite.  Streams do no
 scan of their own.
 

@@ -19,16 +19,17 @@ or of gathered rows are compared bit for bit with the first pass's.
 
 * ``sample_sketch``          -- a matrix (as a ``MatrixRowStream``, so it is
   sketched as a stream of its rows) or a replayable stream: pass 1
-  (``stream_weights``) weighs the rows and rejects a zero total, then
-  ``draw_sketch`` draws the positions and gathers them in pass 2
-  (``materialize_chosen``);
+  (``stream_weights``) weighs the rows into a ``WeightPass`` and rejects a
+  zero total, then ``WeightPass.draw`` draws the positions and gathers them
+  in pass 2 (``materialize_chosen``);
 * ``sample_sketch_one_pass`` -- single traversal keeping d independent
   single-item weighted reservoirs, updated once per block.  Same occupant
   law, its own index stream; the reservoirs hold positions.
 
-Weights do not depend on the block size, so neither do ``sample_sketch``'s
-sketches.  ``Sketch.deviation`` is the Gram deviation that ``approx``
-certifies and each ``lln`` trial, a ``draw_sketch`` draw, measures.
+One ``WeightPass`` serves any number of draws.  Weights do not depend on
+the block size, so neither do ``sample_sketch``'s sketches.  ``Sketch.deviation``
+is the Gram deviation that ``approx`` certifies and each ``lln`` trial, a
+``WeightPass.draw``, measures.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .streams import BLOCK_ROWS, MatrixRowStream, RowStream
 
 _CEIL_GUARD = 1e-9  # absorbs float noise so exact-integer products do not round up
 _GRAM_ARRAYS = 5  # n x n float64 arrays a certified run holds at once, the Gram's included
+DRAW_WORDS = 8  # float64 words one draw of a sketch holds at its peak
 
 
 @dataclass(frozen=True)
@@ -178,8 +180,8 @@ def _check_nonzero(total: float) -> None:
 
 def row_distribution(a) -> np.ndarray:
     """Sampling probabilities: squared row length over squared Frobenius norm."""
-    w, total, _ = stream_weights(MatrixRowStream(a))
-    return w / total
+    first = stream_weights(MatrixRowStream(a))
+    return first.weights / first.total_sq
 
 
 def draw_weighted_indices(weights, size: int, rng) -> np.ndarray:
@@ -206,13 +208,13 @@ def draw_weighted_indices(weights, size: int, rng) -> np.ndarray:
 def check_sketch_size(d: int) -> None:
     """OutOfRangeError if d < 1; TooLargeError if what grows per draw exceeds memory.
 
-    A sketch holds at most min(d, m) rows of an m-row source, but the int64
-    positions and ``inverse`` and the longdouble uniforms take 32 bytes, four
-    float64 words, a draw: d x 4 words beyond physical memory are refused.
+    A sketch holds at most min(d, m) rows of an m-row source, but a draw's uniforms with
+    their longdouble copy and product, its int64 positions and ``np.unique``'s sort and
+    inverse peak at 6.1 float64 words a draw (tracemalloc): d x ``DRAW_WORDS`` are refused.
     """
     if d < 1:
         raise OutOfRangeError(f"sketch size d must be >= 1, got {d}")
-    require_allocatable(d, 4)
+    require_allocatable(d, DRAW_WORDS)
 
 
 def _sketch(rows: np.ndarray, inverse: np.ndarray, positions: np.ndarray, total_sq: float) -> Sketch:
@@ -228,7 +230,7 @@ def _sketch(rows: np.ndarray, inverse: np.ndarray, positions: np.ndarray, total_
 
 
 def sample_sketch(source, d: int, seed=0) -> Sketch:
-    """Draw ``d`` rescaled rows of a matrix or a replayable stream: weight pass, then ``draw_sketch``.
+    """Draw ``d`` rescaled rows of a matrix or a replayable stream: weight pass, then ``WeightPass.draw``.
 
     A matrix runs as a ``MatrixRowStream``, so it gives the sketch of a stream of its rows bit for
     bit; a single-shot stream raises NotReplayableError before any row is read.
@@ -237,18 +239,18 @@ def sample_sketch(source, d: int, seed=0) -> Sketch:
     if not stream.replayable:
         raise NotReplayableError("two-pass sampling requires a replayable stream")
     check_sketch_size(d)
-    weights, total_sq, _ = stream_weights(stream)
-    return draw_sketch(stream, weights, total_sq, d, seed)
+    return stream_weights(stream).draw(d, seed)
 
 
-def _traverse(stream: RowStream, expected=None) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """One traversal of ``stream``, yielding (start, block, weights) per block.
+def _traverse(source) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """One traversal of a stream, yielding (start, block, weights) per block.
 
-    ``start`` is the position of the block's first row.  Given ``expected``,
-    the first pass's weights of the rows traversed, a traversal whose
-    weights differ from them bit for bit, or whose row count differs,
-    raises ShapeMismatchError.
+    ``start`` is the position of the block's first row.  ``source`` is a
+    ``RowStream``, or a ``WeightPass``, whose stream is traversed again: a
+    traversal whose weights differ from the pass's bit for bit, or whose row
+    count differs, raises ShapeMismatchError.
     """
+    stream, expected = (source.stream, source.weights) if isinstance(source, WeightPass) else (source, None)
     start = 0
     for block in stream:
         weights = _block_weights(block)
@@ -274,12 +276,33 @@ def check_gram_size(n: int) -> None:
     require_allocatable(_GRAM_ARRAYS * n, n)
 
 
-def stream_weights(stream: RowStream, accumulate_gram: bool = False):
-    """One traversal collecting per-row weights (and optionally the Gram matrix).
+@dataclass(frozen=True)
+class WeightPass:
+    """Pass 1 over ``stream``: row ``weights``, their sum ``total_sq`` and, if accumulated, the
+    Gram matrix (else None).  Every later pass replays this ``stream`` and checks it against
+    ``weights`` bit for bit, so no draw can pair the weights with another stream."""
 
-    Returns (weights, total_sq, gram_or_None); total_sq is checked by
-    ``total_weight`` and a zero total raises ZeroMatrixError.  The Gram
-    matrix's size is checked by ``check_gram_size`` before the traversal.
+    stream: RowStream
+    weights: np.ndarray
+    total_sq: float
+    gram: np.ndarray | None
+
+    def draw(self, d: int, seed) -> Sketch:
+        """Draw ``d`` positions by the weights, then gather them in ``materialize_chosen``'s pass."""
+        check_sketch_size(d)
+        positions = draw_weighted_indices(self.weights, d, as_generator(seed))
+        return materialize_chosen(self, positions)
+
+    def replay(self) -> Iterator[np.ndarray]:
+        """Blocks of a later traversal, checked against the weights by ``_traverse``."""
+        return (block for _, block, _ in _traverse(self))
+
+
+def stream_weights(stream: RowStream, accumulate_gram: bool = False) -> WeightPass:
+    """One traversal collecting per-row weights (and optionally the Gram matrix): a ``WeightPass``.
+
+    Its total is checked by ``total_weight``, and a zero total raises ZeroMatrixError.
+    The Gram matrix's size is checked by ``check_gram_size`` before the traversal.
     """
     weight_parts = [np.empty(0)]  # an empty stream has no weights
     gram = None
@@ -296,51 +319,37 @@ def stream_weights(stream: RowStream, accumulate_gram: bool = False):
     w = np.concatenate(weight_parts)
     total = total_weight(w)
     _check_nonzero(total)
-    return w, total, gram
+    return WeightPass(stream, w, total, gram)
 
 
-def replay(stream: RowStream, weights) -> Iterator[np.ndarray]:
-    """Blocks of a later traversal, checked against the first pass's ``weights`` by ``_traverse``."""
-    return (block for _, block, _ in _traverse(stream, np.asarray(weights)))
-
-
-def materialize_chosen(stream: RowStream, positions, weights, total_sq: float) -> Sketch:
-    """Second pass: collect only the chosen rows and assemble the sketch.
+def materialize_chosen(first: WeightPass, positions) -> Sketch:
+    """Second pass: collect only the chosen rows of ``first.stream`` and assemble the sketch.
 
     ``positions`` are traversal positions, which become the sketch's
-    ``chosen_indices``, and ``weights`` the row weights of the first pass.
-    A stream that gathers (``RowStream.gather``; a binary file's, when
-    few rows are chosen) reads only the distinct chosen rows, holds them
-    once, and checks their weights bit for bit against ``weights``.  Any
-    other stream is replayed in full, holding the distinct chosen rows
-    plus the block being read, and every row's weight is checked.  A pass
-    that differs from the first traversal raises ShapeMismatchError.  The
-    distinct rows, rescaled in place, become the sketch's ``rows``; no
-    d x n array is made.
+    ``chosen_indices`` (an int64 array is kept, not copied).  A stream that
+    gathers (``RowStream.gather``; a binary file's, when few rows are chosen)
+    reads only the distinct chosen rows, holds them once, and checks their
+    weights bit for bit against ``first.weights``.  Any other stream is
+    replayed in full, holding the distinct chosen rows plus the block being
+    read, and every row's weight is checked.  A pass that differs from the
+    first traversal raises ShapeMismatchError.  The distinct rows, rescaled
+    in place, become the sketch's ``rows``; no d x n array is made.
     """
-    positions = np.array(positions, dtype=np.int64)
-    weights = np.asarray(weights)
+    positions = np.asarray(positions, dtype=np.int64)
     wanted, inverse = np.unique(positions, return_inverse=True)
-    rows = stream.gather(wanted)
+    rows = first.stream.gather(wanted)
     if rows is not None:
         # != on finite sums of squares is a bitwise test, and true for a NaN
-        differs = _block_weights(rows) != weights[wanted]
+        differs = _block_weights(rows) != first.weights[wanted]
         if differs.any():
             row = wanted[np.argmax(differs)]
             raise ShapeMismatchError(f"stream replay differs from the first pass in row {row}")
     else:
-        rows = np.empty((wanted.size, stream.n_cols))
-        for start, block, _ in _traverse(stream, weights):
+        rows = np.empty((wanted.size, first.stream.n_cols))
+        for start, block, _ in _traverse(first):
             lo, hi = np.searchsorted(wanted, (start, start + block.shape[0]))
             rows[lo:hi] = block[wanted[lo:hi] - start]
-    return _sketch(rows, inverse, positions, total_sq)
-
-
-def draw_sketch(stream: RowStream, weights, total_sq: float, d: int, seed) -> Sketch:
-    """Draw ``d`` positions by ``weights``, then gather them in ``materialize_chosen``'s pass."""
-    check_sketch_size(d)
-    positions = draw_weighted_indices(weights, d, as_generator(seed))
-    return materialize_chosen(stream, positions, weights, total_sq)
+    return _sketch(rows, inverse, positions, first.total_sq)
 
 
 def sample_sketch_one_pass(stream: RowStream, d: int, seed=0) -> Sketch:

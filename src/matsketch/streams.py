@@ -9,7 +9,7 @@ reject non-finite values (a binary stream on its first traversal only),
 and every sampling pass rejects non-finite row weights
 (``sampling.total_weight``; later traversals run through
 ``sampling._traverse`` with the first pass's weights, which
-``sampling.replay`` wraps).  Consumers must not modify a block;
+``sampling.WeightPass.replay`` wraps).  Consumers must not modify a block;
 ``MatrixRowStream`` blocks are views.
 
 A stream made from a zero-argument callable is replayable: each traversal

@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,7 @@ from matsketch import (
     sym_spectral_norm,
 )
 from matsketch import approx as approx_module
-from matsketch import linalg
+from matsketch import linalg, parallel
 from matsketch import sampling as sampling_module
 from matsketch.streams import BLOCK_ROWS
 from matsketch.matio import open_stream, write_binary
@@ -261,7 +262,7 @@ class TestLowRankApproximate:
             yield exact_path()
 
         monkeypatch.setattr(approx_module, "approximation_error", exact_path)
-        monkeypatch.setattr(approx_module, "replay", unread_replay)
+        monkeypatch.setattr(sampling_module.WeightPass, "replay", unread_replay)
         for trial in range(60):
             m = int(rng.integers(3, 41))
             n = int(rng.integers(2, 13))
@@ -325,7 +326,7 @@ class TestLowRankApproximate:
 
     def test_broken_gram_invariant_raises(self, rng, monkeypatch, tmp_path):
         # an error above the bound despite a zero Gram deviation is impossible
-        broken = lambda arr, gram, lam, sketch, projector, k: (0.0, 1e6, 0.0)  # noqa: E731
+        broken = lambda first, lam, sketch, projector, k: (0.0, 1e6, 0.0)  # noqa: E731
         monkeypatch.setattr(approx_module, "_certify", broken)
         a = rng.normal(size=(30, 6))
         with pytest.raises(InvariantError):
@@ -362,7 +363,7 @@ class TestLowRankApproximate:
             (6, 8, ShapeMismatchError, r"k must lie in \[0, 5\], got 6"),
             (-1, 8, ShapeMismatchError, r"k must lie in \[0, 5\], got -1"),
             (2, 0, OutOfRangeError, "sketch size d must be >= 1, got 0"),
-            (2, 10**12, TooLargeError, "1000000000000x4"),
+            (2, 10**12, TooLargeError, "1000000000000x8"),
         ],
         ids=["k-above-n", "k-negative", "d-zero", "d-beyond-memory"],
     )
@@ -522,6 +523,32 @@ class TestOptimalityExperiment:
         observed = result.missed_blocks.mean()
         se = result.missed_blocks.std(ddof=1) / math.sqrt(trials)
         assert abs(observed - exact) <= 4 * se + 1e-9
+
+    def test_trials_share_one_weight_pass(self, monkeypatch):
+        # one traversal weighs the witness; each trial's draw replays it once
+        traversals = []
+        views = MatrixRowStream._views
+
+        def counted(stream):
+            traversals.append(stream.matrix.shape)
+            return views(stream)
+
+        monkeypatch.setattr(MatrixRowStream, "_views", counted)
+        optimality_experiment(8, 32, 10, trials=7, seed=0)
+        assert traversals == [(32, 8)] * (1 + 7)
+
+    def test_threads_sharing_the_pass_match_sequential_trials(self, monkeypatch):
+        # eight workers on the one weight pass, switching often, draw what one worker draws
+        base = optimality_experiment(8, 32, 10, trials=24, seed=5)
+        monkeypatch.setattr(parallel, "thread_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = optimality_experiment(8, 32, 10, trials=24, seed=5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(threaded.missed_blocks, base.missed_blocks)
+        assert np.array_equal(threaded.errors, base.errors)
 
     def test_generous_sampling_covers_blocks(self):
         n = 16

@@ -298,6 +298,25 @@ class TestApproxSvd:
         assert main(argv) == 65
         assert capsys.readouterr().err == streamed
 
+    @pytest.mark.parametrize("stream", [[], ["--stream", "two-pass"], ["--stream", "one-pass"]])
+    def test_d_beyond_memory_refused_before_any_row_is_read(
+        self, monkeypatch, capsys, rank3_file, stream
+    ):
+        # 409,600 bytes of physical memory hold 10000 draws at four words each (320 KB),
+        # but not at the eight words a draw peaks at (640 KB)
+        def no_read(*args, **kwargs):
+            pytest.fail("a row was read")
+
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 100}.__getitem__)
+        for reader in ("read_matrix", "open_stream", "_read_matrixmarket"):
+            monkeypatch.setattr(matio, reader, no_read)
+        argv = ["approx-svd", "--input", str(rank3_file), "--k", "3", "--d", "10000", *stream]
+        assert main([*argv, "--out", "-"]) == 65
+        assert capsys.readouterr().err == (
+            "matsketch: a 10000x8 float64 array needs 640000 bytes, "
+            "more than the 409600 bytes of physical memory\n"
+        )
+
     @pytest.mark.parametrize(
         "stream", [[], ["--stream", "two-pass"], ["--stream", "one-pass", "--d", "5"]]
     )
@@ -664,7 +683,7 @@ class TestLln:
         assert capsys.readouterr().err == f"matsketch: {message}\n"
 
     def test_d_beyond_memory_refused_before_the_input_is_read(self, rank3_file, monkeypatch, capsys):
-        # 64 KiB of physical memory: 10000 draws take four words each, 320 KB
+        # 64 KiB of physical memory: 10000 draws take eight words each, 640 KB
         def not_read(*args):
             pytest.fail("the input was read")
 
@@ -673,7 +692,7 @@ class TestLln:
         argv = ["lln", "--ensemble", "matrix-rows", "--input", str(rank3_file), "--d", "10000"]
         assert main([*argv, "--out", "-"]) == 65
         assert capsys.readouterr().err == (
-            "matsketch: a 10000x4 float64 array needs 320000 bytes, "
+            "matsketch: a 10000x8 float64 array needs 640000 bytes, "
             "more than the 65536 bytes of physical memory\n"
         )
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from matsketch import (
+    MatrixRowStream,
     OutOfRangeError,
     ShapeMismatchError,
     TooLargeError,
@@ -14,12 +15,13 @@ from matsketch import (
     lln,
     lln_deviation,
     low_rank_approximate,
+    sampling,
     matrix_rows_ensemble,
     scaled_basis_ensemble,
     spectral_norm,
 )
 from matsketch.rng import spawn
-from matsketch.sampling import draw_sketch, draw_weighted_indices
+from matsketch.sampling import draw_weighted_indices, stream_weights
 from lemmas import empirical_second_moment, rademacher_moment_check, tail_bound_eval
 
 
@@ -52,25 +54,35 @@ class TestEmpiricalSecondMoment:
             empirical_second_moment(np.zeros((0, 3)))
 
 
+def top_sq(ens) -> float:
+    """|A|_2^2, the top eigenvalue of the ensemble's Gram matrix."""
+    return float(np.linalg.eigvalsh(ens.gram)[-1])
+
+
+def bound(ens) -> float:
+    """The length M = |A|_F / |A|_2 of every rescaled row."""
+    return math.sqrt(ens.total_sq / top_sq(ens))
+
+
 def drawn_rows(ens, d, rng):
     """The rows ``draw_weighted_indices`` picks from the ensemble, each rescaled to length M."""
     picked = ens.stream.matrix[draw_weighted_indices(ens.weights, d, rng)]
-    return picked * (ens.bound / np.linalg.norm(picked, axis=1))[:, None]
+    return picked * (bound(ens) / np.linalg.norm(picked, axis=1))[:, None]
 
 
 def naive_deviation(ens, d, rng) -> float:
     """|(1/d) sum y y^T - G / |A|_2^2|_2 from the drawn rows, by a dense SVD."""
-    gap = empirical_second_moment(drawn_rows(ens, d, rng)) - ens.gram / ens.top_sq
+    gap = empirical_second_moment(drawn_rows(ens, d, rng)) - ens.gram / top_sq(ens)
     return float(np.linalg.svd(gap, compute_uv=False)[0])
 
 
 class TestEnsembles:
     def test_scaled_basis_fields(self):
         ens = scaled_basis_ensemble(9)
-        assert ens.bound == pytest.approx(3.0)
+        assert bound(ens) == pytest.approx(3.0)
         assert np.array_equal(ens.stream.matrix, np.eye(9))
         assert np.array_equal(ens.weights, np.ones(9))
-        assert np.allclose(ens.gram / ens.top_sq, np.eye(9))
+        assert np.allclose(ens.gram / top_sq(ens), np.eye(9))
 
     def test_matrix_rows_second_moment(self, rng):
         a = rng.normal(size=(7, 4))
@@ -78,33 +90,33 @@ class TestEnsembles:
         # oracle: probability-weighted sum of the outer products of the rows rescaled to length M
         expected = np.zeros((4, 4))
         for weight, row in zip(ens.weights, a):
-            y = ens.bound * row / np.linalg.norm(row)
+            y = bound(ens) * row / np.linalg.norm(row)
             expected += weight / ens.total_sq * np.outer(y, y)
-        assert np.allclose(ens.gram / ens.top_sq, expected, atol=1e-10)
-        assert np.abs(np.linalg.eigvalsh(ens.gram / ens.top_sq)).max() == pytest.approx(1.0)
+        assert np.allclose(ens.gram / top_sq(ens), expected, atol=1e-10)
+        assert np.abs(np.linalg.eigvalsh(ens.gram / top_sq(ens))).max() == pytest.approx(1.0)
 
     def test_matrix_rows_scale_from_gram_matches_svd(self, rng):
         a = rng.normal(size=(40, 6)) * rng.lognormal(size=(40, 1))
         ens = matrix_rows_ensemble(a)
         top = spectral_norm(a)
-        assert ens.bound == pytest.approx(np.linalg.norm(a) / top, rel=1e-12)
-        assert ens.top_sq == pytest.approx(top**2, rel=1e-12)
-        assert np.allclose(ens.gram / ens.top_sq, a.T @ a / top**2, rtol=0, atol=1e-12)
+        assert bound(ens) == pytest.approx(np.linalg.norm(a) / top, rel=1e-12)
+        assert top_sq(ens) == pytest.approx(top**2, rel=1e-12)
+        assert np.allclose(ens.gram / top_sq(ens), a.T @ a / top**2, rtol=0, atol=1e-12)
 
     def test_matrix_rows_bound(self, rng):
         # every row of a sketch, scaled by sqrt(d) / |A|_2, has length M
         ens = matrix_rows_ensemble(rng.normal(size=(6, 3)))
         d = 40
-        sketch = draw_sketch(ens.stream, ens.weights, ens.total_sq, d, spawn(0, 0))
-        lengths = np.linalg.norm(sketch.rows, axis=1) * math.sqrt(d / ens.top_sq)
-        assert np.allclose(lengths, ens.bound)
+        sketch = ens.draw(d, spawn(0, 0))
+        lengths = np.linalg.norm(sketch.rows, axis=1) * math.sqrt(d / top_sq(ens))
+        assert np.allclose(lengths, bound(ens))
 
     def test_matrix_rows_drops_zero_rows(self):
         a = np.array([[2.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         ens = matrix_rows_ensemble(a)
         assert ens.weights.tolist() == [4.0, 0.0, 1.0, 0.0]
         for t in range(20):
-            sketch = draw_sketch(ens.stream, ens.weights, ens.total_sq, 50, spawn(1, t))
+            sketch = ens.draw(50, spawn(1, t))
             assert set(sketch.chosen_indices.tolist()) == {0, 2}
 
     def test_zero_matrix(self):
@@ -211,7 +223,7 @@ class TestLlnDeviation:
         stats = lln_deviation(ens, d=d, trials=trials, seed=seed)
         for t in range(trials):
             _, report = low_rank_approximate(a, 2, 0.5, 0.5, d=d, seed=spawn(seed, t))
-            assert stats.deviations[t] == report.gram_deviation / ens.top_sq
+            assert stats.deviations[t] == report.gram_deviation / top_sq(ens)
 
     def test_log_factor_is_necessary(self):
         # d = n draws miss some coordinate almost surely, deviation stays ~1
@@ -226,6 +238,15 @@ class TestLlnDeviation:
     def test_d_too_small(self):
         with pytest.raises(OutOfRangeError):
             lln_deviation(scaled_basis_ensemble(2), d=1, trials=1)
+
+    def test_pass_without_gram_refused_before_drawing(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            pytest.fail("a sketch was drawn")
+
+        first = stream_weights(MatrixRowStream(np.eye(3)))
+        monkeypatch.setattr(sampling, "draw_weighted_indices", no_draw)
+        with pytest.raises(OutOfRangeError, match="Gram matrix"):
+            lln_deviation(first, d=4, trials=2)
 
 
 class TestTailBound:

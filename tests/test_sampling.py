@@ -190,7 +190,7 @@ class TestTwoPass:
             pytest.fail("the sketch rows were drawn")
 
         monkeypatch.setattr(sampling, "draw_weighted_indices", no_draw)
-        with pytest.raises(TooLargeError, match="1000000000000x4"):
+        with pytest.raises(TooLargeError, match="1000000000000x8"):
             sketch(10**12)
 
     def test_single_shot_rejected(self, rng):
@@ -262,10 +262,10 @@ class TestTwoPass:
 
     def test_matrix_changed_to_nan_between_passes_fails_replay(self, rng):
         stream = MatrixRowStream(rng.normal(size=(40, 7)))
-        weights, total_sq, _ = stream_weights(stream)
+        first = stream_weights(stream)
         stream.matrix[17, 3] = np.nan
         with pytest.raises(ShapeMismatchError, match="differs"):
-            materialize_chosen(stream, np.arange(5), weights, total_sq)
+            materialize_chosen(first, np.arange(5))
 
 
 # every squared row length overflows / finite squared lengths whose sum overflows
@@ -381,7 +381,8 @@ class TestSeedPinsBytes:
 
     def test_weights_and_gram(self, monkeypatch):
         monkeypatch.setattr(streams, "BLOCK_ROWS", 5)
-        weights, _, gram = stream_weights(MatrixRowStream(_pinned_matrix()), accumulate_gram=True)
+        first = stream_weights(MatrixRowStream(_pinned_matrix()), accumulate_gram=True)
+        weights, gram = first.weights, first.gram
         assert (_sha256(weights), _sha256(gram)) == (
             "6c9eae660808385bb9996f50179f75cae117b652a9e1a021d413985ae9823f01",
             "807a708b5619cf2ade54b580e9c951c0bd4363b04e060d1429eb2d672ae91906",
@@ -453,8 +454,8 @@ class TestGather:
         a, path = self._file(tmp_path, rng)
         monkeypatch.setattr(matio, "_file_stamp", lambda fh: None)
         stream = open_stream(path)
-        weights, total_sq, _ = stream_weights(stream)
-        positions = draw_weighted_indices(weights, 60, np.random.default_rng(4))
+        first = stream_weights(stream)
+        positions = draw_weighted_indices(first.weights, 60, np.random.default_rng(4))
         unchosen = np.setdiff1d(np.arange(500), positions)
         row = int((np.unique(positions) if chosen else unchosen)[7])
         with open(path, "r+b") as fh:
@@ -462,10 +463,10 @@ class TestGather:
             fh.write(struct.pack("<d", a[row, 0] + 1.0))
         if chosen:
             with pytest.raises(ShapeMismatchError, match=rf"first pass in row {row}$"):
-                materialize_chosen(stream, positions, weights, total_sq)
+                materialize_chosen(first, positions)
         else:
-            sketch = materialize_chosen(stream, positions, weights, total_sq)
-            reference = materialize_chosen(MatrixRowStream(a), positions, weights, total_sq)
+            sketch = materialize_chosen(first, positions)
+            reference = materialize_chosen(stream_weights(MatrixRowStream(a)), positions)
             assert sketch.rows[sketch.inverse].tobytes() == reference.rows[reference.inverse].tobytes()
 
     def test_gathers_only_while_cheaper_than_a_full_pass(self, tmp_path, rng, monkeypatch):
@@ -517,7 +518,7 @@ class TestOnePass:
 
         monkeypatch.setattr(np, "zeros", no_allocation)
         monkeypatch.setattr(np, "full", no_allocation)
-        with pytest.raises(TooLargeError, match="1000000000000x4"):
+        with pytest.raises(TooLargeError, match="1000000000000x8"):
             sample_sketch_one_pass(stream, 10**12, seed=0)
 
     def test_memory_does_not_grow_with_d_times_n(self, rng):
