@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvariantError, OutOfRangeError, ShapeMismatchError
-from .linalg import as_matrix, require_allocatable, spectral_norm
+from .linalg import as_matrix, require_allocatable, spectral_norm, sym_spectral_norm
 from .parallel import check_trials, run_trials
 from .sampling import (
     Sketch,
@@ -203,8 +203,9 @@ def _certify(first, lam, sketch, basis, k) -> tuple[float, float, float]:
 
     ``first`` is the weight pass over A that carries G = ``first.gram``,
     ``lam`` holds the eigenvalues of G in ascending order, S is ``sketch`` and P is
-    ``basis @ basis.T``.  Squared values read off G carry an absolute error of
-    order n * eps * |G|_2 (the condition number is squared).  So sigma_{k+1}
+    ``basis @ basis.T``.  error^2 = |(I - P) G (I - P)|_2 and the deviation both go
+    through ``sym_spectral_norm``.  Squared values read off G carry an absolute error
+    of order n * eps * |G|_2 (the condition number is squared).  So sigma_{k+1}
     and the error are recomputed exactly when either squared value falls
     below ``_GRAM_FLOOR * n * eps * |G|_2``, or when the Gram values break
     error^2 <= sigma_{k+1}^2 + 2 * deviation, which exact values always
@@ -216,12 +217,12 @@ def _certify(first, lam, sketch, basis, k) -> tuple[float, float, float]:
     """
     n = first.gram.shape[0]
     lam_next = float(lam[n - 1 - k]) if k < n else 0.0
-    # (I - P) G (I - P) with P = basis @ basis.T, symmetrized, in one work array
+    # (I - P) G (I - P) is PSD: its computed negative eigenvalues are rounding of
+    # order n * eps * |G|_2, far below the floor, so the norm is its top eigenvalue
+    # whenever error^2 >= floor; below the floor, coarse takes the exact fallback
     work = first.gram - basis @ (basis.T @ first.gram)
     work -= (work @ basis) @ basis.T
-    work += work.T
-    work *= 0.5
-    error_sq = float(np.linalg.eigvalsh(work)[-1])
+    error_sq = sym_spectral_norm(work)
     del work  # freed before the sketch's Gram is formed
     gram_deviation = sketch.deviation(first.gram)
     floor = _GRAM_FLOOR * n * np.finfo(np.float64).eps * float(lam[-1])

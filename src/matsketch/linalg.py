@@ -99,9 +99,6 @@ class SvdResult:
     values: np.ndarray
     right: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.left * self.values) @ self.right.T
-
 
 def svd(a) -> SvdResult:
     arr = as_matrix(a)

@@ -24,14 +24,14 @@ alike, so line numbers are exact for every line end: a non-ASCII byte is
 a ParseError naming its line, and so is a last line without a line end
 (a file cut inside its last number).
 
-Every reader rejects a non-finite value with a ParseError: the text
-parsers as they parse, the binary block loop per block (every block of
-``read_matrix``, a stream's first traversal only), naming the first bad
-row.  A binary stream's later traversals are not scanned again: the
-library replays a stream only through ``sampling._traverse`` given the
-first pass's weights (which ``sampling.WeightPass.replay`` wraps), whose bitwise
-weight test rejects any entry that is no longer finite.  Streams do no
-scan of their own.
+Every reader rejects a non-finite value with a ParseError: the CSV and
+MatrixMarket parsers as they parse it, naming its line; the binary block
+loop per block (every block of ``read_matrix``, a stream's first traversal
+only), naming the first bad row.  A binary stream's later traversals are
+not scanned again: the library replays a stream only through
+``sampling._traverse`` given the first pass's weights (which
+``sampling.WeightPass.replay`` wraps), whose bitwise weight test rejects
+any entry that is no longer finite.  Streams do no scan of their own.
 
 A binary stream's ``RowStream.gather`` is ``_gather_binary_rows``, which
 alone decides whether a gather runs: sampling's pass two then reads only
@@ -173,7 +173,7 @@ def read_matrix(path, digest: InputDigest | None = None) -> np.ndarray:
     if fmt == "matrixmarket":
         return _read_matrixmarket(path, digest)
     if fmt == "csv":
-        return _read_csv(path, digest)
+        return np.concatenate(list(_iter_csv_blocks(path, None, digest)))  # one read of the file
     return _read_binary(path, digest)
 
 
@@ -289,10 +289,6 @@ def _iter_csv_blocks(path, n_cols: int | None, digest: InputDigest | None = None
         yield np.array(block)
 
 
-def _read_csv(path, digest: InputDigest | None = None) -> np.ndarray:
-    return np.concatenate(list(_iter_csv_blocks(path, None, digest)))  # one read of the file
-
-
 def write_csv(path, a) -> None:
     arr = as_matrix(a)
     with open(path, "w", encoding="ascii") as fh:
@@ -349,12 +345,14 @@ def _read_matrixmarket(path, digest: InputDigest | None = None) -> np.ndarray:
         count = 0
         for lineno, line in entries:
             for tok in line.split():
-                if count == values.size:
-                    raise ParseError(f"more than the {m * n} values declared", path=path, line=lineno)
                 try:
-                    values[count] = float(tok)
+                    values[count] = v = float(tok)
                 except ValueError:
                     raise ParseError(f"invalid value {tok!r}", path=path, line=lineno)
+                except IndexError:
+                    raise ParseError(f"more than the {m * n} values declared", path=path, line=lineno)
+                if not math.isfinite(v):
+                    raise ParseError("non-finite value", path=path, line=lineno)
                 count += 1
         if count != m * n:
             raise ParseError(f"expected {m * n} values, got {count}", path=path)
@@ -363,7 +361,6 @@ def _read_matrixmarket(path, digest: InputDigest | None = None) -> np.ndarray:
     else:
         arr = np.zeros((m, n))
         seen = np.zeros((m, n), dtype=bool)
-        count = 0
         for lineno, line in entries:
             tokens = line.split()
             if len(tokens) != 3:
@@ -373,17 +370,18 @@ def _read_matrixmarket(path, digest: InputDigest | None = None) -> np.ndarray:
                 v = float(tokens[2])
             except ValueError:
                 raise ParseError(f"invalid value {tokens[2]!r}", path=path, line=lineno)
+            if not math.isfinite(v):
+                raise ParseError("non-finite value", path=path, line=lineno)
             if not (1 <= i <= m and 1 <= j <= n):
                 raise ParseError(f"entry ({i}, {j}) out of range", path=path, line=lineno)
-            if seen[i - 1, j - 1]:
+            cell = i - 1, j - 1
+            if seen[cell]:
                 raise ParseError(f"duplicate entry ({i}, {j})", path=path, line=lineno)
-            seen[i - 1, j - 1] = True
-            count += 1
-            arr[i - 1, j - 1] = v
+            seen[cell] = True
+            arr[cell] = v
+        count = np.count_nonzero(seen)  # duplicates are refused: one cell an entry
         if count != dims[2]:
             raise ParseError(f"expected {dims[2]} entries, got {count}", path=path)
-    if not np.isfinite(arr).all():
-        raise ParseError("non-finite value", path=path)
     return arr
 
 

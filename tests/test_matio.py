@@ -196,6 +196,17 @@ class TestMatrixMarket:
         with pytest.raises(ParseError, match=r":4: non-ASCII byte 0xff"):
             read_matrix(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("layout", ["array", "coordinate"])
+    def test_non_finite_value_names_its_line(self, tmp_path, capsys, layout, value):
+        body = {"array": "2 2\n1\n{}\n3\n4\n", "coordinate": "2 2 2\n1 1 1\n2 1 {}\n"}[layout]
+        path = tmp_path / "a.mtx"
+        path.write_text(f"%%MatrixMarket matrix {layout} real general\n" + body.format(value))
+        with pytest.raises(ParseError, match=r"a\.mtx:4: non-finite value"):
+            read_matrix(path)
+        assert main(["approx-svd", "--input", str(path), "--k", "1", "--out", "-"]) == 65
+        assert capsys.readouterr().err == f"matsketch: {path}:4: non-finite value\n"
+
 
 class TestBinary:
     def test_round_trip_bit_identical(self, tmp_path, random_matrix):

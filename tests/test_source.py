@@ -120,6 +120,31 @@ def _names(node) -> set:
     return names
 
 
+def _callers(node):
+    """The names ``node`` uses as callers: a function's own name inside it is
+    recursion, not a caller, and a class is read member by member."""
+    if isinstance(node, ast.FunctionDef):
+        return _names(node) - {node.name}
+    if isinstance(node, ast.ClassDef):
+        heads = [*node.bases, *node.keywords, *node.decorator_list]
+        return set().union(*map(_names, heads), *map(_callers, node.body))
+    return _names(node)
+
+
+def _public_functions(node):
+    """``(dotted name, name)`` of a public function, or of each public method
+    of a public class (``Sketch.gram``, ``gram``)."""
+    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+        return [(node.name, node.name)]
+    if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+        return [
+            (f"{node.name}.{item.name}", item.name)
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+        ]
+    return []
+
+
 def _root(node):
     """The name an attribute chain ``a.b.c`` starts from, or None."""
     while isinstance(node, ast.Attribute):
@@ -137,8 +162,9 @@ BENCHMARK_ONLY = {
 
 
 def test_public_functions_have_a_caller():
-    # a public function that only unit tests call belongs in the tests; the
-    # writers are documented for users, and write_matrixmarket has no caller
+    # a public function or method that only unit tests call belongs in the
+    # tests; the writers are documented for users, and write_matrixmarket has
+    # no caller
     documented = {"write_matrixmarket"}
     named = set()
     defined = []
@@ -146,21 +172,17 @@ def test_public_functions_have_a_caller():
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
-            used = _names(node)
-            if isinstance(node, ast.FunctionDef):
-                if not node.name.startswith("_"):
-                    defined.append((path.stem, node.name))
-                used.discard(node.name)
-            named |= used
+            defined.extend((f"{path.stem}.{dotted}", name) for dotted, name in _public_functions(node))
+            named |= _callers(node)
     for path in [*(ROOT / "scripts").rglob("*.py"), ROOT / "tests" / "test_acceptance.py"]:
         named |= _names(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     benchmark = set()
     for path in (ROOT / "perfbench").rglob("*.py"):
         benchmark |= _names(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     called = named | documented
-    uncalled = [f"{module}:{name}" for module, name in defined if name not in called | benchmark]
+    uncalled = [dotted for dotted, name in defined if name not in called | benchmark]
     assert len(defined) > 20 and not uncalled, uncalled
-    only_benchmark = {f"{module}.{name}" for module, name in defined if name not in called}
+    only_benchmark = {dotted for dotted, name in defined if name not in called}
     assert only_benchmark == BENCHMARK_ONLY
 
 
