@@ -16,7 +16,6 @@ smaller projector instead of an arbitrary completion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -118,8 +117,7 @@ def projection_error_bound(a, sketch: Sketch, k: int) -> BoundCheck:
     return BoundCheck(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + 1e-8))
 
 
-@dataclass(frozen=True)
-class ApproxReport:
+class ApproxReport(NamedTuple):
     """Outcome of one end-to-end approximation run.
 
     ``numerical_rank`` is |A|_F^2 / lambda_max(A^T A), taken from the n x n
@@ -251,8 +249,7 @@ def block_identity_matrix(n: int, m: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class OptimalityResult:
+class OptimalityResult(NamedTuple):
     """Per-trial record of block coverage and projection failure."""
 
     failure_fraction: float

@@ -25,7 +25,6 @@ against the width its header or first line gives.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import sys
 
@@ -139,7 +138,7 @@ def _cmd_approx_svd(args, digest):
     # decided by the drawn sample in every mode, streams included
     projector_sha256 = hashlib.sha256(basis.tobytes()).hexdigest()
     results = {"d": report.d, "satisfied": report.satisfied, "projector_sha256": projector_sha256}
-    return [{"trial": 0, **dataclasses.asdict(report)}], results, exit_code
+    return [{"trial": 0, **report._asdict()}], results, exit_code
 
 
 def _trials(**columns) -> list[dict]:

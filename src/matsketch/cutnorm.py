@@ -16,7 +16,7 @@ a row restriction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,7 @@ def bernoulli_subset(n: int, q: float, seed=0) -> np.ndarray:
     return rng.random(n) < q / n
 
 
-@dataclass(frozen=True)
-class CutNormResult:
+class CutNormResult(NamedTuple):
     """Maximizing row/column index sets and the attained value."""
 
     value: float
@@ -187,8 +186,7 @@ def inf_to_one_norm_exact(a) -> float:
     return float(np.abs(combination).sum())
 
 
-@dataclass(frozen=True)
-class DecayEstimate:
+class DecayEstimate(NamedTuple):
     """Monte-Carlo norm decay under random restriction, with bound terms."""
 
     samples: np.ndarray

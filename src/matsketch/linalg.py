@@ -8,7 +8,7 @@ validate it as a finite real matrix.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,8 +91,7 @@ def numerical_rank(a) -> float:
     return float(np.sum((values / top) ** 2))
 
 
-@dataclass(frozen=True)
-class SvdResult:
+class SvdResult(NamedTuple):
     """Thin SVD: a = left @ diag(values) @ right.T, values nonincreasing."""
 
     left: np.ndarray

@@ -14,7 +14,7 @@ a = C * sqrt(log(d)/d) * M.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +47,7 @@ def matrix_rows_ensemble(a) -> WeightPass:
     return stream_weights(MatrixRowStream(a), accumulate_gram=True)
 
 
-@dataclass(frozen=True)
-class DeviationStats:
+class DeviationStats(NamedTuple):
     deviations: np.ndarray
     mean: float
     max: float

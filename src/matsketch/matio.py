@@ -53,8 +53,9 @@ covered: ``array`` values fill a float64 vector of m*n entries,
 ``coordinate`` duplicates are tracked in an m x n bool mask.
 
 Both readers take an optional ``InputDigest``, which hashes the bytes they
-read (on a stream's first traversal only) as they are read, so the input's
-sha256 needs no second read of the file.
+read (on a stream's first traversal only) as they are read, on one worker
+thread fed through a queue, so the input's sha256 needs no second read of
+the file.
 """
 
 from __future__ import annotations
@@ -62,9 +63,10 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import queue
 import stat
 import struct
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from itertools import islice
 
 import numpy as np
@@ -92,8 +94,12 @@ class InputDigest:
     until it is hashed.  Small chunks (a text reader's 64 KiB chunks) are
     batched into ``_BATCH_BYTES`` pieces (one handoff to the worker a
     megabyte); chunks passed with ``wait=False`` are views the caller keeps
-    and are queued as they are, never copied.  The one worker hashes in
-    order, so waiting for the piece queued last waits for all.  Use as a
+    and are queued as they are, never copied.  The worker is one daemon
+    ``threading.Thread`` fed through a ``queue.Queue``: it hashes the pieces
+    in order and drops each one before it reports it hashed, so a waiting
+    caller finds the chunks it fed before released.  An exception the hash
+    raises there comes out of the caller's next wait.  A daemon thread
+    blocked on its queue does not keep the interpreter alive.  Use as a
     context manager: leaving the block drops what is still queued and joins
     the worker.
     """
@@ -101,15 +107,30 @@ class InputDigest:
     def __init__(self):
         self.size = 0  # bytes fed
         self._hash = hashlib.sha256()
-        self._pool = ThreadPoolExecutor(max_workers=1)  # sha256 is sequential
-        self._last = None  # future of the piece queued last
+        self._queue = queue.Queue()  # pieces to hash, then None to stop
+        self._closed = False  # set on leaving the block: queued pieces are dropped
+        self._error = None  # what the hash raised in the worker
         self._batch = bytearray()
+        self._worker = threading.Thread(target=self._work, daemon=True)  # sha256 is sequential
+        self._worker.start()
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        self._pool.shutdown(wait=True, cancel_futures=True)
+        self._closed = True
+        self._queue.put(None)
+        self._worker.join()
+
+    def _work(self) -> None:
+        while (piece := self._queue.get()) is not None:
+            if not self._closed and self._error is None:
+                try:
+                    self._hash.update(piece)
+                except BaseException as exc:  # raised again in the caller, by _wait
+                    self._error = exc
+            del piece  # released before the caller hears it is hashed
+            self._queue.task_done()
 
     def update(self, data, wait: bool = True) -> None:
         """Queue ``data`` after the bytes fed before it.
@@ -136,11 +157,15 @@ class InputDigest:
     def _submit(self, data, wait: bool) -> None:
         if wait:
             self._wait()
-        self._last = self._pool.submit(self._hash.update, data)
+        self._queue.put(data)
 
     def _wait(self) -> None:
-        if self._last is not None:
-            self._last.result()
+        """Wait until every queued piece is hashed; raise what the hash raised."""
+        if self._closed:  # the worker is gone, and a join would wait for ever
+            raise RuntimeError("the digest's block has been left")
+        self._queue.join()
+        if self._error is not None:
+            raise self._error
 
     def hexdigest(self) -> str:
         self._flush(wait=False)

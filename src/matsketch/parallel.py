@@ -3,7 +3,10 @@
 ``run_trials`` gives trial i the generator ``SeedSequence([seed, i])``, so
 results do not depend on scheduling; output order is always trial order.
 The env var ``MATSKETCH_THREADS`` caps the worker count (default 1 =
-sequential), and the CPUs this process may run on cap it in turn.
+sequential), and the CPUs this process may run on cap it in turn.  The
+thread pool (``concurrent.futures``, which loads ``logging``) is imported
+inside ``run_indexed`` when more than one worker runs, so a one-worker run,
+and the import of the package, never load it.
 
 ``one_blas_thread`` runs its body with numpy's bundled OpenBLAS on one
 thread and gives the caller's thread count back on exit; the CLI runs every
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 import ctypes
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -44,6 +46,8 @@ def run_indexed(fn, count: int) -> list:
     workers = thread_count()
     if workers == 1 or count <= 1:
         return [fn(i) for i in range(count)]
+    from concurrent.futures import ThreadPoolExecutor  # imported here: a one-worker run never needs it
+
     with ThreadPoolExecutor(max_workers=min(workers, count)) as pool:
         return list(pool.map(fn, range(count)))
 

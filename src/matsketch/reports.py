@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
@@ -55,21 +54,27 @@ def summarize(per_trial: list[dict]) -> dict:
     return summary
 
 
-@dataclass
 class ExperimentReport:
-    command: str
-    config: dict
-    per_trial: list[dict]
-    results: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=lambda: {"input": None, "sha256": None})
-    started_at: str = ""
-    finished_at: str = ""
-    summary: dict = field(init=False)
+    """One run's report; numpy values in ``config``, ``per_trial`` and ``results`` become builtins,
+    and ``summary`` is computed from ``per_trial``."""
 
-    def __post_init__(self):
-        self.config = _plain(self.config)
-        self.per_trial = [_plain(t) for t in self.per_trial]
-        self.results = _plain(self.results)
+    def __init__(
+        self,
+        command: str,
+        config: dict,
+        per_trial: list[dict],
+        results: dict | None = None,
+        provenance: dict | None = None,
+        started_at: str = "",
+        finished_at: str = "",
+    ):
+        self.command = command
+        self.config = _plain(config)
+        self.per_trial = [_plain(t) for t in per_trial]
+        self.results = _plain({} if results is None else results)
+        self.provenance = {"input": None, "sha256": None} if provenance is None else provenance
+        self.started_at = started_at
+        self.finished_at = finished_at
         self.summary = summarize(self.per_trial)
 
     def to_dict(self) -> dict:

@@ -35,8 +35,7 @@ is the Gram deviation that ``approx`` certifies and each ``lln`` trial, a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -57,8 +56,7 @@ _GRAM_ARRAYS = 5  # n x n float64 arrays a certified run holds at once, the Gram
 DRAW_WORDS = 8  # float64 words one draw of a sketch holds at its peak
 
 
-@dataclass(frozen=True)
-class Sketch:
+class Sketch(NamedTuple):
     """The sketch S, held as its distinct rows, plus sampling metadata.
 
     S is the d x n matrix whose row i is the i-th drawn row, rescaled.
@@ -276,8 +274,7 @@ def check_gram_size(n: int) -> None:
     require_allocatable(_GRAM_ARRAYS * n, n)
 
 
-@dataclass(frozen=True)
-class WeightPass:
+class WeightPass(NamedTuple):
     """Pass 1 over ``stream``: row ``weights``, their sum ``total_sq`` and, if accumulated, the
     Gram matrix (else None).  Every later pass replays this ``stream`` and checks it against
     ``weights`` bit for bit, so no draw can pair the weights with another stream."""

@@ -114,3 +114,23 @@ def test_spectral_norm_squares_to_gram_norm(a):
     lhs = spectral_norm(a) ** 2
     rhs = sym_spectral_norm(a.T @ a)
     assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-10)
+
+
+# far ends of float64: squaring entries of these sizes under- or overflows, so a
+# norm computed through A^T A must rescale to stay homogeneous here
+SCALES = (1e-150, 1e150)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("shape", [(40, 7), (7, 40), (25, 25)])
+def test_spectral_norm_is_homogeneous_at_extreme_scales(scale, shape):
+    a = np.random.default_rng(sum(shape)).normal(size=shape)
+    assert math.isclose(spectral_norm(scale * a), scale * spectral_norm(a), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("n", [6, 25, 60])
+def test_sym_spectral_norm_is_homogeneous_at_extreme_scales(scale, n):
+    a = np.random.default_rng(n).normal(size=(n, n))
+    sym = a + a.T
+    assert math.isclose(sym_spectral_norm(scale * sym), scale * sym_spectral_norm(sym), rel_tol=1e-12)

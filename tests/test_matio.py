@@ -2,9 +2,12 @@ import functools
 import hashlib
 import os
 import struct
+import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -637,6 +640,57 @@ class TestInputDigest:
                 read_matrix(path, digest=digest)
                 raise RuntimeError
         assert threading.active_count() == baseline
+
+    def test_fed_chunks_are_released_once_hashed(self):
+        # the worker drops each piece as it hashes it, so a caller that frees its
+        # chunks holds at most one; 2 MiB chunks are queued as they are, not batched
+        chunks = [np.full(1 << 18, float(i)) for i in range(2)]
+        expected = hashlib.sha256(b"".join(c.tobytes() for c in chunks)).hexdigest()
+        with InputDigest() as digest:
+            first = weakref.ref(chunks[0])
+            digest.update(chunks.pop(0))
+            second = weakref.ref(chunks[0])
+            digest.update(chunks.pop(0))
+            assert first() is None
+            assert digest.hexdigest() == expected
+            assert second() is None
+
+    def test_hash_error_comes_out_of_hexdigest(self, monkeypatch):
+        class FailingHash:
+            def update(self, data):
+                raise ValueError("hash failed")
+
+        monkeypatch.setattr(matio.hashlib, "sha256", FailingHash)
+        baseline = threading.active_count()
+        with InputDigest() as digest:
+            digest.update(bytes(2 << 20))
+            with pytest.raises(ValueError, match="hash failed"):
+                digest.hexdigest()
+        assert threading.active_count() == baseline
+
+    def test_waiting_after_the_block_raises(self):
+        # the worker is joined on leaving the block; a later wait would hang
+        with InputDigest() as digest:
+            digest.update(b"abc")
+        with pytest.raises(RuntimeError):
+            digest.hexdigest()
+
+    def test_unclosed_digest_lets_the_interpreter_exit(self):
+        # a digest left open keeps its worker blocked on the queue; a non-daemon
+        # worker would hold the interpreter at exit until the timeout
+        script = (
+            "from matsketch.matio import InputDigest\n"
+            "digest = InputDigest()\n"
+            "digest.update(bytes(2 << 20))\n"
+            "print(digest.hexdigest())\n"
+        )
+        package_root = str(Path(matio.__file__).parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": package_root},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == hashlib.sha256(bytes(2 << 20)).hexdigest()
 
 
 # one small seed file per reader, each read through detection; FUZZ_SEED has

@@ -188,9 +188,9 @@ def test_public_functions_have_a_caller():
 
 def _defaulted_options(tree):
     """``(callee, name, position)`` for each defaulted parameter of a public
-    function or method, and each defaulted dataclass field but
-    ``field(init=False)``; an ``__init__`` and a dataclass are called by
-    their class name.  A keyword-only parameter has no position."""
+    function or method, and each defaulted field of a ``NamedTuple`` record;
+    an ``__init__`` and a record are called by their class name.  A
+    keyword-only parameter has no position."""
     options = []
 
     def function(node, callee, offset):
@@ -202,12 +202,6 @@ def _defaulted_options(tree):
             (callee, a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
         )
 
-    def no_init(value):
-        return isinstance(value, ast.Call) and any(
-            k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
-            for k in value.keywords
-        )
-
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
             function(node, node.name, 0)
@@ -217,11 +211,10 @@ def _defaulted_options(tree):
                     function(item, node.name, 1)
                 elif isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                     function(item, item.name, 1)
-            if "dataclass" in {n for d in node.decorator_list for n in _names(d)}:
+            if "NamedTuple" in {n for base in node.bases for n in _names(base)}:
                 fields = [
                     item for item in node.body
                     if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-                    and not no_init(item.value)
                 ]
                 options.extend(
                     (node.name, item.target.id, i)
@@ -381,3 +374,32 @@ print(codes, "numpy.ma" in sys.modules, file=sys.stderr)
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0, 0] False"
+
+
+def test_runs_load_no_dataclasses_or_executor(tmp_path):
+    # importing dataclasses builds every record class at import, and
+    # concurrent.futures pulls in logging; a command on one worker needs
+    # neither, so the CLI starts in little more than numpy's import time
+    path = tmp_path / "a.bin"
+    matsketch.write_binary(path, np.random.default_rng(0).normal(size=(300, 6)))
+    script = f"""
+import sys
+from matsketch.cli import main
+approx = ["approx-svd", "--input", {str(path)!r}, "--k", "2", "--out", "-"]
+runs = [
+    approx,
+    approx + ["--stream", "two-pass"],
+    ["decay", "--norm", "cut", "--witness", "random-sign", "--n", "6", "--q", "3",
+     "--trials", "4", "--out", "-"],
+]
+codes = [main(argv) for argv in runs]
+print(codes, sorted({{"dataclasses", "concurrent.futures", "logging"}} & set(sys.modules)), file=sys.stderr)
+"""
+    package_root = str(Path(matsketch.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": package_root}
+    env.pop("MATSKETCH_THREADS", None)  # the default: one trial worker
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines()[-1] == "[0, 0, 0] []"
