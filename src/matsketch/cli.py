@@ -17,9 +17,9 @@ input that is not a regular file, an input, its n x n Gram work or a
 generated witness too large to allocate, a cut-decay witness larger than
 the exact oracle takes, and a linear-algebra routine that fails to
 converge: numpy's ``LinAlgError`` is mapped to 65 in ``main`` alone).
-``approx-svd``, ``decay`` and ``lln`` check their numbers before they build a
-witness or read the rows of ``--input``, a number bounded by the input's width
-against the width its header or first line gives.
+``approx-svd``, ``decay`` and ``lln`` open ``--input`` once (``matio.open_stream``
+reads its header or first line) and check their numbers against its width
+before they build a witness or read a row.
 """
 
 from __future__ import annotations
@@ -107,24 +107,22 @@ def _cmd_approx_svd(args, digest):
 
     ``--epsilon``, ``--delta``, ``--c-const`` and ``--d`` are checked before
     the input is opened, by the library's own ``check_parameters``, and
-    ``--k`` by its ``check_k`` against the width that the file's header or
-    first line gives, before any row is read; so is the n x n Gram work of
-    every mode but one-pass, by ``sampling.check_gram_size``.
+    ``--k`` by its ``check_k`` against the width of the input's stream,
+    before any row is read; so is the n x n Gram work of every mode but
+    one-pass, by ``sampling.check_gram_size``.
     """
     if args.stream == "one-pass" and args.d is None:
         raise UsageError("--stream one-pass requires an explicit --d")
     sampling.check_parameters(args.epsilon, args.delta, args.c_const, args.d)
-    n = matio.read_width(args.input)
-    approx.check_k(args.k, n)
+    source = matio.open_stream(args.input, digest=digest)
+    approx.check_k(args.k, source.n_cols)
     if args.stream != "one-pass":
-        sampling.check_gram_size(n)
+        sampling.check_gram_size(source.n_cols)
     if args.stream == "none":
-        source = matio.read_matrix(args.input, digest=digest)
-    else:
-        source = matio.open_stream(args.input, digest=digest)
-        if args.stream == "one-pass":
-            # one traversal of the file's blocks, refused a second time
-            source = RowStream(iter(source), source.n_cols)
+        source = matio.read_matrix(source)
+    elif args.stream == "one-pass":
+        # one traversal of the file's blocks, refused a second time
+        source = RowStream(iter(source), source.n_cols)
     basis, report = approx.low_rank_approximate(
         source,
         k=args.k,
@@ -150,15 +148,14 @@ def _witness_matrix(args, digest) -> np.ndarray:
     """The input matrix, or the generated n x n witness.
 
     The decay's arguments are checked before a witness is built or the
-    input is read, with n = ``--n`` or the width that the file's header or
-    first line gives.
+    input is read, with n = ``--n`` or the width of the input's stream.
     """
     if args.witness == "file":
         if args.input is None:
             raise UsageError("--witness file requires --input")
-        n = matio.read_width(args.input)
-        cutnorm.check_decay_arguments(args.norm, n, args.q, args.trials)
-        return matio.read_matrix(args.input, digest=digest)
+        stream = matio.open_stream(args.input, digest=digest)
+        cutnorm.check_decay_arguments(args.norm, stream.n_cols, args.q, args.trials)
+        return matio.read_matrix(stream)
     cutnorm.check_decay_arguments(args.norm, args.n, args.q, args.trials)
     if args.witness == "all-ones":
         return cutnorm.witness_all_ones(args.n)
@@ -181,7 +178,7 @@ def _cmd_decay(args, digest):
 
 def _cmd_lln(args, digest):
     """``--d`` (its memory too), ``--trials`` and ``--c-const`` are checked first, the Gram's size
-    (``sampling.check_gram_size``) before ``--input`` is read, and a trial's memory
+    (``sampling.check_gram_size``) before a row of ``--input`` is read, and a trial's memory
     (``lln.check_trial_size``) before the scaled basis is built or the input's Gram pass runs."""
     if args.ensemble == "matrix-rows" and args.input is None:
         raise UsageError("--ensemble matrix-rows requires --input")
@@ -190,8 +187,9 @@ def _cmd_lln(args, digest):
         lln.check_trial_size(args.n, args.n, args.d)
         ensemble = lln.scaled_basis_ensemble(args.n)
     else:
-        sampling.check_gram_size(matio.read_width(args.input))
-        matrix = matio.read_matrix(args.input, digest=digest)
+        stream = matio.open_stream(args.input, digest=digest)
+        sampling.check_gram_size(stream.n_cols)
+        matrix = matio.read_matrix(stream)
         lln.check_trial_size(*matrix.shape, args.d)
         ensemble = lln.matrix_rows_ensemble(matrix)
     stats = lln.lln_deviation(ensemble, args.d, args.trials, args.seed, args.c_const)

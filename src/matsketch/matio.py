@@ -7,26 +7,27 @@
 * Binary: little-endian header of two u64 (rows, cols) followed by
   rows*cols float64 values in row-major order.  Round-trips bit-exactly.
 
-``read_matrix`` reads a file as a dense matrix; ``open_stream`` opens it
-as a replayable stream of plain row blocks (see ``streams``), in file
-order; ``read_width`` reads no more than its width.  Each starts with
-``detect_format``, so the file's bytes alone choose its reader.  CSV and binary
-streams re-read the file lazily on each traversal: CSV with the per-line
-parser (so errors name the line) grouped into blocks, which
-``read_matrix`` joins.  One block loop reads binary data for
-both: a stream gets a fresh array per block, ``read_matrix`` has each
-block read into its place in the result, so a truncated file fails with
-the same "truncated at row R" either way.  MatrixMarket sources are parsed
-fully and then streamed in row order.  A binary file's size must match its
-header exactly, which is checked before any data is read.  Text formats
-are read in 64 KiB byte chunks and split at ``\\n``, ``\\r\\n`` and ``\\r``
-alike, so line numbers are exact for every line end: a non-ASCII byte is
-a ParseError naming its line, and so is a last line without a line end
-(a file cut inside its last number).
+``open_stream`` is the one way into a file: it alone calls ``detect_format``
+(the file's bytes alone choose its reader) and it reads only the width: a
+binary header (the file's size checked), a CSV's first line, or a
+MatrixMarket header and size line.  Its stream replays the rows as row
+blocks (see ``streams``) in file order, and its ``read`` (``read_matrix``)
+returns them as one matrix.  CSV and binary streams re-read the file on each
+traversal: CSV with the per-line parser (so errors name the line), whose
+blocks ``read`` joins.  One block loop reads binary data for both: a
+traversal gets a fresh array per block, ``read`` has each block read into
+its place in the result, so a truncated file fails with the same "truncated
+at row R" either way, as do a header that no longer declares the shape
+opened and a byte after the last row.  A MatrixMarket stream parses the file
+once, on its first traversal or read, and keeps the array.  Text formats are
+read in 64 KiB byte chunks and split at ``\\n``, ``\\r\\n`` and ``\\r`` alike,
+so line numbers are exact for every line end: a non-ASCII byte is a
+ParseError naming its line, and so is a last line without a line end (a
+file cut inside its last number).
 
 Every reader rejects a non-finite value with a ParseError: the CSV and
 MatrixMarket parsers as they parse it, naming its line; the binary block
-loop per block (every block of ``read_matrix``, a stream's first traversal
+loop per block (every block of a ``read``, a stream's first traversal
 only), naming the first bad row.  A binary stream's later traversals are
 not scanned again: the library replays a stream only through
 ``sampling._traverse`` given the first pass's weights (which
@@ -47,19 +48,20 @@ the stamp (on a filesystem with coarse timestamps) and touches no chosen
 row goes unseen, and cannot change the sketch.
 
 A binary header and a MatrixMarket size line are checked against physical
-memory (``linalg.require_allocatable``) before ``read_matrix`` allocates
-the matrix, and the MatrixMarket parser holds no more than that check
-covered: ``array`` values fill a float64 vector of m*n entries,
-``coordinate`` duplicates are tracked in an m x n bool mask.
+memory (``linalg.require_allocatable``) before the matrix is allocated (a
+size line when the stream opens), and the MatrixMarket parser holds no
+more than that check covered: ``array`` values fill a float64 vector of
+m*n entries, ``coordinate`` duplicates are tracked in an m x n bool mask.
 
-Both readers take an optional ``InputDigest``, which hashes the bytes they
-read (on a stream's first traversal only) as they are read, on one worker
+``open_stream`` takes an optional ``InputDigest``, which hashes the bytes
+its stream's first traversal or read reads, as they are read, on one worker
 thread fed through a queue, so the input's sha256 needs no second read of
 the file.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
@@ -192,39 +194,27 @@ def detect_format(path) -> str:
     return "binary" if b"\0" in head else "csv"
 
 
-def read_matrix(path, digest: InputDigest | None = None) -> np.ndarray:
-    """Read a matrix file; ``digest`` is fed every byte of it."""
-    fmt = detect_format(path)
-    if fmt == "matrixmarket":
-        return _read_matrixmarket(path, digest)
-    if fmt == "csv":
-        return np.concatenate(list(_iter_csv_blocks(path, None, digest)))  # one read of the file
-    return _read_binary(path, digest)
-
-
-def read_width(path) -> int:
-    """The number of columns of a matrix file, from a binary header (size
-    checked), a CSV's first line or a MatrixMarket header and size line,
-    reading no further.  Feeds no digest."""
-    fmt = detect_format(path)
-    if fmt == "matrixmarket":
-        return _matrixmarket_header(path)[1][1]
-    if fmt == "csv":
-        return next(_iter_csv_rows(path, None)).size
-    with open(path, "rb") as fh:
-        return _binary_shape(fh, path)[1]
+def read_matrix(source) -> np.ndarray:
+    """A matrix file read whole: ``source`` is its path or its stream from ``open_stream``."""
+    return (source if isinstance(source, RowStream) else open_stream(source)).read()
 
 
 def open_stream(path, digest: InputDigest | None = None) -> RowStream:
-    """Replayable stream of row blocks over a matrix file.
+    """Replayable stream of row blocks over a matrix file, opened by its width alone.
 
-    ``digest`` is fed every byte of the file during the first traversal.
-    A binary file is scanned for non-finite entries on that traversal only.
-    A binary stream's ``gather`` is ``_gather_binary_rows``.
+    ``digest`` is fed every byte of the file by the first traversal or
+    ``read``.  A binary file is scanned for non-finite entries on the first
+    traversal and on every ``read``.  A binary stream's ``read`` is
+    ``_read_binary`` and its ``gather`` is ``_gather_binary_rows``.
     """
     fmt = detect_format(path)
     if fmt == "matrixmarket":
-        return MatrixRowStream(_read_matrixmarket(path, digest))
+        shape = _matrixmarket_header(path)[1][:2]
+        require_allocatable(*shape)
+        parsed = functools.cache(lambda: _read_matrixmarket(path, shape, digest))
+        stream = RowStream(lambda: iter(MatrixRowStream(parsed())), shape[1])
+        stream.read = parsed
+        return stream
     if fmt == "csv":
         n_cols = next(_iter_csv_rows(path, None)).size
         feeds = iter([digest])  # next(feeds, None): the digest, then None on later traversals
@@ -232,10 +222,11 @@ def open_stream(path, digest: InputDigest | None = None) -> RowStream:
     with open(path, "rb") as fh:
         m, n = _binary_shape(fh, path)
         stamp = _file_stamp(fh)
-    # the digest and the finiteness scan, then neither: a replay's non-finite
-    # entry fails the bitwise weight test of sampling._traverse
+    # the digest and the finiteness scan, then neither (a read always scans): a
+    # replay's non-finite entry fails the bitwise weight test of sampling._traverse
     feeds = iter([(digest, _check_finite)])
     stream = RowStream(lambda: _iter_binary_blocks(path, m, n, *next(feeds, (None, None))), n)
+    stream.read = lambda: _read_binary(path, m, n, next(feeds, (None,))[0])
     stream.gather = lambda rows: _gather_binary_rows(path, m, n, rows, stamp)
     return stream
 
@@ -294,7 +285,8 @@ def _parse_csv_line(line: str, path, lineno: int) -> np.ndarray:
 
 
 def _iter_csv_rows(path, n_cols: int | None, digest: InputDigest | None = None):
-    """A CSV file's rows, each ``n_cols`` wide (None: the first row's, and no row is a ParseError)."""
+    """A CSV file's rows, each ``n_cols`` wide (None: the first row's); no row is a ParseError."""
+    row = None
     for lineno, line in _text_lines(path, digest):
         row = _parse_csv_line(line, path, lineno)
         n_cols = n_cols or row.size
@@ -303,11 +295,11 @@ def _iter_csv_rows(path, n_cols: int | None, digest: InputDigest | None = None):
                 f"expected {n_cols} fields, got {row.size}", path=path, line=lineno
             )
         yield row
-    if n_cols is None:
+    if row is None:
         raise ParseError("empty CSV file", path=path)
 
 
-def _iter_csv_blocks(path, n_cols: int | None, digest: InputDigest | None = None):
+def _iter_csv_blocks(path, n_cols: int, digest: InputDigest | None = None):
     """Yield blocks of at most ``BLOCK_ROWS`` CSV rows."""
     rows = _iter_csv_rows(path, n_cols, digest)
     while block := list(islice(rows, streams.BLOCK_ROWS)):
@@ -361,10 +353,11 @@ def _ints(tokens, path, lineno) -> list[int]:
         raise ParseError(f"invalid integer in {tokens!r}", path=path, line=lineno)
 
 
-def _read_matrixmarket(path, digest: InputDigest | None = None) -> np.ndarray:
+def _read_matrixmarket(path, shape: list[int], digest: InputDigest | None = None) -> np.ndarray:
     layout, dims, entries = _matrixmarket_header(path, digest)
-    m, n = dims[:2]
-    require_allocatable(m, n)
+    m, n = shape  # the size line open_stream checked against memory
+    if dims[:2] != shape:
+        raise ParseError(f"size line no longer declares {m}x{n}", path=path)
     if layout == "array":
         values = np.empty(m * n)  # 8 bytes a value, as the allocation check assumed
         count = 0
@@ -492,10 +485,8 @@ def _check_finite(values, first: int, n: int, path) -> None:
         raise ParseError(f"non-finite value in row {row}", path=path)
 
 
-def _read_binary(path, digest: InputDigest | None = None) -> np.ndarray:
-    """Read the data into one array, block by block through ``_iter_binary_blocks``."""
-    with open(path, "rb") as fh:
-        m, n = _binary_shape(fh, path)
+def _read_binary(path, m: int, n: int, digest: InputDigest | None = None) -> np.ndarray:
+    """Read the m x n data into one array, block by block through ``_iter_binary_blocks``."""
     require_allocatable(m, n)
     arr = np.empty((m, n), dtype="<f8")
     for _ in _iter_binary_blocks(path, m, n, digest, _check_finite, out=arr):
@@ -507,11 +498,14 @@ def _iter_binary_blocks(path, m: int, n: int, digest: InputDigest | None = None,
     """Yield blocks of at most ``BLOCK_ROWS`` rows, each passed to ``check`` if given.
 
     Each block is read into the rows of ``out`` it covers, if given, else
-    into a fresh array.  ``digest`` is fed the header and every block.
+    into a fresh array.  ``digest`` is fed the header and every block.  A
+    header other than m x n's, a short read or a byte after row m - 1: ParseError.
     """
     step = streams.BLOCK_ROWS
     with open(path, "rb") as fh:
         head = fh.read(_BINARY_HEADER.size)
+        if head != _BINARY_HEADER.pack(m, n):
+            raise ParseError(f"header no longer declares {m}x{n}", path=path)
         if digest is not None:
             digest.update(head)
         for start in range(0, m, step):
@@ -526,6 +520,8 @@ def _iter_binary_blocks(path, m: int, n: int, digest: InputDigest | None = None,
             if check is not None:
                 check(block, start * n, n, path)
             yield block.astype(np.float64, copy=False)
+        if fh.read(1):
+            raise ParseError(f"bytes after row {m - 1}", path=path)
 
 
 def write_binary(path, a) -> None:

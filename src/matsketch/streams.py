@@ -18,7 +18,8 @@ single-shot and refuses a second traversal.
 
 ``gather`` reads given rows directly where the stream can (a binary file's,
 see ``matio.open_stream``); ``sampling.materialize_chosen`` checks them
-against the first pass.
+against the first pass.  ``read`` returns the rows as one matrix, joining a
+traversal's blocks unless the stream reads them whole (``matio.open_stream``).
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ class RowStream:
         None here; a binary file's stream reads them (``matio.open_stream``).
         """
         return None
+
+    def read(self) -> np.ndarray:
+        """The blocks of one traversal joined into one matrix."""
+        return np.concatenate(list(self))
 
     def __iter__(self) -> Iterator[np.ndarray]:
         if self.replayable:

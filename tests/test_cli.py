@@ -32,6 +32,16 @@ def read_report(path):
         return json.load(fh)
 
 
+def no_row_read(monkeypatch):
+    """Make every reader of a file's rows fail the test; ``open_stream`` reads only the width."""
+
+    def no_read(*args, **kwargs):
+        pytest.fail("a row was read")
+
+    for reader in ("_iter_binary_blocks", "_read_binary", "_iter_csv_blocks", "_read_matrixmarket"):
+        monkeypatch.setattr(matio, reader, no_read)
+
+
 @pytest.fixture
 def rank3_file(tmp_path, rng):
     a = matrix_with_singular_values(rng, 150, 30, [10.0, 9.0, 8.0])
@@ -304,12 +314,8 @@ class TestApproxSvd:
     ):
         # 409,600 bytes of physical memory hold 10000 draws at four words each (320 KB),
         # but not at the eight words a draw peaks at (640 KB)
-        def no_read(*args, **kwargs):
-            pytest.fail("a row was read")
-
         monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 100}.__getitem__)
-        for reader in ("read_matrix", "open_stream", "_read_matrixmarket"):
-            monkeypatch.setattr(matio, reader, no_read)
+        no_row_read(monkeypatch)
         argv = ["approx-svd", "--input", str(rank3_file), "--k", "3", "--d", "10000", *stream]
         assert main([*argv, "--out", "-"]) == 65
         assert capsys.readouterr().err == (
@@ -323,12 +329,7 @@ class TestApproxSvd:
     def test_k_refused_before_the_matrix_is_read(self, tmp_path, monkeypatch, capsys, stream):
         # the width comes from a binary header, a CSV's first line or a MatrixMarket size line
         files = _matrix_files(tmp_path)
-
-        def no_read(*args, **kwargs):
-            pytest.fail("the matrix was read")
-
-        for name in ("read_matrix", "open_stream", "_read_matrixmarket"):
-            monkeypatch.setattr(matio, name, no_read)
+        no_row_read(monkeypatch)
         for path in files:
             argv = ["approx-svd", "--input", str(path), "--k", "13", "--out", "-", *stream]
             assert main(argv) == 65
@@ -447,12 +448,7 @@ def test_gram_beyond_memory_refused_before_any_row_is_read(
     monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}.__getitem__)
     one_pass = ["approx-svd", "--input", str(path), "--k", "2", "--stream", "one-pass", "--d", "5"]
     assert main([*one_pass, "--out", str(tmp_path / "one.json")]) == 0  # one pass forms no Gram
-
-    def no_read(*args, **kwargs):
-        pytest.fail("a row was read")
-
-    for reader in ("read_matrix", "open_stream", "_read_matrixmarket"):
-        monkeypatch.setattr(matio, reader, no_read)
+    no_row_read(monkeypatch)
     assert main([*command, "--input", str(path), "--out", "-"]) == 65
     assert capsys.readouterr().err == (
         "matsketch: a 200x200 float64 array needs 320000 bytes, "

@@ -154,6 +154,14 @@ class TestMatrixMarket:
             with pytest.raises(TooLargeError, match="100000000x100000000"):
                 read(path)
 
+    def test_size_line_changed_after_open_is_refused(self, tmp_path, rng):
+        path = tmp_path / "a.mtx"
+        write_matrixmarket(path, rng.normal(size=(8, 3)))
+        stream = open_stream(path)
+        write_matrixmarket(path, rng.normal(size=(12, 3)))
+        with pytest.raises(ParseError, match="size line no longer declares 8x3"):
+            read_matrix(stream)
+
     def test_coordinate_duplicate_entry(self, tmp_path):
         path = tmp_path / "dup.mtx"
         path.write_text(
@@ -275,6 +283,25 @@ class TestBinary:
         with pytest.raises(ParseError, match="truncated at row 99"):
             read_matrix(path)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [("grown", "bytes after row 7"), ("rewritten", "header no longer declares 8x3")],
+    )
+    def test_file_changed_after_open_is_refused(self, tmp_path, rng, change, message):
+        # a stream opened on 8 rows reads its header and the file's end again, so
+        # neither a traversal nor a read returns (or hashes) a prefix of the new file
+        path = tmp_path / "a.bin"
+        for read in (list, read_matrix):
+            write_binary(path, rng.normal(size=(8, 3)))
+            stream = open_stream(path)
+            if change == "grown":
+                with open(path, "ab") as fh:
+                    fh.write(rng.normal(size=(4, 3)).tobytes())
+            else:
+                write_binary(path, rng.normal(size=(12, 3)))
+            with pytest.raises(ParseError, match=message):
+                read(stream)
+
     def test_nan_entry_in_a_later_chunk(self, tmp_path, monkeypatch):
         monkeypatch.setattr(streams, "BLOCK_ROWS", 3)  # the last block is short
         path = tmp_path / "a.bin"
@@ -330,7 +357,7 @@ class TestBinary:
         with InputDigest() as digest:
             tracemalloc.start()
             try:
-                a = read_matrix(path, digest=digest if hashed else None)
+                a = read_matrix(open_stream(path, digest=digest if hashed else None))
                 digest.hexdigest()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
@@ -476,7 +503,7 @@ class TestLineSource:
         lines.insert(3, b"  ")
         path.write_bytes(newline.join(lines))
         with InputDigest() as digest:
-            assert np.array_equal(read_matrix(path, digest=digest), a)
+            assert np.array_equal(read_matrix(open_stream(path, digest=digest)), a)
             assert digest.hexdigest() == sha256_file(path)
         assert np.array_equal(np.concatenate(list(open_stream(path))), a)
 
@@ -543,12 +570,13 @@ class TestDetectAndIngest:
         ],
     )
     def test_read_width_reads_no_row(self, tmp_path, name, data):
-        # each file's rows are malformed: only the header or first line is read
+        # each file's rows are malformed: opening reads only the header or first line
         path = tmp_path / name
         path.write_bytes(data)
-        assert matio.read_width(path) == 3
+        stream = open_stream(path)
+        assert stream.n_cols == 3
         with pytest.raises(ParseError):
-            read_matrix(path)
+            read_matrix(stream)
 
     def test_read_matrix_matches_open_stream(self, tmp_path, random_matrix):
         path = tmp_path / "a.csv"
@@ -560,23 +588,40 @@ class TestDetectAndIngest:
         assert np.array_equal(mem.chosen_indices, streamed.chosen_indices)
         assert mem.rows[mem.inverse].tobytes() == streamed.rows[streamed.inverse].tobytes()
 
-    @pytest.mark.parametrize("stream, opens", [("two-pass", 6), ("none", 4)])
-    def test_csv_run_opens_its_input(self, tmp_path, monkeypatch, rng, stream, opens):
-        # the CLI's width check opens the file twice (detection, first line), then
-        # two-pass: open_stream twice and one open per traversal; none: one
-        # detection and one read.  Each open is one more chance for the file to change
-        path = tmp_path / "a.csv"
-        write_csv(path, rng.normal(size=(300, 6)))
-        opened = []
+    @pytest.mark.parametrize(
+        "name, command, opens",
+        [("a.bin", "none", 3), ("a.bin", "two-pass", 4), ("a.bin", "one-pass", 3),
+         ("a.bin", "lln", 3), ("a.bin", "decay", 3),
+         ("a.csv", "none", 3), ("a.csv", "two-pass", 4), ("a.csv", "one-pass", 3), ("a.csv", "lln", 3),
+         ("a.mtx", "none", 3), ("a.mtx", "two-pass", 3), ("a.mtx", "one-pass", 3), ("a.mtx", "lln", 3)],
+    )
+    def test_run_opens_its_input(self, tmp_path, monkeypatch, rng, name, command, opens):
+        # one open detects the format, one reads the width, then one per traversal
+        # or read (a MatrixMarket file is parsed once).  Each open is one more
+        # chance for the file to change
+        path = tmp_path / name
+        {"a.bin": write_binary, "a.csv": write_csv, "a.mtx": write_matrixmarket}[name](
+            path, rng.normal(size=(30, 30))  # square for decay
+        )
+        argv = {
+            "none": ["approx-svd", "--k", "2", "--d", "20"],
+            "two-pass": ["approx-svd", "--k", "2", "--d", "20", "--stream", "two-pass"],
+            "one-pass": ["approx-svd", "--k", "2", "--d", "20", "--stream", "one-pass"],
+            "lln": ["lln", "--ensemble", "matrix-rows", "--d", "20", "--trials", "3"],
+            "decay": ["decay", "--norm", "spectral", "--witness", "file", "--q", "3", "--trials", "3"],
+        }[command]
+        calls = {"open": [], "detect_format": [], "_read_matrixmarket": []}
 
-        def counted(file, *args, **kwargs):
-            opened.append(file)
-            return open(file, *args, **kwargs)
+        def counted(attr):
+            original = getattr(matio, attr, open)  # matio's open is the builtin
+            return lambda file, *args, **kwargs: calls[attr].append(file) or original(file, *args, **kwargs)
 
-        monkeypatch.setattr(matio, "open", counted, raising=False)
-        argv = ["approx-svd", "--input", str(path), "--k", "2", "--d", "20", "--stream", stream]
-        assert main([*argv, "--out", str(tmp_path / "r.json")]) == 0
-        assert opened == [str(path)] * opens
+        for attr in calls:
+            monkeypatch.setattr(matio, attr, counted(attr), raising=False)
+        assert main([*argv, "--input", str(path), "--out", str(tmp_path / "r.json")]) == 0
+        assert calls["open"] == [str(path)] * opens
+        assert calls["detect_format"] == [str(path)]
+        assert len(calls["_read_matrixmarket"]) == (name == "a.mtx")
 
     def test_binary_stream_rows(self, tmp_path, random_matrix):
         path = tmp_path / "a.bin"
@@ -603,7 +648,7 @@ class TestInputDigest:
         monkeypatch.setattr(streams, "BLOCK_ROWS", block_rows)
         for path in self._files(tmp_path, random_matrix):
             with InputDigest() as digest:
-                assert np.array_equal(read_matrix(path, digest=digest), random_matrix)
+                assert np.array_equal(read_matrix(open_stream(path, digest=digest)), random_matrix)
                 assert digest.hexdigest() == sha256_file(path)
                 assert digest.size == path.stat().st_size
 
@@ -637,7 +682,7 @@ class TestInputDigest:
         baseline = threading.active_count()
         with pytest.raises(RuntimeError):
             with InputDigest() as digest:
-                read_matrix(path, digest=digest)
+                read_matrix(open_stream(path, digest=digest))
                 raise RuntimeError
         assert threading.active_count() == baseline
 

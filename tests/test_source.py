@@ -50,6 +50,25 @@ def test_only_the_cli_names_linalgerror():
     assert len(SOURCES) > 1 and not found, found
 
 
+def test_one_format_dispatch():
+    # matio.open_stream is the one way into a file: it alone detects the format
+    def calls(tree):
+        return [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "detect_format" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES}
+    found = [(name, lineno) for name, tree in trees.items() for lineno in calls(tree)]
+    open_stream = next(
+        node for node in trees["matio.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "open_stream"
+    )
+    assert found == [("matio.py", lineno) for lineno in calls(open_stream)] and len(found) == 1, found
+
+
 def test_module_constants_are_read():
     # a module-level name that no code in the package reads is dead
     trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES]
@@ -333,7 +352,9 @@ def test_traced_gathered_two_pass_run_counts_one_pass(tmp_path):
 
 
 def test_traced_in_memory_run_opens_no_stream(tmp_path):
-    # the benchmark's in-memory workload must count no stream pass: perfbench/run.py:214
+    # the in-memory run opens its input as a stream but traverses none: the binary
+    # read fills the matrix in place, not through the stream's ``__iter__``.
+    # The benchmark's in-memory workload must count no stream pass: perfbench/run.py:214
     # divides a traced call's pass time by streams.cached_read_s, which only a run
     # given --read-ref records, so a pass counted here raises KeyError there.  Drop
     # this test once the benchmark guards that division
