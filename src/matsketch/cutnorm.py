@@ -7,6 +7,14 @@ needed, which both norms allow) and reject inputs whose smaller dimension
 exceeds 24; 2^24 subsets is the practical limit for an exact answer.
 Larger inputs raise TooLargeError rather than being approximated.
 
+The enumeration scores its combinations in one of three table regimes
+(``_enumerate``): int8 tables with int16 scores on integer inputs with
+2 sum |a| at most 32767 whose enumerated side has column absolute sums of
+at most 127 (sign matrices), int16 tables and scores on the other integer
+inputs under that bound, and float64 otherwise.  The integer regimes are exact: no entry,
+int8 group partial or score leaves its dtype.  A cut score's |sum c| term
+comes from scalar tables of the combinations' sums in every regime.
+
 A random restriction is a boolean mask over the coordinates, from
 ``bernoulli_subset``; the decay estimates index with it directly,
 ``a[np.ix_(mask, mask)]`` for a principal submatrix and ``a[mask]`` for
@@ -27,8 +35,8 @@ from .rng import as_generator, spawn
 
 MAX_ENUM = 24
 _CHUNK_BITS = 12
-# Bytes of one enumeration step's block (see _span).  Set in bytes, not
-# entries: int16 and float64 steps are fastest at different entry counts.
+# Bytes of one enumeration step's arrays (see _span).  Set in bytes, not
+# entries: int8, int16 and float64 steps are fastest at different entry counts.
 _SPAN_BYTES = 1 << 20
 
 
@@ -77,69 +85,117 @@ def _score_dtype(work: np.ndarray) -> type:
     return np.float64
 
 
-def _span(low: np.ndarray, columns: int) -> int:
-    """High-table columns one enumeration step scores: as many blocks the size
-    of ``low`` as fit in ``_SPAN_BYTES``, at least one and at most ``columns``."""
-    return min(columns, max(1, _SPAN_BYTES // max(low.nbytes, 1)))
+def _int8_groups(work: np.ndarray) -> int:
+    """Row groups an int8 step sums the n entries of a combination in, for
+    integer ``work`` whose largest column absolute sum b is at most 127; 0
+    keeps the tables in the score dtype.  No combination entry exceeds b, so
+    the tables fit int8, and so does the sum of up to 127 // b absolute
+    entries: ceil(n / (127 // b)) groups, each of at most 127 // b rows."""
+    b = int(np.abs(work).sum(axis=0).max(initial=0))
+    return -(-work.shape[1] // (127 // max(b, 1))) if b <= 127 else 0
+
+
+def _span(column_bytes: int, columns: int) -> int:
+    """High-table columns one enumeration step scores, when each column needs
+    ``column_bytes`` of the step's arrays: as many as fit in ``_SPAN_BYTES``,
+    at least one and at most ``columns``."""
+    return min(columns, max(1, _SPAN_BYTES // max(column_bytes, 1)))
 
 
 def _enumerate(work: np.ndarray, signed: bool) -> tuple[np.ndarray, np.ndarray, int]:
     """First maximizing combination of the rows of the smaller side of ``work``
     (both norms are transpose-invariant), chunk by chunk.  Returns the
-    enumerated matrix, the maximizing combination (1-d, in the score dtype)
+    enumerated matrix, the maximizing combination (1-d, in the table dtype)
     and its index.
 
     Signed combinations x score sum |x|, the infinity-to-one value; x and -x
     score the same, so only those whose last sign is + are walked.  Subset
     sums c score sum |c| + |sum c| = 2 max(sum c+, sum c-), twice the best cut
-    with that row set; a last column of row sums makes |sum c| one more entry
-    of the combination, so both scores are sums of absolute entries.  The
-    tables hold one combination per column, split at row ``_CHUNK_BITS``
-    into a low and a high table.  A chunk is the low table plus one column
-    of the high table; each step scores a span of consecutive high columns
-    (as many chunks as fit in ``_SPAN_BYTES``) as one block, whose scores
-    are its sums over axis 0 after ``abs``, row by row as for one chunk.
-    The first maximizer is the first in (high column, low column) order: a
-    flat argmax within a span and a strict ``>`` across spans.  Scores run in
-    the dtype ``_score_dtype`` picks: exact int16 on small integer input
-    (sign matrices, the CLI's witnesses), so the first maximizer is exact;
-    float64 otherwise, where on non-integer input a near-tie may select
-    another maximizer.
+    with that row set; sum c comes from scalar tables that hold the sum of
+    each low and each high combination.  The tables hold one combination per
+    column, split at row ``_CHUNK_BITS`` into a low and a high table.  A
+    chunk is the low table plus one column of the high table; each step
+    scores a span of consecutive high columns (as many chunks as ``_span``
+    fits in ``_SPAN_BYTES``) as one block, whose scores are its sums over
+    axis 0 after ``abs``, row by row as for one chunk.  The first maximizer
+    is the first in (high column, low column) order: a flat argmax within a
+    span and a strict ``>`` across spans.
+
+    Scores run in the dtype ``_score_dtype`` picks, and the tables in one of
+    three regimes:
+    - int8 tables under int16 scores, when the score dtype is int16 and the
+      largest column absolute sum b of the enumerated side is at most 127
+      (sign matrices, the CLI's witnesses).  An entry is at most b, so the
+      add and abs run in int8.  The rows are summed in int8 in zero-padded
+      groups of at most 127 // b rows, so a group partial is at most 127, and
+      the partials are added into the int16 scores, where a score is at most
+      2 sum |a| <= 32767.  |sum c| does not fit an int8 row: it is each
+      score's first addend.
+    - int16 tables and scores on the other integer inputs with 2 sum |a| <=
+      32767, and
+    - float64 otherwise, both summing each step in one reduction straight
+      into the scores, with |sum c| as the block's last row.
+    Every entry, partial and score of the integer regimes is an exact
+    integer inside its dtype, so the first maximizer is exact.  On
+    non-integer input a near-tie may select another maximizer, as exact as
+    the first.
     """
     if work.shape[0] > work.shape[1]:
         work = work.T
-    k = work.shape[0]
+    k, n = work.shape
     if k > MAX_ENUM:
         raise TooLargeError(f"exact enumeration needs min(m, n) <= {MAX_ENUM}, got {k}")
     dtype = _score_dtype(work)
-    rows = work.astype(dtype, copy=False)
-    if not signed:
-        rows = np.column_stack((rows, rows.sum(axis=1, dtype=dtype)))
+    groups = _int8_groups(work) if dtype is np.int16 else 0
+    tables = work.astype(np.int8 if groups else dtype, copy=False)
     lo_bits = min(k, _CHUNK_BITS)
-    low = _combinations(rows[:lo_bits], signed)
-    high = _combinations(rows[lo_bits:], signed)
+    low = _combinations(tables[:lo_bits], signed)
+    high = _combinations(tables[lo_bits:], signed)
     if signed and k:
         if high.shape[1] > 1:
             high = high[:, : high.shape[1] // 2]
         else:
             low = low[:, : low.shape[1] // 2]
+    if not signed:
+        low_sums, high_sums = low.sum(axis=0, dtype=dtype), high.sum(axis=0, dtype=dtype)
     columns, size = high.shape[1], low.shape[1]
-    span = _span(low, columns)
-    # one reused buffer pair: a fresh block per step costs page faults.  The
-    # block is held 2-d, (entries, span * size), so abs, the row-order sum and
-    # the argmax run as for one chunk (a 3-d sum is slower at a span of one);
-    # a score's flat index, in (high, low) order, is its combination's index.
+    # The step's arrays, reused (a fresh block per step costs page faults):
+    # the block, the group partials and the scores.  The block holds the n
+    # entries, zero-padded to whole groups on int8 tables; a cut's |sum c| is
+    # its last row on wider tables, summed last, and the scores' first addend
+    # on int8 tables, where it does not fit a row.  The block is held 2-d,
+    # (rows, span * size), so abs, the row-order sum and the argmax run as
+    # for one chunk (a 3-d sum is slower at a span of one); a score's flat
+    # index, in (high, low) order, is its combination's index.
+    block_rows = groups * -(-n // groups) if groups else n + (not signed)
+    itemsize = np.dtype(dtype).itemsize
+    span = _span(size * (block_rows * tables.itemsize + groups + itemsize), columns)
+    block = np.empty((block_rows, span * size), dtype=tables.dtype)
+    block[n:] = 0  # the padding of the last int8 group stays zero
+    partials = np.empty((groups, span * size), dtype=np.int8)
     values = np.empty(span * size, dtype=dtype)
-    block = np.empty((low.shape[0], span * size), dtype=dtype)
     best_value = -1
     best = 0
     for h0 in range(0, columns, span):
         width = min(span, columns - h0)
-        chunk, scores = block[:, : width * size], values[: width * size]
-        target = chunk.reshape(low.shape[0], width, size)  # a view: splits the last axis
+        stop = width * size
+        chunk, entries, scores = block[:, :stop], block[:n, :stop], values[:stop]
+        target = entries.reshape(n, width, size)  # a view: splits the last axis
         np.add(low[:, None, :], high[:, h0 : h0 + width, None], out=target)
-        np.abs(chunk, out=chunk)
-        chunk.sum(axis=0, out=scores)
+        np.abs(entries, out=entries)
+        if not signed:
+            term = scores if groups else chunk[n]
+            np.add(low_sums, high_sums[h0 : h0 + width, None], out=term.reshape(width, size))
+            np.abs(term, out=term)
+        if groups:
+            group_sums = partials[:, :stop]
+            np.add.reduce(chunk.reshape(groups, block_rows // groups, stop), axis=1, out=group_sums)
+            if signed:
+                scores.fill(0)
+            for partial in group_sums:
+                scores += partial
+        else:
+            chunk.sum(axis=0, out=scores)
         i = int(np.argmax(scores))
         if scores[i] > best_value:
             best_value = scores[i]

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,7 +145,7 @@ SPANS = {
 
 
 def use_span(monkeypatch, span):
-    monkeypatch.setattr(cutnorm, "_span", lambda low, columns: SPANS[span](columns))
+    monkeypatch.setattr(cutnorm, "_span", lambda column_bytes, columns: SPANS[span](columns))
 
 
 class TestChunkSeams:
@@ -224,6 +225,29 @@ class TestChunkSeams:
             assert (result.value, result.row_set, result.col_set) == cut_norm_reference(b)
             assert inf_to_one_norm_exact(b) == inf_to_one_by_vertices(b)
 
+    @pytest.mark.parametrize(
+        "b,k,n,padding",
+        [(127, 9, 11, 0), (128, 9, 11, 0), (63, 7, 11, 1), (42, 8, 13, 2), (20, 12, 13, 2)],
+        ids=["b127", "b128", "b63-pad1", "b42-pad2", "b20-pad2"],
+    )
+    def test_int8_boundary(self, b, k, n, padding):
+        # the enumerated side is k x n, and its largest column absolute sum is b:
+        # int8 tables up to b = 127, in zero-padded groups of at most 127 // b
+        # rows when n is not a multiple of the group size; int16 from b = 128
+        rng = np.random.default_rng(b)
+        a = np.empty((k, n))
+        for j in range(n):
+            total = b if j == 2 else int(rng.integers(0, b + 1))
+            a[:, j] = rng.multinomial(total, np.full(k, 1 / k)) * rng.choice([-1, 1], size=k)
+        groups = cutnorm._int8_groups(a)
+        assert (groups > 0) == (b <= 127)
+        if groups:
+            assert groups * -(-n // groups) - n == padding
+        for case in (a, a.T, -a):
+            result = cut_norm_exact(case)
+            assert (result.value, result.row_set, result.col_set) == cut_norm_reference(case)
+            assert inf_to_one_norm_exact(case) == inf_to_one_by_vertices(case)
+
     @pytest.mark.parametrize("shape", [(0, 5), (5, 0)])
     def test_empty_inputs(self, shape):
         a = np.zeros(shape)
@@ -233,15 +257,98 @@ class TestChunkSeams:
 
 @pytest.mark.parametrize(
     "shape,dtype",
-    [((21, 4096), np.int16), ((21, 4096), np.float64), ((3, 8), np.int16), ((0, 1), np.float64)],
+    [
+        ((21, 4096), np.int16),
+        ((21, 4096), np.float64),
+        ((3, 8), np.int16),
+        ((0, 1), np.float64),
+        ((20, 4096), np.int8),
+    ],
 )
 @pytest.mark.parametrize("columns", [1, 5, 4096])
 def test_span_fills_the_byte_budget(shape, dtype, columns):
-    low = np.zeros(shape, dtype=dtype)
-    span = cutnorm._span(low, columns)
+    # a step over (block rows, low-table columns) = shape: each high column it
+    # spans holds a block column and the scores of its combinations (int16
+    # scores under int8 tables), and on int8 tables one partial per group of
+    # at most 127 // 20 = 6 rows
+    rows, size = shape
+    groups = -(-rows // 6) if dtype is np.int8 else 0
+    score_bytes = np.dtype(np.int16 if dtype is np.int8 else dtype).itemsize
+    column_bytes = size * (rows * np.dtype(dtype).itemsize + groups + score_bytes)
+    span = cutnorm._span(column_bytes, columns)
     assert 1 <= span <= columns
-    assert span == 1 or span * low.nbytes <= cutnorm._SPAN_BYTES
-    assert span == columns or (span + 1) * low.nbytes > cutnorm._SPAN_BYTES
+    assert span == 1 or span * column_bytes <= cutnorm._SPAN_BYTES
+    assert span == columns or (span + 1) * column_bytes > cutnorm._SPAN_BYTES
+
+
+def sign_matrix(n):
+    return witness_random_sign(n, seed=n)
+
+
+# (input, walk, bytes per high-table column of every per-step array): the block
+# (entries, zero-padded to whole int8 groups, plus a cut's |sum c| row on wider
+# tables), one int8 partial per group and one score, per low-table column
+STEP_ACCOUNTS = {
+    # b = 20: 4 groups of 5 rows, the term in the int16 scores
+    "int8-cut": (lambda: sign_matrix(20), cut_norm_exact, 4096 * (20 + 4 + 2)),
+    "int8-inf": (lambda: sign_matrix(20), inf_to_one_norm_exact, 4096 * (20 + 4 + 2)),
+    # b = 15: 2 groups of 8 rows, one of them zero-padded
+    "int8-cut-padded": (lambda: sign_matrix(15), cut_norm_exact, 4096 * (16 + 2 + 2)),
+    # b = 13 * 20 > 127: int16 tables, 13 entries and the |sum c| row
+    "int16-cut": (lambda: 20.0 * sign_matrix(13), cut_norm_exact, 4096 * (14 * 2 + 2)),
+    "int16-inf": (lambda: 20.0 * sign_matrix(13), inf_to_one_norm_exact, 4096 * (13 * 2 + 2)),
+    "float64-cut": (lambda: sign_matrix(16) / 3, cut_norm_exact, 4096 * (17 * 8 + 8)),
+}
+
+
+@pytest.mark.parametrize("case", list(STEP_ACCOUNTS))
+def test_span_counts_every_step_array(monkeypatch, case):
+    # _span is the one seam that sets a step's width, and the chunk-seam tests
+    # force their spans through it: an enumerator that sized its steps without
+    # asking would pass them without splitting anything, and fails here
+    make, oracle, expected = STEP_ACCOUNTS[case]
+    asked = []
+    span = cutnorm._span
+
+    def recorded(column_bytes, columns):
+        asked.append(column_bytes)
+        return span(column_bytes, columns)
+
+    monkeypatch.setattr(cutnorm, "_span", recorded)
+    oracle(make())
+    assert asked == [expected]
+
+
+@pytest.mark.parametrize("k,dtype", [(20, np.int8), (16, np.float64)])
+def test_working_set_stays_in_the_step_budget(k, dtype):
+    # one call's tracemalloc peak: the low and high tables plus at most
+    # _SPAN_BYTES for everything else (the step arrays fill the budget)
+    a = sign_matrix(k) if dtype is np.int8 else np.random.default_rng(k).normal(size=(k, k))
+    lo_bits = min(k, cutnorm._CHUNK_BITS)
+    tables = k * ((1 << lo_bits) + (1 << (k - lo_bits))) * np.dtype(dtype).itemsize
+    cut_norm_exact(a)
+    tracemalloc.start()
+    try:
+        cut_norm_exact(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cutnorm._SPAN_BYTES + tables
+
+
+def test_every_decay_submatrix_matches_the_reference(monkeypatch):
+    # the principal submatrices cut_decay_estimate's masks draw from a 20 x 20
+    # sign matrix at q = 15 (15 +- 2 rows: int8 tables in spans of several chunks)
+    monkeypatch.setenv("MATSKETCH_THREADS", "1")
+    seen = []
+    oracle = cutnorm.cut_norm_exact
+    monkeypatch.setattr(cutnorm, "cut_norm_exact", lambda a: seen.append(a) or oracle(a))
+    trials = 20
+    cut_decay_estimate(witness_random_sign(20, seed=0), 15, trials=trials, seed=0)
+    assert len(seen) == trials + 1  # and the bound term's full matrix, last
+    for sub in seen[:trials]:
+        result = oracle(sub)
+        assert (result.value, result.row_set, result.col_set) == cut_norm_reference(sub)
 
 
 def test_enumerator_throughput_smoke():
